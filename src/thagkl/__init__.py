@@ -8,6 +8,7 @@ arithmetic and every pipeline is cross-checked against the others.
 """
 
 from .dyck import (
+    DyckTable,
     catalan,
     closed_form,
     closed_form_row,
@@ -47,9 +48,7 @@ from .polynomials import (
     IntPoly,
     PolySeries,
     expand_F,
-    poly_mul,
     poly_reverse,
-    series_mul,
     solve_reflection_equation,
 )
 from .symfunc import (
@@ -66,6 +65,7 @@ from .symfunc import (
 __all__ = [
     "ConjectureReport",
     "ConjectureTerm",
+    "DyckTable",
     "FlatLattice",
     "Graph",
     "IntPoly",
@@ -96,9 +96,7 @@ __all__ = [
     "mul_h",
     "partitions_of",
     "phi_series",
-    "poly_mul",
     "poly_reverse",
-    "series_mul",
     "solve_reflection_equation",
     "thagomizer_graph",
     "upsilon",

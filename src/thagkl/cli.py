@@ -200,11 +200,13 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def _corrupted_series(order: int, n: int, k: int) -> PolySeries:
+    if n < 0 or k < 0:
+        raise ValueError(f"corruption indices must be nonnegative, got n={n}, k={k}")
+    if n + 1 > order:
+        raise ValueError(f"corruption index n={n} outside series order {order}")
     series = phi_series(order)
     coeffs = list(series.coeffs)
-    target = list(coeffs[n + 1].coeffs) if n + 1 <= order else None
-    if target is None:
-        raise ValueError(f"corruption index n={n} outside series order {order}")
+    target = list(coeffs[n + 1].coeffs)
     while len(target) <= k:
         target.append(0)
     target[k] += 1
@@ -238,12 +240,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
     )
 
-    bad_closed = [
-        (n, k)
-        for n in range(max_n + 1)
-        for k in range(kl_poly(n).degree() + 1)
-        if kl_poly(n)[k] != closed_form_row(n).get(k, 0)
-    ]
+    bad_closed = []
+    for n in range(max_n + 1):
+        p = kl_poly(n)
+        row = closed_form_row(n)
+        bad_closed.extend((n, k) for k in range(p.degree() + 1) if p[k] != row.get(k, 0))
     checks.append(
         {
             "name": "closed-form-agreement",

@@ -7,7 +7,8 @@ bijection with occurrences of the factor UUD.
 
 The triangle a[n][k] = #{paths of semilength n with k long ascents} is
 computed three independent ways: exhaustive enumeration (n <= 14), a dynamic
-program over (height, current run length), and a binomial closed form
+program over (height, current run length) whose one growing sweep yields
+every row up to the longest one asked for, and a binomial closed form
 
     a[n][k] = 1/(n+1) * C(n+1, k) * sum_{j} C(j-k-1, k-1) * C(n+1-k, n-j).
 
@@ -118,48 +119,61 @@ def count_by_ascents_enum(n: int) -> dict[int, int]:
     return dict(sorted(row.items()))
 
 
+class DyckTable:
+    """Triangle rows a[0], a[1], ... from one growing dynamic-programming sweep.
+
+    The sweep counts U/D prefixes with no negative height by (height, run
+    length, long ascents).  The run length saturates at 2: runs of length >= 2
+    are equivalent for the statistic.  A D step leaving run state 2 closes one
+    long ascent, which shifts that state's count vector by one in k.  Row n is
+    the count vector of prefixes of length 2n that end at height 0 (they end
+    with a D step, so in run state 0).  No height is pruned, so the sweep that
+    reaches length 2N has produced every row n <= N, and asking for a larger
+    n resumes it where it stopped.
+    """
+
+    def __init__(self) -> None:
+        # _states[run][height]: count vector indexed by long ascents
+        self._states: tuple[list[list[int]], ...] = ([[1]], [[]], [[]])
+        self._rows: list[dict[int, int]] = [{0: 1}]
+
+    def row(self, n: int) -> dict[int, int]:
+        """Row n as a fresh dict k -> count, nonzero entries only."""
+        if n < 0:
+            raise ValueError("semilength must be nonnegative")
+        while len(self._rows) <= n:
+            self._step()
+            self._step()
+            self._rows.append({k: v for k, v in enumerate(self._states[0][0]) if v})
+        return dict(self._rows[n])
+
+    def _step(self) -> None:
+        run0, run1, run2 = self._states
+        # D steps lower the height and reset the run; leaving run 2 adds one k
+        down = [
+            _vec_add(_vec_add(run0[h], run1[h]), [0] + run2[h] if run2[h] else [])
+            for h in range(1, len(run0))
+        ]
+        self._states = (
+            down + [[], []],
+            [[]] + run0,
+            [[]] + [_vec_add(a, b) for a, b in zip(run1, run2)],
+        )
+
+
 def count_by_ascents_dp(n: int) -> dict[int, int]:
     """Triangle row by dynamic programming over (height, run length).
 
-    The run length saturates at 2: runs of length >= 2 are equivalent for the
-    statistic.  A D step leaving run state 2 closes one long ascent, which
-    shifts that state's count vector by one in k.
+    Sweeps a fresh ``DyckTable`` to length 2n; a caller that needs many rows
+    keeps one table and reads them all from its single sweep.
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    total = 2 * n
-    # state: (height, saturated run length) -> counts indexed by long ascents
-    states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
-    for step in range(total):
-        remaining = total - step
-        nxt: dict[tuple[int, int], list[int]] = {}
-        for (height, run), vec in states.items():
-            if height + 1 <= remaining - 1:
-                _accumulate(nxt, (height + 1, min(run + 1, 2)), vec, 0)
-            if height > 0:
-                _accumulate(nxt, (height - 1, 0), vec, 1 if run == 2 else 0)
-        states = nxt
-    vec = states.get((0, 0), [])
-    if n == 0:
-        vec = [1]
-    return {k: v for k, v in enumerate(vec) if v}
+    return DyckTable().row(n)
 
 
-def _accumulate(
-    dst: dict[tuple[int, int], list[int]],
-    key: tuple[int, int],
-    vec: list[int],
-    shift: int,
-) -> None:
-    src = [0] * shift + vec if shift else vec
-    cur = dst.get(key)
-    if cur is None:
-        dst[key] = list(src)
-        return
-    if len(cur) < len(src):
-        cur.extend([0] * (len(src) - len(cur)))
-    for i, v in enumerate(src):
-        cur[i] += v
+def _vec_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
 def _binom(a: int, b: int) -> int:

@@ -9,6 +9,13 @@ polynomial P_n satisfies
 
 and deg P_n <= floor(n/2), which pins P_n uniquely: move the i = n term (which
 is P_n itself) to the left and read the coefficients off the reflection.
+``KLTable`` builds the remaining right-hand side by Horner's rule in (t - 1),
+
+    acc <- 1;  acc <- acc * (t-1) + C(n,i) * 2^(n-i) * P_i  for i < n;
+    rhs = acc * (t-1),
+
+so a row costs one pass over the earlier rows with no powers of (t - 1) and
+no general polynomial product.
 
 The same family is the coefficient sequence of u * F(t, u) for the series F of
 :func:`thagkl.polynomials.expand_F`; ``verify_theorem`` cross-checks the
@@ -21,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from math import comb
 
-from .dyck import count_by_ascents_dp
+from .dyck import DyckTable
 from .polynomials import (
     ONE,
     T,
@@ -67,11 +74,19 @@ class KLTable:
 
     def _append_next(self) -> None:
         n = len(self._entries)
-        rhs = char_poly_boolean(n + 1)
-        for i in range(n):
-            weight = comb(n, i) * 2 ** (n - i)
-            rhs = rhs + weight * char_poly_boolean(n - i) * self._entries[i]
+        acc = [1]
+        for i, p in enumerate(self._entries):
+            weight = comb(n, i) << (n - i)
+            acc = _times_t_minus_1(acc)
+            for k, c in enumerate(p.coeffs):
+                acc[k] += weight * c
+        rhs = IntPoly(_times_t_minus_1(acc))
         self._entries.append(solve_reflection_equation(n + 1, rhs))
+
+
+def _times_t_minus_1(coeffs: list[int]) -> list[int]:
+    """Coefficients of (t - 1) * sum_k coeffs[k] t^k."""
+    return [hi - lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
 
 
 _TABLE = KLTable()
@@ -121,7 +136,8 @@ def verify_theorem(order: int, *, series: PolySeries | None = None) -> TheoremRe
 
     Disagreements are returned as data, not raised.  ``series`` may be
     supplied explicitly (normally a deliberately corrupted copy, for negative
-    controls); by default the honest expansion is used.
+    controls); by default the honest expansion is used.  The DP rows all come
+    from one ``DyckTable`` sweep of its own.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -129,11 +145,12 @@ def verify_theorem(order: int, *, series: PolySeries | None = None) -> TheoremRe
         series = phi_series(order)
     elif series.order < order:
         raise ValueError("supplied series is shorter than the requested order")
+    dyck = DyckTable()
     mismatches: list[CoefficientMismatch] = []
     for n in range(order):
         from_recursion = kl_poly(n)
         from_series = series.coefficient(n + 1)
-        dp_row = count_by_ascents_dp(n)
+        dp_row = dyck.row(n)
         span = max(from_recursion.degree(), from_series.degree(), max(dp_row) if dp_row else 0)
         for k in range(span + 1):
             a = from_recursion[k]

@@ -7,17 +7,31 @@ Two layers, both over arbitrary-precision integers:
 * ``PolySeries`` -- a power series in a second variable ``u`` truncated at a
   fixed order (inclusive), whose coefficients are ``IntPoly`` values.
 
-Everything is immutable and exact; no floats anywhere.  The module also
-houses the two solver primitives shared by the higher layers: the coefficient
-recurrence for the series root ``F`` of ``u*(1 - u + t*u)*F^2 - F + 1 = 0``
-and the reflection trick that extracts a low-degree polynomial ``P`` from an
-identity ``t^r * P(1/t) - P(t) = q(t)``.
+Everything is immutable and exact; no floats anywhere.  Sums work on the
+coefficient lists directly.  Products of long operands go through Kronecker
+substitution (Harvey, arXiv:0712.4046): each factor is evaluated at t = 2^w
+by packing its coefficients into w-bit slots of one integer, CPython's bigint
+multiply forms the product, and the signed coefficients are read back out of
+the slots.  The slot width w comes from a proven bound on the product's
+coefficients, so no carry ever crosses a slot boundary.
+
+The module also houses the two solver primitives shared by the higher
+layers: the coefficient recurrence for the series root ``F`` of
+``u*(1 - u + t*u)*F^2 - F + 1 = 0`` (run on packed integers as well) and the
+reflection trick that extracts a low-degree polynomial ``P`` from an identity
+``t^r * P(1/t) - P(t) = q(t)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
+
+
+# Products whose shorter factor has at least this many coefficients are formed
+# by Kronecker substitution; shorter ones by the schoolbook double loop, which
+# wins while the packing and unpacking overhead dominates.
+KRONECKER_MIN_LEN = 16
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -25,7 +39,9 @@ class IntPoly:
     """Polynomial in t with integer coefficients, stored densely.
 
     ``coeffs[k]`` is the coefficient of ``t^k``; the top stored coefficient is
-    always nonzero, and the zero polynomial stores the empty tuple.
+    always nonzero, and the zero polynomial stores the empty tuple.  Sums,
+    differences and products accept an ``IntPoly`` or an ``int``; any other
+    operand gives ``NotImplemented``, so Python raises ``TypeError``.
 
     >>> IntPoly((1, 0, 2)) * IntPoly((0, 1))
     IntPoly((0, 1, 0, 2))
@@ -34,10 +50,11 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        top = len(cs)
+        while top and cs[top - 1] == 0:
+            top -= 1
+        object.__setattr__(self, "coeffs", cs[:top] if top < len(cs) else cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -56,33 +73,57 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: Union[IntPoly, int]) -> IntPoly:
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self[k] + other[k] for k in range(n))
+        if isinstance(other, IntPoly):
+            b = other.coeffs
+        elif isinstance(other, int):
+            b = (other,)
+        else:
+            return NotImplemented
+        a = self.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return IntPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union[IntPoly, int]) -> IntPoly:
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self[k] - other[k] for k in range(n))
+        if isinstance(other, IntPoly):
+            b = other.coeffs
+        elif isinstance(other, int):
+            b = (other,)
+        else:
+            return NotImplemented
+        a = self.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out.extend(a[len(b):])
+        else:
+            out.extend(-y for y in b[len(a):])
+        return IntPoly(out)
 
     def __rsub__(self, other: Union[IntPoly, int]) -> IntPoly:
-        return _as_poly(other) - self
+        if not isinstance(other, int):
+            return NotImplemented
+        return -self + other
 
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __mul__(self, other: Union[IntPoly, int]) -> IntPoly:
         if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
+            return IntPoly([c * other for c in self.coeffs]) if other else ZERO
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
+            return IntPoly(_kronecker_mul(a, b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
         return IntPoly(out)
 
     __rmul__ = __mul__
@@ -145,14 +186,61 @@ def _as_poly(value: Union[IntPoly, int]) -> IntPoly:
     return IntPoly((value,))
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot so that every integer of magnitude <= bound is a digit.
+
+    The slot holds 8*b bits with 2^(8*b - 1) > bound, so balanced digits in
+    [-2^(8*b-1), 2^(8*b-1)) cover every such integer.
+    """
+    return bound.bit_length() // 8 + 1
+
+
+def _slot_bias(nbytes: int, length: int) -> int:
+    """sum_{k < length} 2^(8*nbytes - 1) * 2^(8*nbytes*k): half a slot in every slot."""
+    return int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * length, "little")
+
+
+def _pack(coeffs: Sequence[int], nbytes: int) -> int:
+    """Evaluate sum c_k t^k at t = 2^(8*nbytes); needs every |c_k| < 2^(8*nbytes - 1).
+
+    Each coefficient is shifted by half a slot, which makes it a nonnegative
+    digit below the slot size; the shifts are then subtracted in one go.
+    """
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _slot_bias(nbytes, len(coeffs))
+
+
+def _unpack(value: int, nbytes: int, length: int) -> list[int]:
+    """Balanced base-2^(8*nbytes) digits of value, lowest first, ``length`` of them.
+
+    Requires value = sum_{k < length} c_k 2^(8*nbytes*k) with every
+    |c_k| < 2^(8*nbytes - 1).  Adding half a slot to every slot makes each
+    digit nonnegative and below the slot size, so the biased value splits
+    into slots bytewise; subtracting the half again restores the sign.
+    """
+    half = 1 << (8 * nbytes - 1)
+    raw = (value + _slot_bias(nbytes, length)).to_bytes(nbytes * length, "little")
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * length, nbytes)
+    ]
+
+
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Coefficients of the product of two nonzero coefficient tuples.
+
+    Every product coefficient is a sum of at most min(len a, len b) terms
+    a_i * b_j, which bounds its magnitude by max|a| * max|b| * min(len a, len b).
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    nbytes = _slot_bytes(bound)
+    return _unpack(_pack(a, nbytes) * _pack(b, nbytes), nbytes, len(a) + len(b) - 1)
+
+
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 T = IntPoly((0, 1))
-
-
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact product of two polynomials."""
-    return a * b
 
 
 def poly_reverse(r: int, p: IntPoly) -> IntPoly:
@@ -230,11 +318,6 @@ class PolySeries:
         return all(c.is_zero() for c in self.coeffs)
 
 
-def series_mul(a: PolySeries, b: PolySeries) -> PolySeries:
-    """Truncated Cauchy product of two series of equal order."""
-    return a * b
-
-
 def expand_F(order: int) -> PolySeries:
     """Expand the unique power-series root F of u*(1-u+t*u)*F^2 - F + 1 = 0.
 
@@ -245,20 +328,38 @@ def expand_F(order: int) -> PolySeries:
 
     The recurrence stays in integer arithmetic; no square root is extracted
     (the quadratic's other root has no power-series expansion at u = 0).
+
+    It runs on the packed values F_m(2^w), one integer per m, and unpacks
+    each F_m once at the end.  The slot width w comes from the majorant
+    N_0 = 1, N_m = sum_{a+b=m-1} N_a N_b + 2 * sum_{a+b=m-2} N_a N_b: the sum
+    of absolute coefficients is submultiplicative and (t - 1) at most doubles
+    it, so N_m bounds every |coefficient| of F_m whatever its sign.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    t_minus_1 = T - ONE
-    f: list[IntPoly] = [ONE]
+    norms = [1]
     for m in range(1, order + 1):
-        conv1 = ZERO
-        for a in range(m):
-            conv1 = conv1 + f[a] * f[m - 1 - a]
-        conv2 = ZERO
-        for a in range(m - 1):
-            conv2 = conv2 + f[a] * f[m - 2 - a]
-        f.append(conv1 + t_minus_1 * conv2)
-    return PolySeries(order, f)
+        norms.append(_self_convolution(norms, m - 1) + 2 * _self_convolution(norms, m - 2))
+    nbytes = _slot_bytes(max(norms))
+    width = 8 * nbytes
+    packed = [1]
+    for m in range(1, order + 1):
+        conv2 = _self_convolution(packed, m - 2)
+        packed.append(_self_convolution(packed, m - 1) + (conv2 << width) - conv2)
+    # deg F_m <= m, so m + 1 slots hold all of F_m
+    return PolySeries(
+        order, [IntPoly(_unpack(value, nbytes, m + 1)) for m, value in enumerate(packed)]
+    )
+
+
+def _self_convolution(values: list[int], s: int) -> int:
+    """sum_{a+b=s} values[a] * values[b], pairing a with s - a; 0 for s < 0."""
+    if s < 0:
+        return 0
+    total = 2 * sum(values[a] * values[s - a] for a in range((s + 1) // 2))
+    if s % 2 == 0:
+        total += values[s // 2] ** 2
+    return total
 
 
 def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:

@@ -162,6 +162,15 @@ def test_verify_corrupted_exits_one_and_names_check(capsys):
     assert "n=4" in failing[0] and "k=1" in failing[0]
 
 
+@pytest.mark.parametrize("corrupt", ["-1,0", "4,-1"])
+def test_verify_rejects_negative_corruption_index(capsys, corrupt):
+    # -1,0 would bump the unchecked u^0 coefficient; 4,-1 would bump k=2 via list[-1]
+    code, out, err = run_cli(capsys, "verify", "--max", "6", f"--corrupt={corrupt}")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
 def test_verify_json_report(capsys):
     code, payload = run_json(
         capsys, "verify", "--max", "6", "--corrupt", "3,1", "--format", "json"

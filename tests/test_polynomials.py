@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -9,9 +10,7 @@ from thagkl.polynomials import (
     T,
     ZERO,
     expand_F,
-    poly_mul,
     poly_reverse,
-    series_mul,
     solve_reflection_equation,
 )
 
@@ -27,16 +26,16 @@ def test_normalization_strips_trailing_zeros():
 
 
 def test_mul_binomial_square():
-    assert poly_mul(T_MINUS_1, T_MINUS_1) == IntPoly((1, -2, 1))
+    assert T_MINUS_1 * T_MINUS_1 == IntPoly((1, -2, 1))
 
 
 def test_mul_chi_of_index_one():
     # (t-1)(t-2) is the characteristic polynomial of the smallest nontrivial case
-    assert poly_mul(T_MINUS_1, T_MINUS_2) == IntPoly((2, -3, 1))
+    assert T_MINUS_1 * T_MINUS_2 == IntPoly((2, -3, 1))
 
 
 def test_mul_absorbing_zero():
-    assert poly_mul(ZERO, T_MINUS_2) == ZERO
+    assert ZERO * T_MINUS_2 == ZERO
     assert (ZERO * 5).is_zero()
 
 
@@ -52,6 +51,16 @@ def test_mul_ring_axioms_randomized():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("bad", [2.5, "t", None, [1, 2]])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_rejects_non_integer_operands(op, bad):
+    p = IntPoly((1, 2))
+    with pytest.raises(TypeError):
+        op(p, bad)
+    with pytest.raises(TypeError):
+        op(bad, p)
 
 
 def test_reverse_basic_window():
@@ -93,14 +102,14 @@ def test_evaluate():
 def test_series_difference_of_squares():
     one_plus_u = PolySeries(2, (ONE, ONE))
     one_minus_u = PolySeries(2, (ONE, -ONE))
-    assert series_mul(one_plus_u, one_minus_u) == PolySeries(2, (ONE, ZERO, -ONE))
+    assert one_plus_u * one_minus_u == PolySeries(2, (ONE, ZERO, -ONE))
 
 
 def test_series_reciprocal_of_geometric():
     order = 9
     geometric = PolySeries(order, [ONE] * (order + 1))
     inverse = PolySeries(order, (ONE, -ONE))
-    assert series_mul(geometric, inverse) == PolySeries.constant(order, 1)
+    assert geometric * inverse == PolySeries.constant(order, 1)
 
 
 def test_series_square_with_polynomial_coefficients():
