@@ -8,7 +8,6 @@ arithmetic and every pipeline is cross-checked against the others.
 """
 
 from .dyck import (
-    DyckTable,
     catalan,
     closed_form,
     closed_form_row,
@@ -65,7 +64,6 @@ from .symfunc import (
 __all__ = [
     "ConjectureReport",
     "ConjectureTerm",
-    "DyckTable",
     "FlatLattice",
     "Graph",
     "IntPoly",

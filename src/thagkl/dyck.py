@@ -7,8 +7,8 @@ bijection with occurrences of the factor UUD.
 
 The triangle a[n][k] = #{paths of semilength n with k long ascents} is
 computed three independent ways: exhaustive enumeration (n <= 14), a dynamic
-program over (height, current run length) whose one growing sweep yields
-every row up to the longest one asked for, and a binomial closed form
+program over (height, current run length) whose one sweep yields every row
+up to a size fixed in advance, and a binomial closed form
 
     a[n][k] = 1/(n+1) * C(n+1, k) * sum_{j} C(j-k-1, k-1) * C(n+1-k, n-j).
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import re
+from itertools import zip_longest
 from math import comb
 from typing import Iterator
 
@@ -120,54 +121,64 @@ def count_by_ascents_enum(n: int) -> dict[int, int]:
 
 
 class DyckTable:
-    """Triangle rows a[0], a[1], ... from one growing dynamic-programming sweep.
+    """Triangle rows a[0], ..., a[max_n] from one dynamic-programming sweep.
 
-    The sweep counts U/D prefixes with no negative height by (height, run
-    length, long ascents).  The run length saturates at 2: runs of length >= 2
-    are equivalent for the statistic.  A D step leaving run state 2 closes one
-    long ascent, which shifts that state's count vector by one in k.  Row n is
-    the count vector of prefixes of length 2n that end at height 0 (they end
-    with a D step, so in run state 0).  No height is pruned, so the sweep that
-    reaches length 2N has produced every row n <= N, and asking for a larger
-    n resumes it where it stopped.
+    The sweep counts U/D prefixes of length up to 2*max_n with no negative
+    height by (height, run length, long ascents).  The run length saturates at
+    2: runs of length >= 2 are equivalent for the statistic.  A D step leaving
+    run state 2 closes one long ascent, which shifts that state's count vector
+    by one in k.  Row n is the count vector of prefixes of length 2n that end
+    at height 0 (they end with a D step, so in run state 0).  After s steps a
+    prefix above height 2*max_n - s can no longer return to 0 by step
+    2*max_n, so it is dropped; every row n <= max_n stays exact.
     """
 
-    def __init__(self) -> None:
-        # _states[run][height]: count vector indexed by long ascents
-        self._states: tuple[list[list[int]], ...] = ([[1]], [[]], [[]])
+    def __init__(self, max_n: int) -> None:
+        if max_n < 0:
+            raise ValueError("semilength must be nonnegative")
+        self.max_n = max_n
+        # states[run][height]: count vector indexed by long ascents
+        states: tuple[list[list[int]], ...] = ([[1]], [[]], [[]])
         self._rows: list[dict[int, int]] = [{0: 1}]
+        for n in range(1, max_n + 1):
+            states = _step(states, 2 * (max_n - n) + 1)
+            states = _step(states, 2 * (max_n - n))
+            self._rows.append({k: v for k, v in enumerate(states[0][0]) if v})
 
     def row(self, n: int) -> dict[int, int]:
         """Row n as a fresh dict k -> count, nonzero entries only."""
-        if n < 0:
-            raise ValueError("semilength must be nonnegative")
-        while len(self._rows) <= n:
-            self._step()
-            self._step()
-            self._rows.append({k: v for k, v in enumerate(self._states[0][0]) if v})
+        if not 0 <= n <= self.max_n:
+            raise ValueError(f"semilength {n} outside the table's range 0..{self.max_n}")
         return dict(self._rows[n])
 
-    def _step(self) -> None:
-        run0, run1, run2 = self._states
-        # D steps lower the height and reset the run; leaving run 2 adds one k
-        down = [
-            _vec_add(_vec_add(run0[h], run1[h]), [0] + run2[h] if run2[h] else [])
-            for h in range(1, len(run0))
-        ]
-        self._states = (
-            down + [[], []],
-            [[]] + run0,
-            [[]] + [_vec_add(a, b) for a, b in zip(run1, run2)],
-        )
+
+def _step(
+    states: tuple[list[list[int]], ...], max_height: int
+) -> tuple[list[list[int]], ...]:
+    """One U/D step of the sweep, keeping heights up to max_height."""
+    run0, run1, run2 = states
+    keep = max_height + 1
+    # D steps lower the height and reset the run; leaving run 2 adds one k
+    down = [
+        [x + y + z for x, y, z in zip_longest(run0[h], run1[h], [0] + run2[h], fillvalue=0)]
+        if run2[h]
+        else _vec_add(run0[h], run1[h])
+        for h in range(1, min(len(run0), keep + 1))
+    ]
+    return (
+        (down + [[], []])[:keep],
+        ([[]] + run0)[:keep],
+        [[]] + [_vec_add(a, b) for a, b in zip(run1[: keep - 1], run2)],
+    )
 
 
 def count_by_ascents_dp(n: int) -> dict[int, int]:
     """Triangle row by dynamic programming over (height, run length).
 
-    Sweeps a fresh ``DyckTable`` to length 2n; a caller that needs many rows
-    keeps one table and reads them all from its single sweep.
+    Sweeps a ``DyckTable`` of size n; a caller that needs many rows keeps one
+    table and reads them all from its single sweep.
     """
-    return DyckTable().row(n)
+    return DyckTable(n).row(n)
 
 
 def _vec_add(a: list[int], b: list[int]) -> list[int]:

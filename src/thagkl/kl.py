@@ -145,7 +145,7 @@ def verify_theorem(order: int, *, series: PolySeries | None = None) -> TheoremRe
         series = phi_series(order)
     elif series.order < order:
         raise ValueError("supplied series is shorter than the requested order")
-    dyck = DyckTable()
+    dyck = DyckTable(order - 1)
     mismatches: list[CoefficientMismatch] = []
     for n in range(order):
         from_recursion = kl_poly(n)

@@ -8,30 +8,24 @@ Two layers, both over arbitrary-precision integers:
   fixed order (inclusive), whose coefficients are ``IntPoly`` values.
 
 Everything is immutable and exact; no floats anywhere.  Sums work on the
-coefficient lists directly.  Products of long operands go through Kronecker
-substitution (Harvey, arXiv:0712.4046): each factor is evaluated at t = 2^w
-by packing its coefficients into w-bit slots of one integer, CPython's bigint
-multiply forms the product, and the signed coefficients are read back out of
-the slots.  The slot width w comes from a proven bound on the product's
-coefficients, so no carry ever crosses a slot boundary.
+coefficient lists directly; products use the schoolbook double loop.
 
 The module also houses the two solver primitives shared by the higher
 layers: the coefficient recurrence for the series root ``F`` of
-``u*(1 - u + t*u)*F^2 - F + 1 = 0`` (run on packed integers as well) and the
-reflection trick that extracts a low-degree polynomial ``P`` from an identity
-``t^r * P(1/t) - P(t) = q(t)``.
+``u*(1 - u + t*u)*F^2 - F + 1 = 0`` and the reflection trick that extracts a
+low-degree polynomial ``P`` from an identity ``t^r * P(1/t) - P(t) = q(t)``.
+The recurrence runs on packed integers, Kronecker substitution (Harvey,
+arXiv:0712.4046): each F_m is evaluated at t = 2^w, one integer holding its
+coefficients in w-bit slots, CPython's bigint multiply does the convolution,
+and the signed coefficients are read back out of the slots.  The slot width
+w comes from a proven bound on the coefficients, so no carry ever crosses a
+slot boundary.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence, Union
-
-
-# Products whose shorter factor has at least this many coefficients are formed
-# by Kronecker substitution; shorter ones by the schoolbook double loop, which
-# wins while the packing and unpacking overhead dominates.
-KRONECKER_MIN_LEN = 16
+from typing import Iterable, Union
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -117,8 +111,6 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
-            return IntPoly(_kronecker_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -200,17 +192,6 @@ def _slot_bias(nbytes: int, length: int) -> int:
     return int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * length, "little")
 
 
-def _pack(coeffs: Sequence[int], nbytes: int) -> int:
-    """Evaluate sum c_k t^k at t = 2^(8*nbytes); needs every |c_k| < 2^(8*nbytes - 1).
-
-    Each coefficient is shifted by half a slot, which makes it a nonnegative
-    digit below the slot size; the shifts are then subtracted in one go.
-    """
-    half = 1 << (8 * nbytes - 1)
-    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in coeffs])
-    return int.from_bytes(raw, "little") - _slot_bias(nbytes, len(coeffs))
-
-
 def _unpack(value: int, nbytes: int, length: int) -> list[int]:
     """Balanced base-2^(8*nbytes) digits of value, lowest first, ``length`` of them.
 
@@ -225,17 +206,6 @@ def _unpack(value: int, nbytes: int, length: int) -> list[int]:
         int.from_bytes(raw[i : i + nbytes], "little") - half
         for i in range(0, nbytes * length, nbytes)
     ]
-
-
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Coefficients of the product of two nonzero coefficient tuples.
-
-    Every product coefficient is a sum of at most min(len a, len b) terms
-    a_i * b_j, which bounds its magnitude by max|a| * max|b| * min(len a, len b).
-    """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    nbytes = _slot_bytes(bound)
-    return _unpack(_pack(a, nbytes) * _pack(b, nbytes), nbytes, len(a) + len(b) - 1)
 
 
 ZERO = IntPoly()

@@ -1,5 +1,6 @@
-"""Property tests: the packed kernel against schoolbook references, the ring
-laws, the one-sweep Dyck table and the Horner form of the rank recursion."""
+"""Property tests: the product and the packed series kernel against
+schoolbook references, the ring laws, the Dyck table and the Horner form of
+the rank recursion."""
 
 from math import comb
 
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from thagkl.dyck import DyckTable, catalan, count_by_ascents_dp
 from thagkl.kl import KLTable, kl_poly
 from thagkl.polynomials import (
-    KRONECKER_MIN_LEN,
     ONE,
     ZERO,
     IntPoly,
-    _kronecker_mul,
+    _slot_bytes,
+    _unpack,
+    expand_F,
     solve_reflection_equation,
 )
 
@@ -38,12 +40,8 @@ edge_values = st.builds(
     st.sampled_from([-1, 1]),
 )
 coefficients = st.one_of(st.integers(-(2**300), 2**300), edge_values)
-# lengths on both sides of the switch to Kronecker substitution
-coefficient_lists = st.lists(coefficients, min_size=0, max_size=2 * KRONECKER_MIN_LEN + 3)
-nonzero_lists = st.lists(coefficients, min_size=1, max_size=2 * KRONECKER_MIN_LEN + 3).filter(
-    lambda cs: cs[-1] != 0
-)
-small_polys = st.lists(st.integers(-50, 50), max_size=2 * KRONECKER_MIN_LEN).map(IntPoly)
+coefficient_lists = st.lists(coefficients, min_size=0, max_size=24)
+small_polys = st.lists(st.integers(-50, 50), max_size=20).map(IntPoly)
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,23 +50,43 @@ def test_product_matches_schoolbook(a, b):
     assert IntPoly(a) * IntPoly(b) == IntPoly(schoolbook(a, b))
 
 
+def pack(coeffs, nbytes):
+    """sum c_k 2^(8*nbytes*k), the value the packed series holds for sum c_k t^k."""
+    return sum(c << (8 * nbytes * k) for k, c in enumerate(coeffs))
+
+
 @settings(max_examples=300, deadline=None)
-@given(nonzero_lists, nonzero_lists)
-def test_kronecker_kernel_matches_schoolbook_at_every_length(a, b):
-    assert _kronecker_mul(tuple(a), tuple(b)) == schoolbook(a, b)
+@given(st.lists(coefficients, min_size=1, max_size=24))
+def test_unpack_recovers_signed_coefficients(cs):
+    nbytes = _slot_bytes(max(map(abs, cs)))
+    assert _unpack(pack(cs, nbytes), nbytes, len(cs)) == cs
 
 
-@pytest.mark.parametrize("bits", [0, 7, 8, 63, 64, 300])
-@pytest.mark.parametrize("length", [1, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 40])
+@pytest.mark.parametrize("bits", [0, 1, 7, 8, 9, 63, 64, 300])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_product_reaching_the_coefficient_bound(bits, length, sign):
-    # the middle coefficient is exactly max|a| * max|b| * min(len a, len b)
-    a = [2**bits] * length
-    b = [sign * 2**bits] * length
-    product = IntPoly(a) * IntPoly(b)
-    assert product[length - 1] == sign * length * 4**bits
-    assert product == IntPoly(schoolbook(a, b))
-    assert _kronecker_mul(tuple(a), tuple(b)) == schoolbook(a, b)
+def test_unpack_at_the_slot_edges(bits, sign):
+    # bound = 2^bits - 1 is the largest magnitude of its bit length; the slot
+    # it picks must also hold the digits next to zero and to the bound
+    bound = 2**bits - 1
+    nbytes = _slot_bytes(bound)
+    assert 2 ** (8 * nbytes - 1) > bound
+    cs = [sign * bound, -sign * bound, 0, sign, sign * bound, -sign]
+    assert _unpack(pack(cs, nbytes), nbytes, len(cs)) == cs
+
+
+def series_by_schoolbook(order):
+    """F_m from the recurrence of expand_F, with IntPoly products."""
+    t_minus_1 = IntPoly((-1, 1))
+    fs = [ONE]
+    for m in range(1, order + 1):
+        first = sum((fs[a] * fs[m - 1 - a] for a in range(m)), ZERO)
+        second = sum((fs[a] * fs[m - 2 - a] for a in range(m - 1)), ZERO)
+        fs.append(first + t_minus_1 * second)
+    return fs
+
+
+def test_packed_series_matches_schoolbook_recurrence():
+    assert list(expand_F(30).coeffs) == series_by_schoolbook(30)
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,16 +113,17 @@ def test_int_operands_act_as_constants(a, m):
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=8))
-def test_dyck_table_rows_do_not_depend_on_request_order(ns):
-    ascending, descending = DyckTable(), DyckTable()
+def test_dyck_table_rows_do_not_depend_on_request_order_or_size(ns):
+    ascending, descending = DyckTable(max(ns)), DyckTable(max(ns))
     up = {n: ascending.row(n) for n in sorted(ns)}
     down = {n: descending.row(n) for n in sorted(ns, reverse=True)}
     assert up == down
+    # a table of size n prunes more heights than one of size max(ns)
     assert all(row == count_by_ascents_dp(n) for n, row in up.items())
 
 
 def test_dyck_table_returns_fresh_rows():
-    table = DyckTable()
+    table = DyckTable(6)
     row = table.row(6)
     expected = dict(row)
     row[0] += 1
@@ -114,6 +133,16 @@ def test_dyck_table_returns_fresh_rows():
     fresh = count_by_ascents_dp(6)
     fresh.clear()
     assert count_by_ascents_dp(6) == expected
+
+
+def test_dyck_table_rejects_rows_outside_its_range():
+    table = DyckTable(5)
+    with pytest.raises(ValueError):
+        table.row(6)
+    with pytest.raises(ValueError):
+        table.row(-1)
+    with pytest.raises(ValueError):
+        DyckTable(-1)
 
 
 def rhs_by_powers(n, entries):
