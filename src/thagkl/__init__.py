@@ -29,9 +29,7 @@ from .flats import (
     FlatLattice,
     Graph,
     build_lattice,
-    char_poly_lattice,
     closure,
-    kl_generic,
     thagomizer_graph,
 )
 from .kl import (
@@ -74,7 +72,6 @@ __all__ = [
     "build_lattice",
     "catalan",
     "char_poly_boolean",
-    "char_poly_lattice",
     "char_poly_thag",
     "closed_form",
     "closed_form_row",
@@ -87,7 +84,6 @@ __all__ = [
     "eq_kl",
     "expand_F",
     "hook_dim",
-    "kl_generic",
     "kl_poly",
     "long_ascents",
     "mul_e",

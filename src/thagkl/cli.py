@@ -148,13 +148,13 @@ def _cmd_flats(args: argparse.Namespace) -> int:
                 "flat_counts_by_rank": counts,
                 "total_flats": len(lattice),
                 "char_poly": list(chi.coeffs),
-                "kl_poly": list(flats_mod.kl_generic(lattice).coeffs),
+                "kl_poly": list(lattice.kl_poly().coeffs),
             }
         )
     else:
         print(f"flats by rank: {' '.join(str(c) for c in counts)} (total {len(lattice)})")
         print(f"chi(t) = {chi}")
-        print(f"P(t) = {flats_mod.kl_generic(lattice)}")
+        print(f"P(t) = {lattice.kl_poly()}")
     return 0
 
 
@@ -257,7 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lattice_bad = []
     for n in range(lattice_max + 1):
         lattice = flats_mod.build_lattice(flats_mod.thagomizer_graph(n))
-        if flats_mod.kl_generic(lattice) != kl_poly(n):
+        if lattice.kl_poly() != kl_poly(n):
             lattice_bad.append(("kl", n))
         if lattice.char_poly(lattice.flats[-1]) != char_poly_thag(n):
             lattice_bad.append(("chi", n))

@@ -94,8 +94,27 @@ def enumerate_paths(n: int) -> Iterator[str]:
     return _iter_paths(n)
 
 
+class NotDyckPathError(ValueError, ArithmeticError):
+    """A word passed as a Dyck path is not one.
+
+    A ``ValueError`` like any other bad input, and also an
+    ``ArithmeticError``, which is what ``long_ascents`` raised for such words
+    when only its two counts caught them.
+    """
+
+
 def long_ascents(path: str) -> int:
     """Number of long ascents of a Dyck path.
+
+    Raises ``NotDyckPathError`` if ``path`` is not a Dyck path.
+    """
+    if not is_dyck_word(path):
+        raise NotDyckPathError(f"{path!r} is not a Dyck path")
+    return _long_ascents(path)
+
+
+def _long_ascents(path: str) -> int:
+    """Long ascents of a path known to be a Dyck path.
 
     Counts maximal runs of >= 2 consecutive U's and, independently, UUD
     factors; for a valid path the two agree (every maximal long run is closed
@@ -105,8 +124,7 @@ def long_ascents(path: str) -> int:
     factors = path.count("UUD")
     if runs != factors:
         raise ArithmeticError(
-            f"run scan ({runs}) and UUD factor count ({factors}) disagree; "
-            "input is not a Dyck path"
+            f"run scan ({runs}) and UUD factor count ({factors}) disagree"
         )
     return runs
 
@@ -114,8 +132,9 @@ def long_ascents(path: str) -> int:
 def count_by_ascents_enum(n: int) -> dict[int, int]:
     """Triangle row by exhaustive enumeration: k -> #paths with k long ascents."""
     row: dict[int, int] = {}
+    # the paths are generated here, so they skip long_ascents' input check
     for path in enumerate_paths(n):
-        k = long_ascents(path)
+        k = _long_ascents(path)
         row[k] = row.get(k, 0) + 1
     return dict(sorted(row.items()))
 

@@ -197,12 +197,12 @@ class SchurPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: SchurPoly) -> SchurPoly:
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
         merged = dict(self._terms)
         for lam, coeff in other._terms.items():
             merged[lam] = merged.get(lam, ZERO) + coeff

@@ -18,7 +18,7 @@ from thagkl.dyck import (
     count_by_ascents_enum,
 )
 from thagkl.equivariant import conjecture_poly, eq_kl, verify_conjecture
-from thagkl.flats import build_lattice, kl_generic, thagomizer_graph
+from thagkl.flats import build_lattice, thagomizer_graph
 from thagkl.kl import char_poly_thag, kl_poly, phi_series
 from thagkl.polynomials import IntPoly, T
 from thagkl.symfunc import SchurPoly, mul_h, v_poly, v_poly_via_plethysm, w_poly
@@ -90,7 +90,7 @@ def test_criterion_4_lattice_cross_check():
     ok = True
     for n in range(6):
         lattice = build_lattice(thagomizer_graph(n))
-        ok = ok and kl_generic(lattice) == kl_poly(n)
+        ok = ok and lattice.kl_poly() == kl_poly(n)
     for n in range(7):
         lattice = build_lattice(thagomizer_graph(n))
         counts = lattice.rank_counts()

@@ -165,6 +165,13 @@ def test_is_dyck_word_rejects_invalid():
     assert is_dyck_word("UUDD")
 
 
+def test_long_ascents_rejects_non_dyck_words():
+    # "UUDU" has one long run and one UUD factor, so the counts alone agree
+    for word in ("UUDU", "UDUU", "DU", "UUD", "UXDD", "D"):
+        with pytest.raises(ValueError):
+            long_ascents(word)
+
+
 def test_long_ascents_flags_non_dyck_input():
     # a trailing long run is never closed by a D, so the two counts split
     with pytest.raises(ArithmeticError):

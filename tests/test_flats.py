@@ -7,13 +7,11 @@ from thagkl.flats import (
     Graph,
     MAX_LATTICE_RANK,
     build_lattice,
-    char_poly_lattice,
     closure,
-    kl_generic,
     thagomizer_graph,
 )
 from thagkl.kl import char_poly_boolean, char_poly_thag, kl_poly
-from thagkl.polynomials import ONE
+from thagkl.polynomials import ONE, IntPoly
 
 
 def expected_rank_count(n: int, i: int) -> int:
@@ -34,6 +32,11 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(2, ((0, 2),))
     Graph(3, ((0, 1), (0, 1)))  # parallel edges permitted
+
+
+def test_graph_rejects_negative_vertex_count():
+    with pytest.raises(ValueError):
+        Graph(-1, ())
 
 
 def test_thagomizer_graph_shapes():
@@ -63,6 +66,15 @@ def test_closure_of_cross_spike_pair_is_itself():
     a1, _ = spike_edges(g, 2)
     _, b3 = spike_edges(g, 4)
     assert closure(g, frozenset({a1, b3})) == frozenset({a1, b3})
+
+
+def test_closure_rejects_edge_index_out_of_range():
+    g = thagomizer_graph(1)  # edges 0..2
+    for bad in ({5}, {3}, {-1}):
+        with pytest.raises(ValueError):
+            closure(g, frozenset(bad))
+        with pytest.raises(ValueError):
+            g.subset_rank(frozenset(bad))
 
 
 def test_closure_properties_randomized():
@@ -118,14 +130,14 @@ def test_lattice_rejects_large_rank():
 
 def test_char_poly_of_bottom_flat():
     lattice = build_lattice(thagomizer_graph(2))
-    assert char_poly_lattice(lattice, frozenset()) == ONE
+    assert lattice.char_poly(frozenset()) == ONE
 
 
 def test_char_poly_of_full_flat():
     for n in range(4):
         lattice = build_lattice(thagomizer_graph(n))
         full = lattice.flats[-1]
-        assert char_poly_lattice(lattice, full) == char_poly_thag(n)
+        assert lattice.char_poly(full) == char_poly_thag(n)
 
 
 def test_char_poly_of_first_type_flats_is_boolean():
@@ -135,7 +147,7 @@ def test_char_poly_of_first_type_flats_is_boolean():
         if 0 not in flat and all(
             not {a, b} <= flat for a, b in (spike_edges(g, j) for j in range(2, 5))
         ):
-            assert char_poly_lattice(lattice, flat) == char_poly_boolean(rank)
+            assert lattice.char_poly(flat) == char_poly_boolean(rank)
 
 
 def test_moebius_alternation():
@@ -148,19 +160,19 @@ def test_moebius_alternation():
 
 
 def test_kl_generic_base_cases():
-    assert kl_generic(build_lattice(thagomizer_graph(0))) == ONE
-    assert kl_generic(build_lattice(Graph(3, ((0, 1), (1, 2))))) == ONE  # Boolean
+    assert build_lattice(thagomizer_graph(0)).kl_poly() == ONE
+    assert build_lattice(Graph(3, ((0, 1), (1, 2)))).kl_poly() == ONE  # Boolean
 
 
 def test_kl_generic_matches_recursion():
     for n in range(5):
         lattice = build_lattice(thagomizer_graph(n))
-        assert kl_generic(lattice) == kl_poly(n)
+        assert lattice.kl_poly() == kl_poly(n)
 
 
 def test_kl_generic_semilength_five():
     lattice = build_lattice(thagomizer_graph(5))
-    assert kl_generic(lattice).coeffs == (1, 26, 15)
+    assert lattice.kl_poly().coeffs == (1, 26, 15)
 
 
 def test_index_of_rejects_non_flat():
@@ -168,3 +180,55 @@ def test_index_of_rejects_non_flat():
     # a complete spike without the hub edge is not closed
     with pytest.raises(ValueError):
         lattice.index_of(frozenset({1, 2}))
+
+
+def test_mu_row_rejects_index_out_of_range():
+    lattice = build_lattice(Graph(3, ((0, 1), (1, 2))))
+    assert len(lattice) == 4
+    assert lattice.mu_row(0)[3] == 1  # Boolean lattice of rank 2
+    for bad in (-1, 4, 99):
+        with pytest.raises(ValueError):
+            lattice.mu_row(bad)
+
+
+def is_palindromic(poly: IntPoly, degree: int) -> bool:
+    return poly.degree() == degree and poly.coeffs == poly.coeffs[::-1]
+
+
+def complete_graph(v: int) -> Graph:
+    return Graph(v, tuple((a, b) for a in range(v) for b in range(a + 1, v)))
+
+
+Z_GRAPHS = (
+    [thagomizer_graph(n) for n in range(7)]
+    + [complete_graph(v) for v in (4, 5, 6)]
+    + [
+        Graph(3, ((0, 1), (0, 1), (1, 2))),
+        Graph(4, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (2, 3), (2, 3))),
+        Graph(5, ((0, 1), (0, 1), (0, 2), (1, 2), (3, 4), (3, 4))),  # two components
+    ]
+)
+
+
+def test_z_poly_is_palindromic_of_matroid_rank():
+    for graph in Z_GRAPHS:
+        lattice = build_lattice(graph)
+        z = lattice.z_poly()
+        assert is_palindromic(z, graph.rank())
+        assert z.evaluate(1) == sum(p.evaluate(1) for p in lattice._kl_of_uppers())
+
+
+def test_z_poly_values():
+    # Z of a Boolean matroid is (1 + t)^rank; of U_{2,3} (a triangle) 1 + 3t + t^2
+    assert build_lattice(Graph(4, ((0, 1), (1, 2), (2, 3)))).z_poly() == IntPoly((1, 3, 3, 1))
+    assert build_lattice(thagomizer_graph(1)).z_poly() == IntPoly((1, 3, 1))
+
+
+def test_doctored_z_poly_is_not_palindromic():
+    for graph in Z_GRAPHS:
+        lattice = build_lattice(graph)
+        coeffs = list(lattice.z_poly().coeffs)
+        # a bump of the middle coefficient keeps the symmetry, so skip it
+        for k in (k for k in range(len(coeffs)) if 2 * k != len(coeffs) - 1):
+            bumped = coeffs[:k] + [coeffs[k] + 1] + coeffs[k + 1:]
+            assert not is_palindromic(IntPoly(bumped), graph.rank())

@@ -134,6 +134,15 @@ def test_schurpoly_rejects_mixed_degrees():
         SchurPoly({(2,): 1, (1,): 1})
 
 
+def test_zero_schurpoly_add_checks_degree():
+    zero3 = SchurPoly({}, degree=3)
+    with pytest.raises(ValueError):
+        zero3 + SchurPoly.h(2)
+    with pytest.raises(ValueError):
+        SchurPoly.h(2) + zero3
+    assert SchurPoly({}, degree=2) + SchurPoly.h(2) == SchurPoly.h(2)
+
+
 def test_schurpoly_drops_zero_terms():
     f = SchurPoly({(2,): ZERO, (1, 1): 1})
     assert f.partitions() == [(1, 1)]
