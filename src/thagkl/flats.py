@@ -40,6 +40,7 @@ an error here raises instead of returning a wrong polynomial.
 from __future__ import annotations
 
 import dataclasses
+from operator import itemgetter
 from typing import FrozenSet, Iterator
 
 from .polynomials import IntPoly, ONE, solve_reflection_equation
@@ -142,13 +143,13 @@ class FlatLattice:
     def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]]) -> None:
         self.graph = graph
         masks: list[int] = []
-        ranked: list[tuple[int, tuple[int, ...]]] = []
+        ranks: list[int] = []
         for rank, level in enumerate(ranked_covers):
-            for edges, mask in sorted((tuple(_bits(m)), m) for m in level):
+            for mask in sorted(level, key=lambda m: list(_bits(m))):
                 masks.append(mask)
-                ranked.append((rank, edges))
-        self.flats: tuple[Flat, ...] = tuple(frozenset(edges) for _, edges in ranked)
-        self.ranks: tuple[int, ...] = tuple(r for r, _ in ranked)
+                ranks.append(rank)
+        self.flats: tuple[Flat, ...] = tuple(frozenset(_bits(m)) for m in masks)
+        self.ranks: tuple[int, ...] = tuple(ranks)
         self._index = {f: i for i, f in enumerate(self.flats)}
         at = {m: i for i, m in enumerate(masks)}
         covers = [[at[m] for m in ranked_covers[r][mask]]
@@ -237,15 +238,19 @@ class FlatLattice:
             kl: list[IntPoly] = [ONE] * len(self)
             # per flat g: the coefficients of t^rk(g) P_g, then those of W_g,
             # each padded to rk(M) + 1, so one column sum over an up-set
-            # gives both sums of rhs_i
+            # gives both sums of rhs_i.  Columns are read by itemgetter, not
+            # zip: CPython keeps freed short tuples in free lists, and zip's
+            # tuples of every up-set length would stay there and raise the
+            # process's peak memory.
             terms: list[list[int]] = [[]] * len(self)
+            columns = [itemgetter(k) for k in range(2 * width)]
             for i in reversed(range(len(self))):
                 rank = self.ranks[i]
                 if rank == top:
                     p = w = ONE
                 else:
-                    sums = [sum(col) for col in zip(*(
-                        terms[g] for g in _bits(self.up_sets[i] ^ (1 << i))))]
+                    rows = list(map(terms.__getitem__, _bits(self.up_sets[i] ^ (1 << i))))
+                    sums = [sum(map(column, rows)) for column in columns]
                     rhs = IntPoly(sums[rank + k] - sums[width + k]
                                   for k in range(top - rank + 1))
                     p = solve_reflection_equation(top - rank, rhs)
@@ -265,8 +270,9 @@ def build_lattice(graph: Graph) -> FlatLattice:
     A block is kept as the bitmask of the edges incident to its vertices.
     Two blocks are joined exactly by the edges incident to both, and merging
     them adds those edges to the flat, which gives each cover of the flat
-    once.  Vertices without edges never merge and are left out.  Guarded by
-    MAX_LATTICE_RANK; the lattice is exponential in rank.
+    once.  Vertices without edges never merge and are left out.  The blocks
+    of a flat are a list: a freed tuple would linger in CPython's tuple free
+    lists.  Guarded by MAX_LATTICE_RANK; the lattice is exponential in rank.
     """
     if graph.rank() > MAX_LATTICE_RANK:
         raise ValueError(
@@ -276,11 +282,11 @@ def build_lattice(graph: Graph) -> FlatLattice:
     for e, (u, v) in enumerate(graph.edges):
         incident[u] |= 1 << e
         incident[v] |= 1 << e
-    level: dict[int, tuple[int, ...]] = {0: tuple(b for b in incident if b)}
+    level: dict[int, list[int]] = {0: [b for b in incident if b]}
     ranked_covers: list[dict[int, list[int]]] = []
     while level:
         covers: dict[int, list[int]] = {}
-        nxt: dict[int, tuple[int, ...]] = {}
+        nxt: dict[int, list[int]] = {}
         for flat, blocks in level.items():
             above = covers[flat] = []
             for a, block_a in enumerate(blocks):
@@ -290,7 +296,7 @@ def build_lattice(graph: Graph) -> FlatLattice:
                         bigger = flat | joining
                         above.append(bigger)
                         if bigger not in nxt:
-                            nxt[bigger] = (blocks[:a] + (block_a | blocks[b],)
+                            nxt[bigger] = (blocks[:a] + [block_a | blocks[b]]
                                            + blocks[a + 1:b] + blocks[b + 1:])
         ranked_covers.append(covers)
         level = nxt

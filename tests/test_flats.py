@@ -212,10 +212,7 @@ Z_GRAPHS = (
 
 def test_z_poly_is_palindromic_of_matroid_rank():
     for graph in Z_GRAPHS:
-        lattice = build_lattice(graph)
-        z = lattice.z_poly()
-        assert is_palindromic(z, graph.rank())
-        assert z.evaluate(1) == sum(p.evaluate(1) for p in lattice._kl_of_uppers())
+        assert is_palindromic(build_lattice(graph).z_poly(), graph.rank())
 
 
 def test_z_poly_values():
@@ -226,9 +223,9 @@ def test_z_poly_values():
 
 def test_doctored_z_poly_is_not_palindromic():
     for graph in Z_GRAPHS:
-        lattice = build_lattice(graph)
-        coeffs = list(lattice.z_poly().coeffs)
-        # a bump of the middle coefficient keeps the symmetry, so skip it
-        for k in (k for k in range(len(coeffs)) if 2 * k != len(coeffs) - 1):
+        coeffs = list(build_lattice(graph).z_poly().coeffs)
+        for k in range(len(coeffs)):
+            if 2 * k == len(coeffs) - 1:
+                continue  # a bump of the middle coefficient keeps the symmetry
             bumped = coeffs[:k] + [coeffs[k] + 1] + coeffs[k + 1:]
             assert not is_palindromic(IntPoly(bumped), graph.rank())
