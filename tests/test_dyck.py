@@ -173,6 +173,6 @@ def test_long_ascents_rejects_non_dyck_words():
 
 
 def test_long_ascents_flags_non_dyck_input():
-    # a trailing long run is never closed by a D, so the two counts split
+    # NotDyckPathError is a ValueError and, for older callers, an ArithmeticError
     with pytest.raises(ArithmeticError):
         long_ascents("UDUU")
