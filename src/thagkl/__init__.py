@@ -51,8 +51,6 @@ from .polynomials import (
 from .symfunc import (
     SchurPoly,
     hook_dim,
-    mul_e,
-    mul_h,
     partitions_of,
     v_poly,
     v_poly_via_plethysm,
@@ -86,8 +84,6 @@ __all__ = [
     "hook_dim",
     "kl_poly",
     "long_ascents",
-    "mul_e",
-    "mul_h",
     "partitions_of",
     "phi_series",
     "poly_reverse",

@@ -9,8 +9,10 @@ solved bottom-up from
 over ordered triples (i, j, m): the (n, 0, 0) term is p_n itself, so moving
 it left leaves a right-hand side in known quantities, and each partition's
 coefficient is extracted by the same reflection trick as the scalar case
-(deg < (n+1)/2).  The triple sum is symmetric in (j, m) and is accumulated
-over j <= m with a factor 2 off the diagonal.
+(deg < (n+1)/2).  Since v(t,u) s(u) = w(t,u) and s[n-l] = h_{n-l}, the
+first sum is sum_l v_l h_{n-l} = w_n, so the first term is (t-1) * w_n.  The
+triple sum is symmetric in (j, m) and is accumulated over j <= m with a
+factor 2 off the diagonal; every product with a w_j is ``SchurPoly.mul_w``.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -25,16 +27,7 @@ import functools
 
 from .kl import kl_poly
 from .polynomials import IntPoly, ONE, T, ZERO, solve_reflection_equation
-from .symfunc import Partition, SchurPoly, _sign_t_power, partitions_of, v_poly
-
-
-def _apply_w(f: SchurPoly, j: int) -> SchurPoly:
-    """Product f * w_j through the h/e decomposition of w_j."""
-    total = SchurPoly({}, degree=f.degree + j)
-    for a in range(j + 1):
-        b = j - a
-        total = total + f.mul_h(a).mul_e(b).scaled(_sign_t_power(b, a))
-    return total
+from .symfunc import Partition, SchurPoly, partitions_of, w_poly
 
 
 class EqKLTable:
@@ -55,20 +48,17 @@ class EqKLTable:
         key = (i, m)
         cached = self._products.get(key)
         if cached is None:
-            cached = _apply_w(self._entries[i], m)
+            cached = self._entries[i].mul_w(m)
             self._products[key] = cached
         return cached
 
     def _recursion_rhs(self, n: int) -> SchurPoly:
-        first = SchurPoly({}, degree=n)
-        for ell in range(n + 1):
-            first = first + v_poly(ell).mul_h(n - ell)
-        rhs = first.scaled(T - ONE)
+        rhs = w_poly(n).scaled(T - ONE)
         for i in range(n):
             rem = n - i
             for j in range(rem // 2 + 1):
                 m = rem - j
-                term = _apply_w(self._p_times_w(i, m), j)
+                term = self._p_times_w(i, m).mul_w(j)
                 if j != m:
                     term = term.scaled(2)
                 rhs = rhs + term
@@ -99,23 +89,6 @@ _TABLE = EqKLTable()
 def eq_kl(n: int) -> SchurPoly:
     """The equivariant polynomial p_n, solved with shared memoization."""
     return _TABLE.poly(n)
-
-
-def _rhs_reference(n: int, table: EqKLTable) -> SchurPoly:
-    """Recursion right-hand side over all ordered triples, no symmetry shortcut.
-
-    Exists to pin the optimized accumulation in tests; table entries below n
-    must already be built.
-    """
-    total = SchurPoly({}, degree=n)
-    for ell in range(n + 1):
-        total = total + v_poly(ell).mul_h(n - ell)
-    total = total.scaled(T - ONE)
-    for i in range(n):
-        for j in range(n - i + 1):
-            m = n - i - j
-            total = total + _apply_w(_apply_w(table.poly(i), j), m)
-    return total
 
 
 def upsilon(n: int) -> tuple[Partition, ...]:

@@ -180,9 +180,6 @@ class FlatLattice:
         except KeyError:
             raise ValueError(f"{sorted(flat)} is not a flat of this lattice") from None
 
-    def rank_of(self, flat: Flat) -> int:
-        return self.ranks[self.index_of(flat)]
-
     def rank_counts(self) -> list[int]:
         """Number of flats of each rank, index = rank."""
         counts = [0] * (self.ranks[-1] + 1)
@@ -191,7 +188,10 @@ class FlatLattice:
         return counts
 
     def mu_row(self, i: int) -> dict[int, int]:
-        """Moebius function mu(flats[i], flats[j]) for all j above i."""
+        """Moebius function mu(flats[i], flats[j]) for all j above i.
+
+        Returns a fresh dict; the cached row stays private to the lattice.
+        """
         if not 0 <= i < len(self):
             raise ValueError(f"flat index {i} out of range 0..{len(self) - 1}")
         row = self._mu_rows.get(i)
@@ -203,7 +203,7 @@ class FlatLattice:
                 below = (self.down_sets[j] & up) ^ (1 << j)
                 row[j] = -sum(row[h] for h in _bits(below)) if j != i else 1
             self._mu_rows[i] = row
-        return row
+        return dict(row)
 
     def char_poly(self, flat: Flat) -> IntPoly:
         """Characteristic polynomial of the localization at ``flat``."""

@@ -1,11 +1,12 @@
-"""Exact polynomial and truncated power-series arithmetic.
+"""Exact polynomial arithmetic and a truncated power-series record.
 
 Two layers, both over arbitrary-precision integers:
 
 * ``IntPoly`` -- a dense univariate polynomial in ``t``, coefficients indexed
   by exponent starting with the constant term.
-* ``PolySeries`` -- a power series in a second variable ``u`` truncated at a
-  fixed order (inclusive), whose coefficients are ``IntPoly`` values.
+* ``PolySeries`` -- a record of a power series in a second variable ``u``
+  truncated at a fixed order (inclusive), whose coefficients are ``IntPoly``
+  values; it holds the coefficients and does no series arithmetic.
 
 Everything is immutable and exact; no floats anywhere.  Sums work on the
 coefficient lists directly; products use the schoolbook double loop.
@@ -227,11 +228,10 @@ def poly_reverse(r: int, p: IntPoly) -> IntPoly:
 
 @dataclasses.dataclass(frozen=True, init=False)
 class PolySeries:
-    """Power series in u, truncated at ``order`` inclusive.
+    """Record of a power series in u, truncated at ``order`` inclusive.
 
     ``coeffs[m]`` is the IntPoly coefficient of ``u^m``; there are always
-    exactly ``order + 1`` entries.  Arithmetic requires both operands to carry
-    the same truncation order.
+    exactly ``order + 1`` entries.
     """
 
     order: int
@@ -247,45 +247,8 @@ class PolySeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def constant(cls, order: int, value: Union[IntPoly, int]) -> PolySeries:
-        return cls(order, (value,))
-
     def coefficient(self, m: int) -> IntPoly:
         return self.coeffs[m]
-
-    def _check_order(self, other: PolySeries) -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation order mismatch: {self.order} != {other.order}"
-            )
-
-    def __add__(self, other: PolySeries) -> PolySeries:
-        self._check_order(other)
-        return PolySeries(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: PolySeries) -> PolySeries:
-        self._check_order(other)
-        return PolySeries(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: PolySeries) -> PolySeries:
-        self._check_order(other)
-        out = [ZERO] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PolySeries(self.order, out)
-
-    def shifted_up(self) -> PolySeries:
-        """Multiply by u, keeping the truncation order (top coefficient drops)."""
-        return PolySeries(self.order, (ZERO,) + self.coeffs[:-1])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
 
 def expand_F(order: int) -> PolySeries:

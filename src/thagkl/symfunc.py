@@ -13,7 +13,8 @@ machinery is needed.  On top of those sit the two tensor-power characters
     v_l(t) = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c    (graded dim (t-2)^l)
 
 coming from the series identities w(t,u) = s(tu)/s(u) and v(t,u) =
-s(tu)/s(u)^2, where s(u) = sum_m s[m] u^m.  A plethysm evaluation of v_l
+s(tu)/s(u)^2, where s(u) = sum_m s[m] u^m.  ``SchurPoly.mul_w`` is the one
+product with w_j; ``w_poly`` applies it to 1.  A plethysm evaluation of v_l
 through the power-sum basis is provided as an independent cross-check.
 """
 
@@ -208,9 +209,6 @@ class SchurPoly:
             merged[lam] = merged.get(lam, ZERO) + coeff
         return SchurPoly(merged, degree=self.degree)
 
-    def __sub__(self, other: SchurPoly) -> SchurPoly:
-        return self + other.scaled(-1)
-
     def scaled(self, factor: Union[IntPoly, int]) -> SchurPoly:
         factor = _as_poly(factor)
         if factor.is_zero():
@@ -240,6 +238,16 @@ class SchurPoly:
                 out[mu] = out.get(mu, ZERO) + coeff
         return SchurPoly(out, degree=self.degree + b)
 
+    def mul_w(self, j: int) -> SchurPoly:
+        """Product with w_j = sum_{a+b=j} (-1)^b t^a h_a e_b, by both Pieri rules."""
+        if j < 0:
+            raise ValueError("index must be nonnegative")
+        total = SchurPoly({}, degree=self.degree + j)
+        for a in range(j + 1):
+            b = j - a
+            total = total + self.mul_h(a).mul_e(b).scaled(_sign_t_power(b, a))
+        return total
+
     def graded_dimension(self) -> IntPoly:
         """Substitute each s[lambda] by its hook-length dimension."""
         total = ZERO
@@ -258,16 +266,6 @@ class SchurPoly:
         return f"SchurPoly({dict(self.terms())!r})"
 
 
-def mul_h(f: SchurPoly, a: int) -> SchurPoly:
-    """Pieri product f * h_a."""
-    return f.mul_h(a)
-
-
-def mul_e(f: SchurPoly, b: int) -> SchurPoly:
-    """Dual Pieri product f * e_b."""
-    return f.mul_e(b)
-
-
 def _sign_t_power(sign_exponent: int, t_exponent: int) -> IntPoly:
     """(-1)^sign_exponent * t^t_exponent as an IntPoly."""
     coeff = -1 if sign_exponent % 2 else 1
@@ -280,14 +278,7 @@ def w_poly(j: int) -> SchurPoly:
 
     Coefficient of u^j in s(tu)/s(u), i.e. sum_{a+b=j} (-1)^b t^a h_a e_b.
     """
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    total = SchurPoly({}, degree=j)
-    for a in range(j + 1):
-        b = j - a
-        term = SchurPoly.h(a).mul_e(b)
-        total = total + term.scaled(_sign_t_power(b, a))
-    return total
+    return SchurPoly.one().mul_w(j)
 
 
 @functools.cache

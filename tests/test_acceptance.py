@@ -21,7 +21,7 @@ from thagkl.equivariant import conjecture_poly, eq_kl, verify_conjecture
 from thagkl.flats import build_lattice, thagomizer_graph
 from thagkl.kl import char_poly_thag, kl_poly, phi_series
 from thagkl.polynomials import IntPoly, T
-from thagkl.symfunc import SchurPoly, mul_h, v_poly, v_poly_via_plethysm, w_poly
+from thagkl.symfunc import SchurPoly, v_poly, v_poly_via_plethysm, w_poly
 
 ONE_POLY = IntPoly((1,))
 T_MINUS_1 = T - ONE_POLY
@@ -114,7 +114,7 @@ def test_criterion_5_symmetric_function_identities():
         ok = ok and v_poly(j).graded_dimension() == T_MINUS_2**j
         convolution = SchurPoly({}, degree=j)
         for ell in range(j + 1):
-            convolution = convolution + mul_h(v_poly(ell), j - ell)
+            convolution = convolution + v_poly(ell).mul_h(j - ell)
         ok = ok and convolution == w_poly(j)
     for ell in range(7):
         ok = ok and v_poly_via_plethysm(ell) == v_poly(ell)

@@ -2,7 +2,6 @@ import pytest
 
 from thagkl.equivariant import (
     EqKLTable,
-    _rhs_reference,
     conjecture_poly,
     conjecture_terms,
     eq_kl,
@@ -13,7 +12,7 @@ from thagkl.equivariant import (
 )
 from thagkl.kl import kl_poly
 from thagkl.polynomials import IntPoly, ONE, T
-from thagkl.symfunc import SchurPoly
+from thagkl.symfunc import SchurPoly, v_poly
 
 
 def test_eq_kl_base_entry_is_trivial_class():
@@ -58,6 +57,23 @@ def test_eq_kl_degree_bound():
 def test_eq_kl_trivial_representation_in_degree_zero():
     for n in range(11):
         assert eq_kl(n).coefficient((n,) if n else ()).constant_term() == 1
+
+
+def _rhs_reference(n: int, table: EqKLTable) -> SchurPoly:
+    """Recursion right-hand side in the paper's form, over all ordered triples.
+
+    The first term keeps the v-sum (t-1) * sum_l v_l h_(n-l), which the solver
+    replaces by (t-1) * w_n; table entries below n must already be built.
+    """
+    total = SchurPoly({}, degree=n)
+    for ell in range(n + 1):
+        total = total + v_poly(ell).mul_h(n - ell)
+    total = total.scaled(T - ONE)
+    for i in range(n):
+        for j in range(n - i + 1):
+            m = n - i - j
+            total = total + table.poly(i).mul_w(j).mul_w(m)
+    return total
 
 
 def test_symmetrized_rhs_matches_ordered_reference():

@@ -191,6 +191,15 @@ def test_mu_row_rejects_index_out_of_range():
             lattice.mu_row(bad)
 
 
+def test_editing_mu_row_leaves_the_lattice_unchanged():
+    lattice = build_lattice(thagomizer_graph(2))
+    top = lattice.flats[-1]
+    assert lattice.char_poly(top) == IntPoly((-4, 8, -5, 1))
+    lattice.mu_row(0)[len(lattice) - 1] += 5
+    assert lattice.char_poly(top) == IntPoly((-4, 8, -5, 1))
+    assert lattice.mu_row(0)[len(lattice) - 1] == -4
+
+
 def is_palindromic(poly: IntPoly, degree: int) -> bool:
     return poly.degree() == degree and poly.coeffs == poly.coeffs[::-1]
 

@@ -142,3 +142,12 @@ def test_engine_matches_reference(graph):
         assert lattice.char_poly(flat) == ref.interval_char_poly(0, i)
     assert lattice._kl_of_uppers() == [ref.kl_of_upper(i) for i in range(len(ref.flats))]
     assert lattice.kl_poly() == ref.kl_of_upper(0)
+    # Braden-Huh-Matherne-Proudfoot-Wang (arXiv:2010.06088): nonnegative,
+    # constant term 1, and deg < rank / 2 for every upper interval
+    top = lattice.ranks[-1]
+    for rank, p in zip(lattice.ranks, lattice._kl_of_uppers()):
+        assert p.constant_term() == 1
+        assert 2 * p.degree() < top - rank or (rank == top and p == ONE)
+        assert all(c >= 0 for c in p.coeffs)
+    z = lattice.z_poly()
+    assert z.degree() == top and z.coeffs == z.coeffs[::-1]

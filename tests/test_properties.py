@@ -162,4 +162,8 @@ def test_horner_rows_match_the_power_sum_formula():
 
 def test_kl_polys_at_one_are_catalan_numbers():
     for n in range(201):
-        assert kl_poly(n).evaluate(1) == catalan(n)
+        p = kl_poly(n)
+        assert p.evaluate(1) == catalan(n)
+        assert p.constant_term() == 1
+        assert p.degree() <= n // 2
+        assert all(c >= 0 for c in p.coeffs)

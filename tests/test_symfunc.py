@@ -1,5 +1,5 @@
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -11,8 +11,6 @@ from thagkl.symfunc import (
     cycle_type_order,
     hook_dim,
     horizontal_strips,
-    mul_e,
-    mul_h,
     partitions_of,
     v_poly,
     v_poly_via_plethysm,
@@ -99,23 +97,23 @@ def test_vertical_strips_examples():
 
 
 def test_pieri_single_box():
-    assert mul_h(SchurPoly.h(1), 1) == SchurPoly({(2,): 1, (1, 1): 1})
-    assert mul_e(SchurPoly.h(1), 1) == SchurPoly({(2,): 1, (1, 1): 1})
+    assert SchurPoly.h(1).mul_h(1) == SchurPoly({(2,): 1, (1, 1): 1})
+    assert SchurPoly.h(1).mul_e(1) == SchurPoly({(2,): 1, (1, 1): 1})
 
 
 def test_pieri_row_on_hook():
-    got = mul_h(SchurPoly({(2, 1): 1}), 2)
+    got = SchurPoly({(2, 1): 1}).mul_h(2)
     assert got == SchurPoly({(4, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1})
 
 
 def test_dual_pieri_column_on_row():
-    assert mul_e(SchurPoly.h(2), 2) == SchurPoly({(3, 1): 1, (2, 1, 1): 1})
+    assert SchurPoly.h(2).mul_e(2) == SchurPoly({(3, 1): 1, (2, 1, 1): 1})
 
 
 def test_pieri_identity_elements():
     f = SchurPoly({(3, 1): IntPoly((1, 2)), (2, 2): T})
-    assert mul_h(f, 0) == f
-    assert mul_e(f, 0) == f
+    assert f.mul_h(0) == f
+    assert f.mul_e(0) == f
 
 
 def test_pieri_products_commute():
@@ -124,9 +122,9 @@ def test_pieri_products_commute():
     for _ in range(40):
         f = SchurPoly({rng.choice(lams): IntPoly((rng.randrange(1, 5),))})
         a, b = rng.randrange(0, 4), rng.randrange(0, 4)
-        assert mul_h(mul_h(f, a), b) == mul_h(mul_h(f, b), a)
-        assert mul_e(mul_e(f, a), b) == mul_e(mul_e(f, b), a)
-        assert mul_e(mul_h(f, a), b) == mul_h(mul_e(f, b), a)
+        assert f.mul_h(a).mul_h(b) == f.mul_h(b).mul_h(a)
+        assert f.mul_e(a).mul_e(b) == f.mul_e(b).mul_e(a)
+        assert f.mul_h(a).mul_e(b) == f.mul_e(b).mul_h(a)
 
 
 def test_schurpoly_rejects_mixed_degrees():
@@ -174,8 +172,24 @@ def test_w_is_v_convolved_with_rows():
     for j in range(13):
         total = SchurPoly({}, degree=j)
         for ell in range(j + 1):
-            total = total + mul_h(v_poly(ell), j - ell)
+            total = total + v_poly(ell).mul_h(j - ell)
         assert total == w_poly(j)
+
+
+def test_mul_w_scales_graded_dimension():
+    # dim(f * w_j) = C(|f| + j, j) * dim(f) * (t-1)^j for the induction product
+    rng = random.Random(5)
+    lams = [lam for n in range(6) for lam in partitions_of(n)]
+    for _ in range(30):
+        coeff = IntPoly((rng.randrange(1, 5), rng.randrange(-3, 4)))
+        f = SchurPoly({rng.choice(lams): coeff})
+        j = rng.randrange(0, 5)
+        expected = comb(f.degree + j, j) * f.graded_dimension() * T_MINUS_1**j
+        assert f.mul_w(j).graded_dimension() == expected
+    with pytest.raises(ValueError):
+        SchurPoly.one().mul_w(-1)
+    with pytest.raises(ValueError):
+        w_poly(-1)
 
 
 def test_e_h_series_inverse():
@@ -184,7 +198,7 @@ def test_e_h_series_inverse():
         acc = SchurPoly({}, degree=order)
         for m in range(order + 1):
             sign = -1 if m % 2 else 1
-            acc = acc + mul_h(SchurPoly.e(m), order - m).scaled(sign)
+            acc = acc + SchurPoly.e(m).mul_h(order - m).scaled(sign)
         assert acc.is_zero()
 
 
