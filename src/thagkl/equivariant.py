@@ -10,9 +10,17 @@ over ordered triples (i, j, m): the (n, 0, 0) term is p_n itself, so moving
 it left leaves a right-hand side in known quantities, and each partition's
 coefficient is extracted by the same reflection trick as the scalar case
 (deg < (n+1)/2).  Since v(t,u) s(u) = w(t,u) and s[n-l] = h_{n-l}, the
-first sum is sum_l v_l h_{n-l} = w_n, so the first term is (t-1) * w_n.  The
-triple sum is symmetric in (j, m) and is accumulated over j <= m with a
-factor 2 off the diagonal; every product with a w_j is ``SchurPoly.mul_w``.
+first sum is sum_l v_l h_{n-l} = w_n, so the first term is (t-1) * w_n.
+
+The rest of the triple sum (i < n) is regrouped by associativity.  With
+the partial sums A_k = sum_{i<=k} p_i w_{k-i} and B_n = sum_{i<n} p_i
+w_{n-i}, it equals
+
+    B_n + sum_{j=1}^{n} A_{n-j} w_j,
+
+since for j >= 1 the pairs (i, m) with i + m = n - j are exactly those of
+A_{n-j}, and j = 0 leaves B_n.  Once p_n is solved, A_n = B_n + p_n is
+stored, so row n takes 2n products with a w_j, each ``SchurPoly.mul_w``.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -31,11 +39,14 @@ from .symfunc import Partition, SchurPoly, partitions_of, w_poly
 
 
 class EqKLTable:
-    """Bottom-up table of p_0, p_1, ...; entries are immutable SchurPoly values."""
+    """Bottom-up table of p_0, p_1, ...; entries are immutable SchurPoly values.
+
+    Alongside p_k it keeps the partial sum A_k = sum_{i<=k} p_i w_(k-i).
+    """
 
     def __init__(self) -> None:
         self._entries: list[SchurPoly] = []
-        self._products: dict[tuple[int, int], SchurPoly] = {}
+        self._partials: list[SchurPoly] = []
 
     def poly(self, n: int) -> SchurPoly:
         if n < 0:
@@ -44,29 +55,22 @@ class EqKLTable:
             self._append_next()
         return self._entries[n]
 
-    def _p_times_w(self, i: int, m: int) -> SchurPoly:
-        key = (i, m)
-        cached = self._products.get(key)
-        if cached is None:
-            cached = self._entries[i].mul_w(m)
-            self._products[key] = cached
-        return cached
+    def _recursion_rhs(self, n: int) -> tuple[SchurPoly, SchurPoly]:
+        """The right-hand side of row n and B_n = sum_{i<n} p_i w_(n-i).
 
-    def _recursion_rhs(self, n: int) -> SchurPoly:
-        rhs = w_poly(n).scaled(T - ONE)
+        Needs p_i and A_i for every i < n.
+        """
+        below = SchurPoly({}, degree=n)
         for i in range(n):
-            rem = n - i
-            for j in range(rem // 2 + 1):
-                m = rem - j
-                term = self._p_times_w(i, m).mul_w(j)
-                if j != m:
-                    term = term.scaled(2)
-                rhs = rhs + term
-        return rhs
+            below = below + self._entries[i].mul_w(n - i)
+        rhs = w_poly(n).scaled(T - ONE) + below
+        for j in range(1, n + 1):
+            rhs = rhs + self._partials[n - j].mul_w(j)
+        return rhs, below
 
     def _append_next(self) -> None:
         n = len(self._entries)
-        rhs = self._recursion_rhs(n)
+        rhs, below = self._recursion_rhs(n)
         terms: dict[Partition, IntPoly] = {}
         for lam in partitions_of(n):
             q = rhs.coefficient(lam)
@@ -81,6 +85,7 @@ class EqKLTable:
                 f"differs from the scalar polynomial at n={n}"
             )
         self._entries.append(solution)
+        self._partials.append(below + solution)
 
 
 _TABLE = EqKLTable()

@@ -5,24 +5,32 @@ is a finite expansion sum_lambda c_lambda(t) * s[lambda] in which every index
 partition has one common size and every coefficient is a nonzero ``IntPoly``.
 
 The only products ever taken are against a complete homogeneous h_a (one row:
-horizontal strips) or an elementary e_b (one column: vertical strips), so the
-whole module runs on the two Pieri rules; no general Littlewood-Richardson
-machinery is needed.  On top of those sit the two tensor-power characters
+horizontal strips), an elementary e_b (one column: vertical strips), or the
+tensor-power character
 
     w_j(t) = sum_{a+b=j}   (-1)^b     t^a h_a e_b        (graded dim (t-1)^j)
+
+so no general Littlewood-Richardson machinery is needed.  w_j = h_j[(t-1)X]
+comes from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m]
+u^m.  ``SchurPoly.mul_w`` is the one product with w_j (``w_poly`` applies it
+to 1) and takes one pass by the broken-ribbon rule: the coefficient of s[mu]
+in s[lam] * w_j is the skew Schur function s_{mu/lam} at the alphabet t - 1,
+which factors over the ribbons of mu/lam (Macdonald, Symmetric Functions and
+Hall Polynomials, Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no
+2x2 square, with r rows and c edge-connected components, and 0 otherwise.
+The Pieri rules serve the second character
+
     v_l(t) = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c    (graded dim (t-2)^l)
 
-coming from the series identities w(t,u) = s(tu)/s(u) and v(t,u) =
-s(tu)/s(u)^2, where s(u) = sum_m s[m] u^m.  ``SchurPoly.mul_w`` is the one
-product with w_j; ``w_poly`` applies it to 1.  A plethysm evaluation of v_l
-through the power-sum basis is provided as an independent cross-check.
+from v(t,u) = s(tu)/s(u)^2.  A plethysm evaluation of v_l through the
+power-sum basis is provided as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Mapping, Union
 
 from .polynomials import IntPoly, ONE, ZERO, _as_poly
@@ -124,6 +132,52 @@ def vertical_strips(lam: Partition, size: int) -> Iterator[Partition]:
     yield from rec(0, size, lam[0] + 1 if lam else size, [])
 
 
+def broken_ribbons(lam: Partition, size: int) -> Iterator[tuple[Partition, int, int]]:
+    """All (mu, r, c) with mu/lam a skew shape of ``size`` boxes and no 2x2 square.
+
+    No 2x2 square means mu_{i+1} <= lam_i + 1 for every i, so mu/lam is a
+    disjoint union of ribbons (a broken ribbon).  r counts the rows that gain
+    boxes and c the edge-connected components.  Rows i and i+1 of such a
+    shape share an edge exactly when mu_{i+1} = lam_i + 1, so c is r minus
+    the number of those joins.  Below the last row of lam the shape is one
+    row of x boxes followed by a column of single boxes, all joined.
+    """
+    rows = len(lam)
+
+    def rec(
+        i: int, remaining: int, cap: int, gained: int, joins: int, acc: list[int]
+    ) -> Iterator[tuple[Partition, int, int]]:
+        if remaining == 0:
+            yield tuple(acc) + lam[i:], gained, gained - joins
+            return
+        if i == rows:
+            link = lam[-1] + 1 if rows else 0
+            for x in range(min(cap, remaining), 0, -1):
+                column = remaining - x
+                r = gained + 1 + column
+                yield (
+                    tuple(acc) + (x,) + (1,) * column,
+                    r,
+                    r - joins - column - (x == link),
+                )
+            return
+        low = lam[i]
+        link = lam[i - 1] + 1 if i else 0
+        for value in range(min(cap, low + remaining), low - 1, -1):
+            acc.append(value)
+            yield from rec(
+                i + 1,
+                remaining - (value - low),
+                min(value, low + 1),
+                gained + (value > low),
+                joins + (value == link),
+                acc,
+            )
+            acc.pop()
+
+    yield from rec(0, size, lam[0] + size if lam else size, 0, 0, [])
+
+
 class SchurPoly:
     """Homogeneous Schur expansion with IntPoly coefficients.
 
@@ -220,6 +274,8 @@ class SchurPoly:
 
     def mul_h(self, a: int) -> SchurPoly:
         """Pieri rule: multiply by h_a (add horizontal strips of size a)."""
+        if a < 0:
+            raise ValueError("negative row length")
         if a == 0:
             return self
         out: dict[Partition, IntPoly] = {}
@@ -230,6 +286,8 @@ class SchurPoly:
 
     def mul_e(self, b: int) -> SchurPoly:
         """Dual Pieri rule: multiply by e_b (add vertical strips of size b)."""
+        if b < 0:
+            raise ValueError("negative column length")
         if b == 0:
             return self
         out: dict[Partition, IntPoly] = {}
@@ -239,14 +297,31 @@ class SchurPoly:
         return SchurPoly(out, degree=self.degree + b)
 
     def mul_w(self, j: int) -> SchurPoly:
-        """Product with w_j = sum_{a+b=j} (-1)^b t^a h_a e_b, by both Pieri rules."""
+        """Product with w_j = h_j[(t-1)X], by the broken-ribbon rule.
+
+        The coefficient of s[mu] in s[lam] * w_j is s_{mu/lam}[t-1], which is
+        (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square and 0
+        otherwise (r rows gain boxes, c edge-connected components); see
+        ``broken_ribbons``.  Input coefficients are summed per (mu, r, c)
+        first, so each weight multiplies once.
+        """
         if j < 0:
             raise ValueError("index must be nonnegative")
-        total = SchurPoly({}, degree=self.degree + j)
-        for a in range(j + 1):
-            b = j - a
-            total = total + self.mul_h(a).mul_e(b).scaled(_sign_t_power(b, a))
-        return total
+        if j == 0:
+            return self
+        grouped: dict[tuple[Partition, int, int], IntPoly] = {}
+        for lam, coeff in self._terms.items():
+            for key in broken_ribbons(lam, j):
+                grouped[key] = grouped.get(key, ZERO) + coeff
+        weights: dict[tuple[int, int], IntPoly] = {}
+        out: dict[Partition, IntPoly] = {}
+        for (mu, rows, components), coeff in grouped.items():
+            weight = weights.get((rows, components))
+            if weight is None:
+                weight = _ribbon_weight(j, rows, components)
+                weights[rows, components] = weight
+            out[mu] = out.get(mu, ZERO) + weight * coeff
+        return SchurPoly(out, degree=self.degree + j)
 
     def graded_dimension(self) -> IntPoly:
         """Substitute each s[lambda] by its hook-length dimension."""
@@ -270,6 +345,18 @@ def _sign_t_power(sign_exponent: int, t_exponent: int) -> IntPoly:
     """(-1)^sign_exponent * t^t_exponent as an IntPoly."""
     coeff = -1 if sign_exponent % 2 else 1
     return IntPoly((0,) * t_exponent + (coeff,))
+
+
+def _ribbon_weight(size: int, rows: int, components: int) -> IntPoly:
+    """(-1)^(rows-components) t^(size-rows) (t-1)^components, by the binomial theorem."""
+    sign = -1 if (rows - components) % 2 else 1
+    return IntPoly(
+        (0,) * (size - rows)
+        + tuple(
+            sign * comb(components, k) * (-1 if (components - k) % 2 else 1)
+            for k in range(components + 1)
+        )
+    )
 
 
 @functools.cache

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from thagkl.equivariant import (
@@ -35,6 +37,14 @@ def test_eq_kl_rank_five():
     assert eq_kl(4) == SchurPoly(
         {(4,): IntPoly((1, 3)), (3, 1): 2 * T, (2, 2): IntPoly((0, 1, 1))}
     )
+
+
+def test_eq_kl_table_pinned_through_rank_thirteen():
+    # digest of the table as first computed, before the solver was regrouped
+    digest = hashlib.sha256(
+        "".join(repr(eq_kl(n)) for n in range(13)).encode()
+    ).hexdigest()
+    assert digest == "8f0648b4768cbdec12176eef036a7b74297212e31bc456279565fea670c049cd"
 
 
 def test_eq_kl_graded_dimension_recovers_scalar():
@@ -80,7 +90,8 @@ def test_symmetrized_rhs_matches_ordered_reference():
     table = EqKLTable()
     for n in range(7):
         table.poly(n)
-        assert table._recursion_rhs(n) == _rhs_reference(n, table)
+        rhs, _ = table._recursion_rhs(n)
+        assert rhs == _rhs_reference(n, table)
 
 
 def test_upsilon_small_families():

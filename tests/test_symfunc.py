@@ -2,10 +2,14 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thagkl.polynomials import IntPoly, ONE, T, ZERO
 from thagkl.symfunc import (
     SchurPoly,
+    _sign_t_power,
+    broken_ribbons,
     character_value,
     conjugate,
     cycle_type_order,
@@ -116,6 +120,15 @@ def test_pieri_identity_elements():
     assert f.mul_e(0) == f
 
 
+def test_pieri_rejects_negative_sizes():
+    for f in (SchurPoly.one(), SchurPoly.h(2)):
+        for size in (-1, -2):
+            with pytest.raises(ValueError):
+                f.mul_h(size)
+            with pytest.raises(ValueError):
+                f.mul_e(size)
+
+
 def test_pieri_products_commute():
     rng = random.Random(11)
     lams = [lam for n in range(5) for lam in partitions_of(n)]
@@ -151,6 +164,56 @@ def test_w_poly_low_indices():
     assert w_poly(0) == SchurPoly.one()
     assert w_poly(1) == SchurPoly({(1,): T_MINUS_1})
     assert w_poly(2) == SchurPoly({(2,): T * T_MINUS_1, (1, 1): ONE - T})
+
+
+def mul_w_pieri(f: SchurPoly, j: int) -> SchurPoly:
+    """Reference product with w_j = sum_{a+b=j} (-1)^b t^a h_a e_b, by both Pieri rules."""
+    total = SchurPoly({}, degree=f.degree + j)
+    for a in range(j + 1):
+        b = j - a
+        total = total + f.mul_h(a).mul_e(b).scaled(_sign_t_power(b, a))
+    return total
+
+
+def test_broken_ribbons_examples():
+    # each shape comes with (rows gaining boxes, components)
+    assert sorted(broken_ribbons((2, 1), 2), reverse=True) == [
+        ((4, 1), 1, 1),
+        ((3, 2), 2, 2),
+        ((3, 1, 1), 2, 2),
+        ((2, 2, 1), 2, 2),
+        ((2, 1, 1, 1), 2, 1),
+    ]
+    assert sorted(broken_ribbons((), 3), reverse=True) == [
+        ((3,), 1, 1),
+        ((2, 1), 2, 1),
+        ((1, 1, 1), 3, 1),
+    ]
+    # shapes whose new boxes contain a 2x2 square are left out
+    assert (2, 2) not in {mu for mu, _, _ in broken_ribbons((), 4)}
+    assert (2, 2, 2) not in {mu for mu, _, _ in broken_ribbons((2,), 4)}
+    assert (3, 3) in {mu for mu, _, _ in broken_ribbons((2,), 4)}
+
+
+def test_mul_w_matches_pieri_reference_exhaustively():
+    for n in range(8):
+        for lam in partitions_of(n):
+            f = SchurPoly({lam: 1})
+            for j in range(8):
+                assert f.mul_w(j) == mul_w_pieri(f, j), (lam, j)
+
+
+def _schur_polys(degree: int):
+    coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(IntPoly)
+    return st.dictionaries(
+        st.sampled_from(partitions_of(degree)), coeffs, max_size=6
+    ).map(lambda terms: SchurPoly(terms, degree=degree))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8).flatmap(_schur_polys), st.integers(0, 6))
+def test_mul_w_matches_pieri_reference_on_sums(f, j):
+    assert f.mul_w(j) == mul_w_pieri(f, j)
 
 
 def test_v_poly_low_indices():
