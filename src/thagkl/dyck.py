@@ -12,23 +12,31 @@ up to a size fixed in advance, and a binomial closed form
 
     a[n][k] = 1/(n+1) * C(n+1, k) * sum_{j} C(j-k-1, k-1) * C(n+1-k, n-j).
 
-Paths are plain strings of "U"/"D".
+The enumerator works on integers: a path of semilength n is an int of 2n
+bits, the first step in the top bit and U = 1.  ``enumerate_paths`` is the
+string view of the same sequence, each int decoded to a U/D word of length
+2n.  Every enumerated path has its long ascents counted from its bits two
+ways, as maximal runs of >= 2 one-bits and as UUD factors, and a
+disagreement is raised, not resolved.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from itertools import zip_longest
 from math import comb
 from typing import Iterator
 
 MAX_ENUM_SEMILENGTH = 14
 
-# semilengths up to this bound keep their full path list cached
-_MEMO_SEMILENGTH = 12
+# Semilengths up to this bound keep their path tuples cached; longer paths are
+# streamed.  Caching n = 12 as well would hold its 208012 paths at once: a
+# cold count of every row n <= 12 then peaks about 10 MB higher (29 against
+# 19 MB), in about the same time.
+_MEMO_SEMILENGTH = 11
 
-_LONG_RUN = re.compile("UU+")
+_TO_BITS = str.maketrans("UD", "10")
+_FROM_BITS = str.maketrans("10", "UD")
 
 
 def catalan(n: int) -> int:
@@ -57,41 +65,52 @@ def is_dyck_word(word: str) -> bool:
 
 
 @functools.cache
-def _paths_tuple(n: int) -> tuple[str, ...]:
+def _paths_tuple(n: int) -> tuple[int, ...]:
     # first-return decomposition: every nonempty path is U <left> D <right>
     if n == 0:
-        return ("",)
-    out: list[str] = []
+        return (0,)
+    out: list[int] = []
     for a in range(n):
+        b = n - 1 - a
+        lead = 1 << (2 * a + 1)
+        rights = _paths_tuple(b)
         for left in _paths_tuple(a):
-            prefix = "U" + left + "D"
-            out.extend(prefix + right for right in _paths_tuple(n - 1 - a))
+            prefix = (lead | (left << 1)) << (2 * b)
+            out.extend(prefix | right for right in rights)
     return tuple(out)
 
 
-def _iter_paths(n: int) -> Iterator[str]:
+def _iter_paths(n: int) -> Iterator[int]:
     if n <= _MEMO_SEMILENGTH:
         yield from _paths_tuple(n)
         return
     for a in range(n):
+        b = n - 1 - a
+        lead = 1 << (2 * a + 1)
         for left in _iter_paths(a):
-            prefix = "U" + left + "D"
-            for right in _iter_paths(n - 1 - a):
-                yield prefix + right
+            prefix = (lead | (left << 1)) << (2 * b)
+            for right in _iter_paths(b):
+                yield prefix | right
 
 
-def enumerate_paths(n: int) -> Iterator[str]:
-    """Yield every Dyck path of semilength n exactly once.
-
-    Rejects n beyond MAX_ENUM_SEMILENGTH (the list is Catalan-sized).
-    """
+def _check_enum_bound(n: int) -> None:
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     if n > MAX_ENUM_SEMILENGTH:
         raise ValueError(
             f"semilength {n} exceeds enumeration bound {MAX_ENUM_SEMILENGTH}"
         )
-    return _iter_paths(n)
+
+
+def enumerate_paths(n: int) -> Iterator[str]:
+    """Yield every Dyck path of semilength n exactly once, as a U/D word.
+
+    Rejects n beyond MAX_ENUM_SEMILENGTH (the list is Catalan-sized).
+    """
+    _check_enum_bound(n)
+    # a sentinel bit above the path keeps its leading D steps (zero bits)
+    top = 1 << (2 * n)
+    return (format(top | x, "b")[1:].translate(_FROM_BITS) for x in _iter_paths(n))
 
 
 class NotDyckPathError(ValueError, ArithmeticError):
@@ -110,18 +129,21 @@ def long_ascents(path: str) -> int:
     """
     if not is_dyck_word(path):
         raise NotDyckPathError(f"{path!r} is not a Dyck path")
-    return _long_ascents(path)
+    return _bit_long_ascents(int("0" + path.translate(_TO_BITS), 2))
 
 
-def _long_ascents(path: str) -> int:
-    """Long ascents of a path known to be a Dyck path.
+def _bit_long_ascents(x: int) -> int:
+    """Long ascents of a Dyck path given as bits (first step on top, U = 1).
 
-    Counts maximal runs of >= 2 consecutive U's and, independently, UUD
-    factors; for a valid path the two agree (every maximal long run is closed
-    by a D) and a disagreement is reported rather than silently resolved.
+    Bit i of ``pair`` marks a U whose preceding step is also U.  A maximal
+    run of >= 2 U's is counted once, at its last such bit; a UUD factor is a
+    ``pair`` bit followed by a D.  For a valid path the two agree (every
+    maximal long run is closed by a D) and a disagreement is reported rather
+    than silently resolved.
     """
-    runs = len(_LONG_RUN.findall(path))
-    factors = path.count("UUD")
+    pair = x & (x >> 1)
+    runs = (pair & ~(pair << 1)).bit_count()
+    factors = ((pair >> 1) & ~x).bit_count()
     if runs != factors:
         raise ArithmeticError(
             f"run scan ({runs}) and UUD factor count ({factors}) disagree"
@@ -131,10 +153,11 @@ def _long_ascents(path: str) -> int:
 
 def count_by_ascents_enum(n: int) -> dict[int, int]:
     """Triangle row by exhaustive enumeration: k -> #paths with k long ascents."""
+    _check_enum_bound(n)
     row: dict[int, int] = {}
     # the paths are generated here, so they skip long_ascents' input check
-    for path in enumerate_paths(n):
-        k = _long_ascents(path)
+    for x in _iter_paths(n):
+        k = _bit_long_ascents(x)
         row[k] = row.get(k, 0) + 1
     return dict(sorted(row.items()))
 

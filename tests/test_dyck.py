@@ -1,9 +1,13 @@
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
+from thagkl import dyck
 from thagkl.dyck import (
     MAX_ENUM_SEMILENGTH,
+    _bit_long_ascents,
     catalan,
     closed_form,
     closed_form_row,
@@ -61,6 +65,47 @@ def test_enumerate_rejects_large_semilength():
         enumerate_paths(MAX_ENUM_SEMILENGTH + 1)
     with pytest.raises(ValueError):
         enumerate_paths(-1)
+
+
+def test_enumerate_matches_filter_of_all_words():
+    # all 2^(2n) U/D words filtered by is_dyck_word: no first-return
+    # decomposition and no bit encoding involved
+    for n in range(9):
+        words = ("".join(w) for w in product("UD", repeat=2 * n))
+        assert sorted(enumerate_paths(n)) == sorted(w for w in words if is_dyck_word(w))
+
+
+def test_enumerate_order_is_pinned():
+    # sha256 of the paths n = 0..10, one per line, in the order of the
+    # string generator that the integer one replaced
+    joined = "\n".join(w for n in range(11) for w in enumerate_paths(n))
+    assert hashlib.sha256(joined.encode()).hexdigest() == (
+        "1d2f11056bec1df280389a804061de9072faf31106673f647e71e8f75064261a"
+    )
+
+
+def test_count_by_ascents_enum_rejects_out_of_range_semilength():
+    with pytest.raises(ValueError):
+        count_by_ascents_enum(-1)
+    with pytest.raises(ValueError):
+        count_by_ascents_enum(MAX_ENUM_SEMILENGTH + 1)
+
+
+def test_bit_counts_disagree_on_run_closed_by_the_end():
+    # U D U U: the final run of two U's is a long run, but no D closes it,
+    # so it is no UUD factor; the enumerator must raise, not pick a count
+    with pytest.raises(ArithmeticError):
+        _bit_long_ascents(0b1011)
+    assert _bit_long_ascents(0b110100) == 1  # U U D U D D
+
+
+def test_enumeration_uses_neither_dp_nor_closed_form(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the enumerator must stay independent")
+
+    for name in ("DyckTable", "count_by_ascents_dp", "closed_form", "closed_form_row"):
+        monkeypatch.setattr(dyck, name, forbidden)
+    assert count_by_ascents_enum(7) == BRUTE_FORCE_ROWS[7]
 
 
 def test_long_ascents_examples():

@@ -2,6 +2,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thagkl.polynomials import (
     IntPoly,
@@ -145,14 +147,20 @@ def test_expand_F_satisfies_quadratic():
     assert all(c.is_zero() for c in residual)
 
 
-def test_solve_reflection_round_trip():
-    rng = random.Random(99)
-    for _ in range(100):
-        rank = rng.randrange(1, 12)
-        dmax = (rank - 1) // 2
-        p = IntPoly([rng.randrange(-6, 7) for _ in range(dmax + 1)])
-        rhs = poly_reverse(rank, p) - p
-        assert solve_reflection_equation(rank, rhs) == p
+@st.composite
+def rank_and_low_poly(draw):
+    """A rank r and a polynomial of degree at most (r - 1) // 2."""
+    rank = draw(st.integers(1, 16))
+    coeffs = draw(st.lists(st.integers(-50, 50), max_size=(rank - 1) // 2 + 1))
+    return rank, IntPoly(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_and_low_poly())
+def test_solve_reflection_round_trip(case):
+    rank, p = case
+    rhs = poly_reverse(rank, p) - p
+    assert solve_reflection_equation(rank, rhs) == p
 
 
 def test_solve_reflection_rejects_inconsistent_rhs():

@@ -129,15 +129,18 @@ def test_pieri_rejects_negative_sizes():
                 f.mul_e(size)
 
 
-def test_pieri_products_commute():
-    rng = random.Random(11)
-    lams = [lam for n in range(5) for lam in partitions_of(n)]
-    for _ in range(40):
-        f = SchurPoly({rng.choice(lams): IntPoly((rng.randrange(1, 5),))})
-        a, b = rng.randrange(0, 4), rng.randrange(0, 4)
-        assert f.mul_h(a).mul_h(b) == f.mul_h(b).mul_h(a)
-        assert f.mul_e(a).mul_e(b) == f.mul_e(b).mul_e(a)
-        assert f.mul_h(a).mul_e(b) == f.mul_e(b).mul_h(a)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([lam for n in range(6) for lam in partitions_of(n)]),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_pieri_products_commute(lam, coeffs, a, b):
+    f = SchurPoly({lam: IntPoly(coeffs)})
+    assert f.mul_h(a).mul_h(b) == f.mul_h(b).mul_h(a)
+    assert f.mul_e(a).mul_e(b) == f.mul_e(b).mul_e(a)
+    assert f.mul_h(a).mul_e(b) == f.mul_e(b).mul_h(a)
 
 
 def test_schurpoly_rejects_mixed_degrees():
