@@ -76,8 +76,8 @@ def test_enumerate_matches_filter_of_all_words():
 
 
 def test_enumerate_order_is_pinned():
-    # sha256 of the paths n = 0..10, one per line, in the order of the
-    # string generator that the integer one replaced
+    # sha256 of the paths n = 0..10, one per line: callers may rely on the
+    # enumeration order, so it is fixed
     joined = "\n".join(w for n in range(11) for w in enumerate_paths(n))
     assert hashlib.sha256(joined.encode()).hexdigest() == (
         "1d2f11056bec1df280389a804061de9072faf31106673f647e71e8f75064261a"
