@@ -29,6 +29,11 @@ SCHEMA_VERSION = 1
 LATTICE_CHECK_MAX = 5
 CONJECTURE_CHECK_MAX = 10
 
+# Largest index accepted by `poly --n` and `table --max`, and by
+# `equivariant --n`: each command finishes in a few seconds at its bound.
+KL_INDEX_MAX = 300
+EQUIVARIANT_INDEX_MAX = 22
+
 
 def _nonneg(text: str) -> int:
     try:
@@ -38,6 +43,18 @@ def _nonneg(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
     return value
+
+
+def _at_most(limit: int):
+    """An argparse type: a nonnegative integer no larger than ``limit``."""
+
+    def parse(text: str) -> int:
+        value = _nonneg(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}: {value}")
+        return value
+
+    return parse
 
 
 def _emit_json(payload: dict) -> None:
@@ -330,12 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default="text")
 
     p_poly = sub.add_parser("poly", help="print P_n(t)")
-    p_poly.add_argument("--n", type=_nonneg, required=True)
+    p_poly.add_argument(
+        "--n", type=_at_most(KL_INDEX_MAX), required=True, help=f"index, at most {KL_INDEX_MAX}"
+    )
     add_format(p_poly, "text", "json")
     p_poly.set_defaults(func=_cmd_poly)
 
     p_table = sub.add_parser("table", help="coefficient triangle up to --max")
-    p_table.add_argument("--max", type=_nonneg, required=True)
+    p_table.add_argument(
+        "--max", type=_at_most(KL_INDEX_MAX), required=True, help=f"largest index, at most {KL_INDEX_MAX}"
+    )
     add_format(p_table, "text", "csv", "json")
     p_table.set_defaults(func=_cmd_table)
 
@@ -352,7 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_flats.set_defaults(func=_cmd_flats)
 
     p_eq = sub.add_parser("equivariant", help="Schur expansion of the equivariant polynomial")
-    p_eq.add_argument("--n", type=_nonneg, required=True)
+    p_eq.add_argument(
+        "--n",
+        type=_at_most(EQUIVARIANT_INDEX_MAX),
+        required=True,
+        help=f"index, at most {EQUIVARIANT_INDEX_MAX}",
+    )
     add_format(p_eq, "text", "json")
     p_eq.set_defaults(func=_cmd_equivariant)
 

@@ -20,7 +20,11 @@ w_{n-i}, it equals
 
 since for j >= 1 the pairs (i, m) with i + m = n - j are exactly those of
 A_{n-j}, and j = 0 leaves B_n.  Once p_n is solved, A_n = B_n + p_n is
-stored, so row n takes 2n products with a w_j, each ``SchurPoly.mul_w``.
+stored.  Row n still has 2n products with a w_j, but they are summed by two
+calls of the row kernel ``symfunc.sum_mul_w``: one for B_n, and one for
+(t-1) w_n + B_n + sum_j A_{n-j} w_j.  The kernel adds raw coefficient lists
+and builds one ``IntPoly`` per partition, so no product or partial sum is
+ever materialized as a ``SchurPoly``.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -35,7 +39,10 @@ import functools
 
 from .kl import kl_poly
 from .polynomials import IntPoly, ONE, T, ZERO, solve_reflection_equation
-from .symfunc import Partition, SchurPoly, partitions_of, w_poly
+from .symfunc import Partition, SchurPoly, partitions_of, sum_mul_w
+
+# (t-1) s[]: every row's first term is this times w_n
+_T_MINUS_ONE = SchurPoly({(): T - ONE}, degree=0)
 
 
 class EqKLTable:
@@ -58,15 +65,14 @@ class EqKLTable:
     def _recursion_rhs(self, n: int) -> tuple[SchurPoly, SchurPoly]:
         """The right-hand side of row n and B_n = sum_{i<n} p_i w_(n-i).
 
-        Needs p_i and A_i for every i < n.
+        Needs p_i and A_i for every i < n.  B_n is one ``sum_mul_w`` call and
+        the whole right-hand side a second, with B_n carried in as the pair
+        (B_n, 0) and the first term (t-1) w_n as the pair ((t-1) s[], n).
         """
-        below = SchurPoly({}, degree=n)
-        for i in range(n):
-            below = below + self._entries[i].mul_w(n - i)
-        rhs = w_poly(n).scaled(T - ONE) + below
-        for j in range(1, n + 1):
-            rhs = rhs + self._partials[n - j].mul_w(j)
-        return rhs, below
+        below = sum_mul_w(((self._entries[i], n - i) for i in range(n)), n)
+        pairs = [(below, 0), (_T_MINUS_ONE, n)]
+        pairs.extend((self._partials[n - j], j) for j in range(1, n + 1))
+        return sum_mul_w(pairs, n), below
 
     def _append_next(self) -> None:
         n = len(self._entries)

@@ -12,26 +12,28 @@ tensor-power character
 
 so no general Littlewood-Richardson machinery is needed.  w_j = h_j[(t-1)X]
 comes from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m]
-u^m.  ``SchurPoly.mul_w`` is the one product with w_j (``w_poly`` applies it
-to 1) and takes one pass by the broken-ribbon rule: the coefficient of s[mu]
-in s[lam] * w_j is the skew Schur function s_{mu/lam} at the alphabet t - 1,
-which factors over the ribbons of mu/lam (Macdonald, Symmetric Functions and
-Hall Polynomials, Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no
-2x2 square, with r rows and c edge-connected components, and 0 otherwise.
+u^m.  ``sum_mul_w`` is the one implementation of products with w_j: it sums
+f * w_j over a list of (f, j) pairs in one pass (``SchurPoly.mul_w`` is its
+one-pair case, and ``w_poly`` applies that to 1).  It works by the
+broken-ribbon rule: the coefficient of s[mu] in s[lam] * w_j is the skew
+Schur function s_{mu/lam} at the alphabet t - 1, which factors over the
+ribbons of mu/lam (Macdonald, Symmetric Functions and Hall Polynomials,
+Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square, with
+r rows and c edge-connected components, and 0 otherwise.
 The Pieri rules serve the second character
 
     v_l(t) = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c    (graded dim (t-2)^l)
 
 from v(t,u) = s(tu)/s(u)^2.  A plethysm evaluation of v_l through the
-power-sum basis is provided as an independent cross-check.
+power-sum basis, in integers, is provided as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
-from math import comb, factorial
-from typing import Iterator, Mapping, Union
+from math import factorial
+from operator import add, sub
+from typing import Iterable, Iterator, Mapping, Union
 
 from .polynomials import IntPoly, ONE, ZERO, _as_poly
 
@@ -297,31 +299,8 @@ class SchurPoly:
         return SchurPoly(out, degree=self.degree + b)
 
     def mul_w(self, j: int) -> SchurPoly:
-        """Product with w_j = h_j[(t-1)X], by the broken-ribbon rule.
-
-        The coefficient of s[mu] in s[lam] * w_j is s_{mu/lam}[t-1], which is
-        (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square and 0
-        otherwise (r rows gain boxes, c edge-connected components); see
-        ``broken_ribbons``.  Input coefficients are summed per (mu, r, c)
-        first, so each weight multiplies once.
-        """
-        if j < 0:
-            raise ValueError("index must be nonnegative")
-        if j == 0:
-            return self
-        grouped: dict[tuple[Partition, int, int], IntPoly] = {}
-        for lam, coeff in self._terms.items():
-            for key in broken_ribbons(lam, j):
-                grouped[key] = grouped.get(key, ZERO) + coeff
-        weights: dict[tuple[int, int], IntPoly] = {}
-        out: dict[Partition, IntPoly] = {}
-        for (mu, rows, components), coeff in grouped.items():
-            weight = weights.get((rows, components))
-            if weight is None:
-                weight = _ribbon_weight(j, rows, components)
-                weights[rows, components] = weight
-            out[mu] = out.get(mu, ZERO) + weight * coeff
-        return SchurPoly(out, degree=self.degree + j)
+        """Product with w_j = h_j[(t-1)X]: the one-pair case of ``sum_mul_w``."""
+        return sum_mul_w([(self, j)], self.degree + j)
 
     def graded_dimension(self) -> IntPoly:
         """Substitute each s[lambda] by its hook-length dimension."""
@@ -347,16 +326,59 @@ def _sign_t_power(sign_exponent: int, t_exponent: int) -> IntPoly:
     return IntPoly((0,) * t_exponent + (coeff,))
 
 
-def _ribbon_weight(size: int, rows: int, components: int) -> IntPoly:
-    """(-1)^(rows-components) t^(size-rows) (t-1)^components, by the binomial theorem."""
-    sign = -1 if (rows - components) % 2 else 1
-    return IntPoly(
-        (0,) * (size - rows)
-        + tuple(
-            sign * comb(components, k) * (-1 if (components - k) % 2 else 1)
-            for k in range(components + 1)
-        )
-    )
+def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
+    """The sum of f * w_j over the (f, j) pairs, each f of degree ``degree - j``.
+
+    By the broken-ribbon rule the coefficient of s[mu] in s[lam] * w_j is
+    (-1)^(r-c) t^(j-r) (t-1)^c summed over the broken ribbons mu/lam of j
+    boxes, with r rows gaining boxes and c edge-connected components (see
+    ``broken_ribbons``).  So every input coefficient list is added straight
+    into a plain int list S_c(mu), at offset j - r and with sign (-1)^(r-c);
+    at the end each mu's lists are folded by Horner's rule in (t-1),
+    S_0 + (t-1)(S_1 + (t-1)(S_2 + ...)), where a product with t - 1 is a
+    shift and a subtraction.  One ``IntPoly`` is built per mu.
+    """
+    pairs = list(pairs)
+    width = 0
+    top = 0
+    for f, j in pairs:
+        if j < 0:
+            raise ValueError("index must be nonnegative")
+        if f.degree + j != degree:
+            raise ValueError(
+                f"degree mismatch: {f.degree} + {j} != {degree}"
+            )
+        for coeff in f._terms.values():
+            width = max(width, len(coeff.coeffs) + j)
+        top = max(top, j)
+    sums: dict[Partition, list[list[int] | None]] = {}
+    for f, j in pairs:
+        for lam, coeff in f._terms.items():
+            coeffs = coeff.coeffs
+            size = len(coeffs)
+            for mu, rows, components in broken_ribbons(lam, j):
+                by_c = sums.get(mu)
+                if by_c is None:
+                    by_c = sums[mu] = [None] * (top + 1)
+                s = by_c[components]
+                if s is None:
+                    s = by_c[components] = [0] * width
+                start = j - rows
+                stop = start + size
+                op = sub if (rows - components) & 1 else add
+                s[start:stop] = map(op, s[start:stop], coeffs)
+    out: dict[Partition, IntPoly] = {}
+    for mu, by_c in sums.items():
+        total = None
+        for s in reversed(by_c):
+            if total is not None:
+                total = [a - b for a, b in zip([0, *total], [*total, 0])]
+                if s is not None:
+                    total[:width] = map(add, total, s)
+            elif s is not None:
+                total = s
+        out[mu] = IntPoly(total)
+    return SchurPoly(out, degree=degree)
 
 
 @functools.cache
@@ -434,34 +456,38 @@ def character_value(lam: Partition, mu: Partition) -> int:
 def v_poly_via_plethysm(ell: int) -> SchurPoly:
     """Independent route to v_poly: the plethysm h_ell[(t-2) s[1]].
 
-    Expanded through power sums with exact rational arithmetic:
-    p_k[(t-2)s[1]] = (t^k - 2) p_k, h_ell = sum_mu p_mu / z_mu, and
-    p_mu = sum_lam chi^lam(mu) s[lam].  The Schur coefficients must come out
-    integral; a fractional coefficient is reported as a fault.
+    Expanded through power sums: p_k[(t-2)s[1]] = (t^k - 2) p_k,
+    h_ell = sum_mu p_mu / z_mu, and p_mu = sum_lam chi^lam(mu) s[lam].  Each
+    term is weighted by the integer ell!/z_mu, and the sums are divided by
+    ell! once at the end.  The Schur coefficients must come out integral; a
+    remainder is reported as a fault.
     """
     if ell < 0:
         raise ValueError("index must be nonnegative")
-    acc: dict[Partition, list[Fraction]] = {}
+    scale = factorial(ell)
+    acc: dict[Partition, list[int]] = {}
     for mu in partitions_of(ell):
         weight = ONE
         for part in mu:
             weight = weight * (IntPoly((0,) * part + (1,)) - 2 * ONE)
-        z = cycle_type_order(mu)
+        share = scale // cycle_type_order(mu)
+        scaled = [share * c for c in weight.coeffs]
         for lam in partitions_of(ell):
             chi = character_value(lam, mu)
             if not chi:
                 continue
-            vec = acc.setdefault(lam, [Fraction(0)] * (ell + 1))
-            for k in range(weight.degree() + 1):
-                vec[k] += Fraction(chi * weight[k], z)
+            vec = acc.setdefault(lam, [0] * (ell + 1))
+            for k, c in enumerate(scaled):
+                vec[k] += chi * c
     terms: dict[Partition, IntPoly] = {}
     for lam, vec in acc.items():
         ints = []
         for value in vec:
-            if value.denominator != 1:
+            q, r = divmod(value, scale)
+            if r:
                 raise ArithmeticError(
-                    f"plethysm produced a fractional coefficient {value} at {lam}"
+                    f"plethysm produced a fractional coefficient {value}/{scale} at {lam}"
                 )
-            ints.append(value.numerator)
+            ints.append(q)
         terms[lam] = IntPoly(ints)
     return SchurPoly(terms, degree=ell)

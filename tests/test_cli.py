@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from thagkl.cli import main
+from thagkl.cli import EQUIVARIANT_INDEX_MAX, KL_INDEX_MAX, main
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +42,26 @@ def test_poly_negative_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["poly", "--n", "-1"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, option, limit",
+    [
+        ("poly", "--n", KL_INDEX_MAX),
+        ("table", "--max", KL_INDEX_MAX),
+        ("equivariant", "--n", EQUIVARIANT_INDEX_MAX),
+    ],
+)
+def test_index_over_bound_exits_two(capsys, command, option, limit):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, option, str(limit + 1)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be at most {limit}" in captured.err
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"at most {limit}" in capsys.readouterr().out
 
 
 def test_unknown_command_exits_two(capsys):

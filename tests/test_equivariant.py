@@ -47,6 +47,15 @@ def test_eq_kl_table_pinned_through_rank_thirteen():
     assert digest == "8f0648b4768cbdec12176eef036a7b74297212e31bc456279565fea670c049cd"
 
 
+def test_eq_kl_table_pinned_through_rank_fifteen():
+    # digest of repr(eq_kl(n)) for n < 16 before the row kernel replaced the
+    # per-product mul_w calls
+    digest = hashlib.sha256(
+        "".join(repr(eq_kl(n)) for n in range(16)).encode()
+    ).hexdigest()
+    assert digest == "d7e2a243db66490d7b1fbacaf90a50dbb9e2ec0b84a550cc7dcf0dd1304b20de"
+
+
 def test_eq_kl_graded_dimension_recovers_scalar():
     for n in range(11):
         assert eq_kl(n).graded_dimension() == kl_poly(n)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thagkl import symfunc
 from thagkl.polynomials import IntPoly, ONE, T, ZERO
 from thagkl.symfunc import (
     SchurPoly,
@@ -16,6 +17,7 @@ from thagkl.symfunc import (
     hook_dim,
     horizontal_strips,
     partitions_of,
+    sum_mul_w,
     v_poly,
     v_poly_via_plethysm,
     vertical_strips,
@@ -219,6 +221,48 @@ def test_mul_w_matches_pieri_reference_on_sums(f, j):
     assert f.mul_w(j) == mul_w_pieri(f, j)
 
 
+@st.composite
+def _w_pairs(draw):
+    """A degree and (f, j) pairs with mixed j, each f of that degree minus j."""
+    degree = draw(st.integers(0, 8))
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        j = draw(st.integers(0, degree))
+        pairs.append((draw(_schur_polys(degree - j)), j))
+    return degree, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_w_pairs(), st.booleans())
+def test_sum_mul_w_matches_pieri_reference(degree_and_pairs, cancel):
+    degree, pairs = degree_and_pairs
+    if cancel:
+        # each product meets its negative, so the whole sum is zero
+        pairs = pairs + [(f.scaled(-1), j) for f, j in reversed(pairs)]
+    expected = SchurPoly({}, degree=degree)
+    for f, j in pairs:
+        expected = expected + mul_w_pieri(f, j)
+    got = sum_mul_w(pairs, degree)
+    assert got == expected
+    assert got.degree == degree
+    if cancel:
+        assert got.is_zero()
+
+
+def test_sum_mul_w_rejects_bad_pairs():
+    f = SchurPoly({(2, 1): IntPoly((1, -1))})
+    assert sum_mul_w([], 4) == SchurPoly({}, degree=4)
+    assert sum_mul_w([], 4).degree == 4
+    with pytest.raises(ValueError):
+        sum_mul_w([(f, 2)], 4)
+    with pytest.raises(ValueError):
+        sum_mul_w([(f, 1), (f, 2)], 5)
+    with pytest.raises(ValueError):
+        sum_mul_w([(SchurPoly({}, degree=3), 2)], 4)
+    with pytest.raises(ValueError):
+        sum_mul_w([(f, -1)], 2)
+
+
 def test_v_poly_low_indices():
     assert v_poly(0) == SchurPoly.one()
     assert v_poly(1) == SchurPoly({(1,): T_MINUS_2})
@@ -297,3 +341,18 @@ def test_character_sign_representation():
 def test_v_poly_plethysm_cross_check():
     for ell in range(7):
         assert v_poly_via_plethysm(ell) == v_poly(ell)
+
+
+def test_v_poly_plethysm_rejects_a_non_integral_sum(monkeypatch):
+    # negative control: chi^(2,1) at a 3-cycle is -1; reading +1 there moves
+    # the t^3 sum at (2,1) by 2 * 3!/z_(3) = 4, which 3! does not divide
+    honest = character_value
+
+    def doctored(lam, mu):
+        if (lam, mu) == ((2, 1), (3,)):
+            return 1
+        return honest(lam, mu)
+
+    monkeypatch.setattr(symfunc, "character_value", doctored)
+    with pytest.raises(ArithmeticError):
+        v_poly_via_plethysm(3)
