@@ -23,8 +23,8 @@ A_{n-j}, and j = 0 leaves B_n.  Once p_n is solved, A_n = B_n + p_n is
 stored.  Row n still has 2n products with a w_j, but they are summed by two
 calls of the row kernel ``symfunc.sum_mul_w``: one for B_n, and one for
 (t-1) w_n + B_n + sum_j A_{n-j} w_j.  The kernel adds raw coefficient lists
-and builds one ``IntPoly`` per partition, so no product or partial sum is
-ever materialized as a ``SchurPoly``.
+and builds one ``IntPoly`` per partition, so no single product is ever
+built as a ``SchurPoly``.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or

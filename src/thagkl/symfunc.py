@@ -345,9 +345,7 @@ def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
         if j < 0:
             raise ValueError("index must be nonnegative")
         if f.degree + j != degree:
-            raise ValueError(
-                f"degree mismatch: {f.degree} + {j} != {degree}"
-            )
+            raise ValueError(f"degree mismatch: {f.degree} + {j} != {degree}")
         for coeff in f._terms.values():
             width = max(width, len(coeff.coeffs) + j)
         top = max(top, j)
