@@ -15,12 +15,10 @@ The module also houses the two solver primitives shared by the higher
 layers: the coefficient recurrence for the series root ``F`` of
 ``u*(1 - u + t*u)*F^2 - F + 1 = 0`` and the reflection trick that extracts a
 low-degree polynomial ``P`` from an identity ``t^r * P(1/t) - P(t) = q(t)``.
-The recurrence runs on packed integers, Kronecker substitution (Harvey,
-arXiv:0712.4046): each F_m is evaluated at t = 2^w, one integer holding its
-coefficients in w-bit slots, CPython's bigint multiply does the convolution,
-and the signed coefficients are read back out of the slots.  The slot width
-w comes from a proven bound on the coefficients, so no carry ever crosses a
-slot boundary.
+F is algebraic, so its u-coefficients satisfy a linear recurrence whose
+coefficients are polynomials in n and t (Stanley, "Differentiably finite
+power series", 1980); ``expand_F`` runs that order-3 recurrence on plain
+integer coefficient lists, one O(n) pass per coefficient.
 """
 
 from __future__ import annotations
@@ -179,36 +177,6 @@ def _as_poly(value: Union[IntPoly, int]) -> IntPoly:
     return IntPoly((value,))
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot so that every integer of magnitude <= bound is a digit.
-
-    The slot holds 8*b bits with 2^(8*b - 1) > bound, so balanced digits in
-    [-2^(8*b-1), 2^(8*b-1)) cover every such integer.
-    """
-    return bound.bit_length() // 8 + 1
-
-
-def _slot_bias(nbytes: int, length: int) -> int:
-    """sum_{k < length} 2^(8*nbytes - 1) * 2^(8*nbytes*k): half a slot in every slot."""
-    return int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * length, "little")
-
-
-def _unpack(value: int, nbytes: int, length: int) -> list[int]:
-    """Balanced base-2^(8*nbytes) digits of value, lowest first, ``length`` of them.
-
-    Requires value = sum_{k < length} c_k 2^(8*nbytes*k) with every
-    |c_k| < 2^(8*nbytes - 1).  Adding half a slot to every slot makes each
-    digit nonnegative and below the slot size, so the biased value splits
-    into slots bytewise; subtracting the half again restores the sign.
-    """
-    half = 1 << (8 * nbytes - 1)
-    raw = (value + _slot_bias(nbytes, length)).to_bytes(nbytes * length, "little")
-    return [
-        int.from_bytes(raw[i : i + nbytes], "little") - half
-        for i in range(0, nbytes * length, nbytes)
-    ]
-
-
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 T = IntPoly((0, 1))
@@ -254,45 +222,51 @@ class PolySeries:
 def expand_F(order: int) -> PolySeries:
     """Expand the unique power-series root F of u*(1-u+t*u)*F^2 - F + 1 = 0.
 
-    Rewriting the equation as F = 1 + u*(1-u+t*u)*F^2 and comparing u^m
-    coefficients gives F_0 = 1 and, for m >= 1,
+    With a = u*(1 + (t-1)*u) the equation reads a*F^2 - F + 1 = 0, and
+    implicit differentiation in u turns it into the linear equation
 
-        F_m = sum_{a+b=m-1} F_a F_b + (t - 1) * sum_{a+b=m-2} F_a F_b.
+        a*(1 - 4a) * F' + a'*(1 - 2a) * F = a'.
 
-    The recurrence stays in integer arithmetic; no square root is extracted
-    (the quadratic's other root has no power-series expansion at u = 0).
+    Comparing u^n coefficients there gives, for n >= 2,
 
-    It runs on the packed values F_m(2^w), one integer per m, and unpacks
-    each F_m once at the end.  The slot width w comes from the majorant
-    N_0 = 1, N_m = sum_{a+b=m-1} N_a N_b + 2 * sum_{a+b=m-2} N_a N_b: the sum
-    of absolute coefficients is submultiplicative and (t - 1) at most doubles
-    it, so N_m bounds every |coefficient| of F_m whatever its sign.
+        (n+1) F_n = ((5n-1) - (n+1)t) F_{n-1} + 2(4n-5)(t-1) F_{n-2}
+                    + 4(n-2)(t-1)^2 F_{n-3},
+
+    started from F_{-1} = 0 and F_0 = F_1 = 1.  Each step is one pass over
+    three earlier coefficient lists; multiplying by (t - 1) is a shift and a
+    subtraction.  F_n has integer coefficients, so the division by n + 1 must
+    be exact; a nonzero remainder raises ``ArithmeticError`` instead of being
+    rounded away.  No square root is extracted (the quadratic's other root
+    has no power-series expansion at u = 0).
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    norms = [1]
-    for m in range(1, order + 1):
-        norms.append(_self_convolution(norms, m - 1) + 2 * _self_convolution(norms, m - 2))
-    nbytes = _slot_bytes(max(norms))
-    width = 8 * nbytes
-    packed = [1]
-    for m in range(1, order + 1):
-        conv2 = _self_convolution(packed, m - 2)
-        packed.append(_self_convolution(packed, m - 1) + (conv2 << width) - conv2)
-    # deg F_m <= m, so m + 1 slots hold all of F_m
-    return PolySeries(
-        order, [IntPoly(_unpack(value, nbytes, m + 1)) for m, value in enumerate(packed)]
-    )
+    fs = [ZERO, ONE, ONE]  # F_{-1}, F_0, F_1
+    for n in range(2, order + 1):
+        f3, f2, f1 = (list(p.coeffs) for p in fs[-3:])
+        # inner = 2(4n-5) F_{n-2} + 4(n-2)(t-1) F_{n-3}; [0] + f is t * f
+        w2, w3 = 2 * (4 * n - 5), 4 * (n - 2)
+        inner = _weighted_sum((w2, f2), (w3, [0] + f3), (-w3, f3))
+        total = _weighted_sum(
+            (5 * n - 1, f1), (-(n + 1), [0] + f1), (1, [0] + inner), (-1, inner)
+        )
+        quotients = []
+        for c in total:
+            q, r = divmod(c, n + 1)
+            if r:
+                raise ArithmeticError(f"(n+1) F_n is not divisible by n + 1 at n = {n}")
+            quotients.append(q)
+        fs.append(IntPoly(quotients))
+    return PolySeries(order, fs[1 : order + 2])
 
 
-def _self_convolution(values: list[int], s: int) -> int:
-    """sum_{a+b=s} values[a] * values[b], pairing a with s - a; 0 for s < 0."""
-    if s < 0:
-        return 0
-    total = 2 * sum(values[a] * values[s - a] for a in range((s + 1) // 2))
-    if s % 2 == 0:
-        total += values[s // 2] ** 2
-    return total
+def _weighted_sum(*terms: tuple[int, list[int]]) -> list[int]:
+    """sum of weight * coeffs over the (weight, coeffs) pairs, as one coefficient list."""
+    out = [0] * max(len(coeffs) for _, coeffs in terms)
+    for weight, coeffs in terms:
+        for k, c in enumerate(coeffs):
+            out[k] += weight * c
+    return out
 
 
 def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:

@@ -90,6 +90,13 @@ def test_phi_series_low_orders():
     assert [c.coeffs for c in phi.coeffs] == [(), (1,), (1,), (1, 1)]
 
 
+def test_phi_series_rejects_bad_orders():
+    with pytest.raises(ValueError):
+        phi_series(-1)
+    with pytest.raises(TypeError):
+        phi_series("3")
+
+
 def test_phi_series_coefficients_are_kl_polys():
     phi = phi_series(15)
     for n in range(14):

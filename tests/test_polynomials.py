@@ -1,7 +1,9 @@
 import operator
 import random
+from math import comb
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,12 +121,16 @@ def test_expand_F_first_coefficients():
 
 def test_expand_F_catalan_specialization():
     # row sums at t=1 count all Dyck paths of each semilength
-    catalans = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
-                742900, 2674440, 9694845, 35357670, 129644790, 477638700,
-                1767263190, 6564120420]
-    f = expand_F(20)
-    for n, expected in enumerate(catalans):
-        assert f.coefficient(n).evaluate(1) == expected
+    f = expand_F(300)
+    for n in range(301):
+        assert f.coefficient(n).evaluate(1) == comb(2 * n, n) // (n + 1)
+
+
+def test_expand_F_rejects_bad_orders():
+    with pytest.raises(ValueError):
+        expand_F(-1)
+    with pytest.raises(TypeError):
+        expand_F(2.5)
 
 
 def _series_product(a: list, b: list, order: int) -> list:
@@ -145,6 +151,81 @@ def test_expand_F_satisfies_quadratic():
     residual = [p - q for p, q in zip(lhs, f)]
     residual[0] = residual[0] + 1
     assert all(c.is_zero() for c in residual)
+
+
+def test_recurrence_follows_from_the_quadratic():
+    t, u, n, F = sp.symbols("t u n F")
+    a = u * (1 + (t - 1) * u)
+    da = sp.diff(a, u)
+    quadratic = a * F**2 - F + 1
+    # implicit differentiation: F' = -(dQ/du) / (dQ/dF) on the curve Q = 0
+    fprime = -sp.diff(quadratic, u) / sp.diff(quadratic, F)
+    residual = a * (1 - 4 * a) * fprime + da * (1 - 2 * a) * F - da
+    numerator = sp.numer(sp.together(residual))
+    assert sp.rem(numerator, quadratic, F, domain=sp.QQ.frac_field(t, u)) == 0
+
+    # [u^n] of u^j F' is (n-j+1) F_{n-j+1}, of u^j F is F_{n-j}; [u^n] a' = 0 for n >= 2
+    assert sp.Poly(da, u).degree() == 1
+    Fn = sp.Function("F")
+    coeff = sum(
+        c * (n - j + 1) * Fn(n - j + 1)
+        for (j,), c in sp.Poly(sp.expand(a * (1 - 4 * a)), u).terms()
+    ) + sum(c * Fn(n - j) for (j,), c in sp.Poly(sp.expand(da * (1 - 2 * a)), u).terms())
+    coeff = sp.expand(coeff)
+    derived = [coeff.coeff(Fn(n - j)) for j in range(4)]
+    assert sp.expand(coeff - sum(d * Fn(n - j) for j, d in enumerate(derived))) == 0
+    # the recurrence as documented in expand_F, moved to one side
+    documented = [
+        n + 1,
+        (n + 1) * t - (5 * n - 1),
+        -2 * (4 * n - 5) * (t - 1),
+        -4 * (n - 2) * (t - 1) ** 2,
+    ]
+    assert all(sp.expand(d - e) == 0 for d, e in zip(derived, documented))
+
+    # and the coded coefficients satisfy the derived recurrence
+    f = expand_F(100).coeffs
+    assert f[0] == f[1] == ONE
+    for m in range(2, 101):
+        total = ZERO
+        for j, d in enumerate(derived):
+            if m - j >= 0:
+                cs = sp.Poly(d.subs(n, m), t).all_coeffs()[::-1]
+                total = total + IntPoly(int(c) for c in cs) * f[m - j]
+        assert total.is_zero(), m
+
+
+def test_expand_F_matches_sympy_series_root():
+    order = 12
+    t, u, F = sp.symbols("t u F")
+    a = u * (1 + (t - 1) * u)
+    # 2a * root is 1 -/+ sqrt(1 - 4a); the power-series root is the one
+    # whose cleared form vanishes at u = 0 (the other has a pole there)
+    (cleared,) = [
+        c for c in (sp.expand(2 * a * r) for r in sp.solve(a * F**2 - F + 1, F))
+        if c.subs(u, 0) == 0
+    ]
+    expected = sp.series(cleared, u, 0, order + 2).removeO()
+    f = expand_F(order).coeffs
+    ours = sum(sp.Poly(p.coeffs[::-1], t).as_expr() * u**m for m, p in enumerate(f) if p)
+    # a starts with u, so 2a * F through u^(order+1) pins F through u^order
+    difference = sp.expand(2 * a * ours - expected)
+    assert all(difference.coeff(u, m) == 0 for m in range(order + 2))
+
+
+def test_expand_F_matches_catalan_composition():
+    # F = C(u (1 + (t-1) u)) with C the Catalan series, so
+    # F_n = sum_k Cat_k C(k, n-k) (t-1)^(n-k)
+    order = 120
+    powers = [ONE]
+    for _ in range(order // 2):
+        powers.append(powers[-1] * T_MINUS_1)
+    f = expand_F(order)
+    for n in range(order + 1):
+        expected = ZERO
+        for k in range((n + 1) // 2, n + 1):
+            expected = expected + comb(2 * k, k) // (k + 1) * comb(k, n - k) * powers[n - k]
+        assert f.coefficient(n) == expected, n
 
 
 @st.composite

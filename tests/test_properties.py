@@ -1,6 +1,6 @@
-"""Property tests: the product and the packed series kernel against
-schoolbook references, the ring laws, the Dyck table and the Horner form of
-the rank recursion."""
+"""Property tests: the product and the series root against schoolbook
+references, the ring laws, the Dyck table and the Horner form of the rank
+recursion."""
 
 from math import comb
 
@@ -14,8 +14,6 @@ from thagkl.polynomials import (
     ONE,
     ZERO,
     IntPoly,
-    _slot_bytes,
-    _unpack,
     expand_F,
     solve_reflection_equation,
 )
@@ -32,7 +30,8 @@ def schoolbook(a, b):
     return out
 
 
-# powers of two and their neighbours sit on the edges of the packed slots
+# powers of two and their neighbours are where a carry or a sign change
+# crosses a bit boundary of the product's big integers
 edge_values = st.builds(
     lambda k, delta, sign: sign * (2**k + delta),
     st.integers(0, 300),
@@ -50,32 +49,8 @@ def test_product_matches_schoolbook(a, b):
     assert IntPoly(a) * IntPoly(b) == IntPoly(schoolbook(a, b))
 
 
-def pack(coeffs, nbytes):
-    """sum c_k 2^(8*nbytes*k), the value the packed series holds for sum c_k t^k."""
-    return sum(c << (8 * nbytes * k) for k, c in enumerate(coeffs))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(coefficients, min_size=1, max_size=24))
-def test_unpack_recovers_signed_coefficients(cs):
-    nbytes = _slot_bytes(max(map(abs, cs)))
-    assert _unpack(pack(cs, nbytes), nbytes, len(cs)) == cs
-
-
-@pytest.mark.parametrize("bits", [0, 1, 7, 8, 9, 63, 64, 300])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_unpack_at_the_slot_edges(bits, sign):
-    # bound = 2^bits - 1 is the largest magnitude of its bit length; the slot
-    # it picks must also hold the digits next to zero and to the bound
-    bound = 2**bits - 1
-    nbytes = _slot_bytes(bound)
-    assert 2 ** (8 * nbytes - 1) > bound
-    cs = [sign * bound, -sign * bound, 0, sign, sign * bound, -sign]
-    assert _unpack(pack(cs, nbytes), nbytes, len(cs)) == cs
-
-
 def series_by_schoolbook(order):
-    """F_m from the recurrence of expand_F, with IntPoly products."""
+    """F_m from the defining convolution F = 1 + u*(1-u+t*u)*F^2, with IntPoly products."""
     t_minus_1 = IntPoly((-1, 1))
     fs = [ONE]
     for m in range(1, order + 1):
@@ -85,8 +60,8 @@ def series_by_schoolbook(order):
     return fs
 
 
-def test_packed_series_matches_schoolbook_recurrence():
-    assert list(expand_F(30).coeffs) == series_by_schoolbook(30)
+def test_series_matches_defining_convolution():
+    assert list(expand_F(40).coeffs) == series_by_schoolbook(40)
 
 
 @settings(max_examples=200, deadline=None)
