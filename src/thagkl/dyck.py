@@ -12,28 +12,48 @@ up to a size fixed in advance, and a binomial closed form
 
     a[n][k] = 1/(n+1) * C(n+1, k) * sum_{j} C(j-k-1, k-1) * C(n+1-k, n-j).
 
-The enumerator works on integers: a path of semilength n is an int of 2n
-bits, the first step in the top bit and U = 1.  ``enumerate_paths`` is the
-string view of the same sequence, each int decoded to a U/D word of length
-2n.  Every enumerated path has its long ascents counted from its bits two
-ways, as maximal runs of >= 2 one-bits and as UUD factors, and a
-disagreement is raised, not resolved.
+The enumerator works on lane-packed integers.  A path of semilength n is an
+int of 2n bits, the first step in the top bit and U = 1, held in one 32-bit
+lane of an ``array('I')``.  The paths are built in blocks by the
+first-return decomposition U <left> D <right>, left-major: for each split,
+the prefix of one half is OR-ed into every lane of the other half, read as
+one big int, so Python loops only over the smaller half.  Every path of
+semilength n <= 12 stays cached (about 1.2 MB); longer ones are streamed in
+blocks of at most about 10^5 paths.  ``enumerate_paths`` is the string view
+of the same sequence, each int decoded to a U/D word of length 2n.
+
+Counting reads 4096 lanes at a time into one big int, so each of the two
+counts takes a few whole-int operations per chunk (SWAR, SIMD within a
+register): long runs of one-bits and UUD factors, each popcounted lane by
+lane.  A path whose counts disagree is raised, not resolved.  The scalar
+``_bit_long_ascents`` stays: it is the reference the packed count is tested
+against, and the only counter for ``long_ascents``, whose words may be
+longer than a lane.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+import sys
+from array import array
 from itertools import zip_longest
 from math import comb
 from typing import Iterator
 
 MAX_ENUM_SEMILENGTH = 14
 
-# Semilengths up to this bound keep their path tuples cached; longer paths are
-# streamed.  Caching n = 12 as well would hold its 208012 paths at once: a
-# cold count of every row n <= 12 then peaks about 10 MB higher (29 against
-# 19 MB), in about the same time.
-_MEMO_SEMILENGTH = 11
+# Semilengths up to this bound keep their paths cached, one array each
+# (290512 paths, about 1.2 MB for all of them); longer ones are streamed in
+# blocks.
+_CACHE_SEMILENGTH = 12
+
+# A path is one lane of an ``array('I')``: 32 bits, of which it uses 2n.
+_LANE_BYTES = 4
+_ONE = (1).to_bytes(_LANE_BYTES, sys.byteorder)
+# Paths counted per big-int pass, and paths per streamed block.
+_CHUNK = 4096
+_BLOCK = 1 << 16
 
 _TO_BITS = str.maketrans("UD", "10")
 _FROM_BITS = str.maketrans("10", "UD")
@@ -64,42 +84,85 @@ def is_dyck_word(word: str) -> bool:
     return height == 0
 
 
+def _joined(a: int, b: int, lefts: array, rights: array) -> array:
+    """Every path U <left> D <right>, left-major, for the given halves.
+
+    ``lefts`` have semilength a and ``rights`` semilength b, so path
+    i * k + j (k rights) is the prefix U <left i> D over right j.  The loop
+    runs over the smaller half: for each left, its prefix is OR-ed into
+    every lane of the packed rights; for each right, it is OR-ed into every
+    lane of the packed prefixes, and the result fills every k-th slot.
+    """
+    shift = 2 * b
+    lead = 1 << (2 * a + 1 + shift)
+    m, k = len(lefts), len(rights)
+    if m <= k:
+        ones = _ones(k)
+        tail = int.from_bytes(rights, sys.byteorder)
+        out = array("I")
+        for left in lefts:
+            out.frombytes(_unpack(tail | (lead | left << (shift + 1)) * ones, k))
+        return out
+    ones = _ones(m)
+    heads = int.from_bytes(lefts, sys.byteorder) << (shift + 1) | lead * ones
+    out = array("I", [0]) * (m * k)
+    for j, right in enumerate(rights):
+        out[j::k] = array("I", _unpack(heads | right * ones, m))
+    return out
+
+
+def _ones(count: int) -> int:
+    """A packed int with 1 in each of ``count`` lanes; times v, v in each."""
+    return int.from_bytes(_ONE * count, sys.byteorder)
+
+
+def _unpack(packed: int, count: int) -> bytes:
+    """The ``count`` lanes of ``packed`` as the bytes of an ``array('I')``."""
+    return packed.to_bytes(_LANE_BYTES * count, sys.byteorder)
+
+
 @functools.cache
-def _paths_tuple(n: int) -> tuple[int, ...]:
+def _paths_array(n: int) -> array:
     # first-return decomposition: every nonempty path is U <left> D <right>
     if n == 0:
-        return (0,)
-    out: list[int] = []
+        return array("I", [0])
+    out = array("I")
     for a in range(n):
-        b = n - 1 - a
-        lead = 1 << (2 * a + 1)
-        rights = _paths_tuple(b)
-        for left in _paths_tuple(a):
-            prefix = (lead | (left << 1)) << (2 * b)
-            out.extend(prefix | right for right in rights)
-    return tuple(out)
+        out += _joined(a, n - 1 - a, _paths_array(a), _paths_array(n - 1 - a))
+    return out
 
 
-def _iter_paths(n: int) -> Iterator[int]:
-    if n <= _MEMO_SEMILENGTH:
-        yield from _paths_tuple(n)
+def _blocks(n: int) -> Iterator[array]:
+    """The paths of semilength n in enumeration order, in blocks.
+
+    Up to ``_CACHE_SEMILENGTH`` these are slices of at most ``_BLOCK`` paths
+    of the cached array; beyond it, one block per split and pair of blocks
+    of the two halves.  That pairing is left-major as long as a right half
+    that comes in several blocks meets a single left path.  It does up to
+    MAX_ENUM_SEMILENGTH = 14: with ``_BLOCK`` above Catalan(11), only halves
+    of semilength >= 12 come in several blocks, and their left half then has
+    semilength <= 1.
+    """
+    if n <= _CACHE_SEMILENGTH:
+        paths = _paths_array(n)
+        for start in range(0, len(paths), _BLOCK):
+            yield paths[start : start + _BLOCK]
         return
     for a in range(n):
-        b = n - 1 - a
-        lead = 1 << (2 * a + 1)
-        for left in _iter_paths(a):
-            prefix = (lead | (left << 1)) << (2 * b)
-            for right in _iter_paths(b):
-                yield prefix | right
+        for lefts in _blocks(a):
+            for rights in _blocks(n - 1 - a):
+                yield _joined(a, n - 1 - a, lefts, rights)
 
 
-def _check_enum_bound(n: int) -> None:
+def _check_enum_bound(n: int) -> int:
+    n = operator.index(n)
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     if n > MAX_ENUM_SEMILENGTH:
         raise ValueError(
             f"semilength {n} exceeds enumeration bound {MAX_ENUM_SEMILENGTH}"
         )
+    return n
 
 
 def enumerate_paths(n: int) -> Iterator[str]:
@@ -107,10 +170,14 @@ def enumerate_paths(n: int) -> Iterator[str]:
 
     Rejects n beyond MAX_ENUM_SEMILENGTH (the list is Catalan-sized).
     """
-    _check_enum_bound(n)
+    n = _check_enum_bound(n)
     # a sentinel bit above the path keeps its leading D steps (zero bits)
     top = 1 << (2 * n)
-    return (format(top | x, "b")[1:].translate(_FROM_BITS) for x in _iter_paths(n))
+    return (
+        format(top | x, "b")[1:].translate(_FROM_BITS)
+        for block in _blocks(n)
+        for x in block
+    )
 
 
 class NotDyckPathError(ValueError, ArithmeticError):
@@ -151,14 +218,71 @@ def _bit_long_ascents(x: int) -> int:
     return runs
 
 
+@functools.cache
+def _lanes(value: int) -> int:
+    """``value`` in every one of the ``_CHUNK`` lanes of a packed chunk."""
+    return value * _ones(_CHUNK)
+
+
+def _lane_counts(v: int) -> bytes:
+    """Popcount of every 32-bit lane of v, one byte per lane.
+
+    The masks keep each partial sum inside its lane.  The product with
+    0x01010101 then sums a lane's four bytes into its top byte; no byte
+    exceeds 32, so nothing carries, and the top byte takes nothing from the
+    lane below.  The product spills three bytes past the chunk, so three
+    more are read, and in either byte order lane i's top byte is byte
+    3 + 4i.
+    """
+    v -= (v >> 1) & _lanes(0x55555555)
+    m2 = _lanes(0x33333333)
+    v = (v & m2) + ((v >> 2) & m2)
+    v = ((v + (v >> 4)) & _lanes(0x0F0F0F0F)) * 0x01010101
+    return v.to_bytes(_LANE_BYTES * _CHUNK + 3, sys.byteorder)[3::_LANE_BYTES]
+
+
+def _packed_long_ascents(block: array, n: int) -> bytes:
+    """Long ascents of every path in ``block``, one byte per path.
+
+    Each path of semilength n is one 32-bit lane of a big int read
+    ``_CHUNK`` paths at a time, and both counts of ``_bit_long_ascents`` are
+    taken lane by lane.  ``v ^ steps`` (the complement on the lane's 2n step
+    bits) stands for ``~v``, so that no lane reads the bit its neighbour
+    shifts in.  A path whose two counts disagree raises ``ArithmeticError``.
+    """
+    steps = _lanes((1 << (2 * n)) - 1)
+    lanes = memoryview(block)
+    out = []
+    for first in range(0, len(block), _CHUNK):
+        x = int.from_bytes(lanes[first : first + _CHUNK], sys.byteorder)
+        pair = x & (x >> 1)
+        runs = _lane_counts(pair & ((pair << 1) ^ steps))
+        factors = _lane_counts((pair >> 1) & (x ^ steps))
+        if runs != factors:
+            i = next(i for i, (r, f) in enumerate(zip(runs, factors)) if r != f)
+            raise ArithmeticError(
+                f"run scan ({runs[i]}) and UUD factor count ({factors[i]}) "
+                f"disagree on path {block[first + i]:0{2 * n}b}"
+            )
+        # the lanes past the end of a short last chunk hold no path
+        out.append(runs[: len(block) - first])
+    return b"".join(out)
+
+
 def count_by_ascents_enum(n: int) -> dict[int, int]:
     """Triangle row by exhaustive enumeration: k -> #paths with k long ascents."""
-    _check_enum_bound(n)
+    n = _check_enum_bound(n)
     row: dict[int, int] = {}
     # the paths are generated here, so they skip long_ascents' input check
-    for x in _iter_paths(n):
-        k = _bit_long_ascents(x)
-        row[k] = row.get(k, 0) + 1
+    for block in _blocks(n):
+        counts = _packed_long_ascents(block, n)
+        left, k = len(counts), 0
+        while left:
+            c = counts.count(k)
+            if c:
+                row[k] = row.get(k, 0) + c
+                left -= c
+            k += 1
     return dict(sorted(row.items()))
 
 

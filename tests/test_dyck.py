@@ -1,13 +1,19 @@
 import hashlib
 import random
+import sys
+from array import array
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thagkl import dyck
 from thagkl.dyck import (
+    _CHUNK,
     MAX_ENUM_SEMILENGTH,
     _bit_long_ascents,
+    _packed_long_ascents,
     catalan,
     closed_form,
     closed_form_row,
@@ -84,6 +90,31 @@ def test_enumerate_order_is_pinned():
     )
 
 
+def test_enumerate_order_is_pinned_for_rows_11_and_12():
+    # the same pin for the two largest cached rows, n = 11 and 12
+    joined = "\n".join(w for n in (11, 12) for w in enumerate_paths(n))
+    assert hashlib.sha256(joined.encode()).hexdigest() == (
+        "135257d210a347c9b6177dc894f352e6bf2a38f8dbe68232433fc66072110357"
+    )
+
+
+def test_streamed_blocks_keep_the_order():
+    # rows 13 and 14 are built block by block; sha256 of their paths as
+    # little-endian 32-bit ints, in the order the tuple-based enumerator had
+    pins = {
+        13: "642229847480e094aede0788fc223d7a79afbdf02c5e366466f25b13c41f5a12",
+        14: "1b2249ad49447c326f9e09f387203efb35d163da282f6d0538feac3a8086357a",
+    }
+    for n, pin in pins.items():
+        digest = hashlib.sha256()
+        for block in dyck._blocks(n):
+            if sys.byteorder == "big":
+                block = array("I", block)
+                block.byteswap()
+            digest.update(block)
+        assert digest.hexdigest() == pin
+
+
 def test_count_by_ascents_enum_rejects_out_of_range_semilength():
     with pytest.raises(ValueError):
         count_by_ascents_enum(-1)
@@ -97,6 +128,94 @@ def test_bit_counts_disagree_on_run_closed_by_the_end():
     with pytest.raises(ArithmeticError):
         _bit_long_ascents(0b1011)
     assert _bit_long_ascents(0b110100) == 1  # U U D U D D
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", None])
+def test_enumerators_reject_non_integer_semilength(bad):
+    with pytest.raises(TypeError):
+        count_by_ascents_enum(bad)
+    with pytest.raises(TypeError):
+        enumerate_paths(bad)
+
+
+def test_paths_fit_in_a_lane():
+    # every path of the enumeration bound, and the zero bit above it that
+    # keeps a lane from reading its neighbour, fit in one array('I') item
+    assert array("I").itemsize == 4 == dyck._LANE_BYTES
+    assert 2 * MAX_ENUM_SEMILENGTH < 8 * array("I").itemsize
+
+
+def _scalar_counts(xs):
+    """Per-lane counts by the scalar reference, or None if any lane raises."""
+    try:
+        return bytes(_bit_long_ascents(x) for x in xs)
+    except ArithmeticError:
+        return None
+
+
+def _assert_packed_matches_scalar(xs, n):
+    expected = _scalar_counts(xs)
+    if expected is None:
+        with pytest.raises(ArithmeticError):
+            _packed_long_ascents(array("I", xs), n)
+    else:
+        assert _packed_long_ascents(array("I", xs), n) == expected
+
+
+@st.composite
+def _lane_blocks(draw):
+    # arbitrary 2n-bit ints, not only Dyck paths: a lane with its last two
+    # bits set has one run and no UUD factor
+    n = draw(st.integers(0, MAX_ENUM_SEMILENGTH))
+    xs = draw(st.lists(st.integers(0, (1 << (2 * n)) - 1), max_size=40))
+    return xs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lane_blocks())
+def test_packed_counts_match_scalar_lane_by_lane(block):
+    xs, n = block
+    _assert_packed_matches_scalar(xs, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, MAX_ENUM_SEMILENGTH),
+    st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1]),
+    st.integers(0, 2**32),
+)
+def test_packed_counts_match_scalar_across_chunks(n, length, seed):
+    # full-length blocks around the chunk size, with lanes that make the
+    # scalar raise (those ending U U) and with bit 0 cleared, so none does
+    rng = random.Random(seed)
+    xs = [rng.getrandbits(2 * n) for _ in range(length)]
+    _assert_packed_matches_scalar(xs, n)
+    _assert_packed_matches_scalar([x & ~1 for x in xs], n)
+
+
+@pytest.mark.parametrize("length", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_packed_count_names_the_first_bad_path(length, where):
+    # valid paths of semilength 6 around one U D U U (0b1011) lane, widened
+    # to 12 bits, and a U U U lane at the end unless that is the bad one;
+    # the error names the first of them
+    paths = dyck._paths_array(6)
+    xs = [paths[i % len(paths)] for i in range(length - 1)] + [0b111]
+    bad = {"first": 0, "middle": length // 2, "last": length - 1}[where]
+    xs[bad] = 0b1011
+    with pytest.raises(ArithmeticError, match=f"disagree on path {0b1011:012b}$"):
+        _packed_long_ascents(array("I", xs), 6)
+    xs[bad] = xs[-1] = 0b110100
+    assert _packed_long_ascents(array("I", xs), 6) == _scalar_counts(xs)
+
+
+def test_packed_counts_disagree_on_run_closed_by_the_end():
+    # the packed twin of the scalar test above, alone and between two paths
+    with pytest.raises(ArithmeticError):
+        _packed_long_ascents(array("I", [0b1011]), 2)
+    with pytest.raises(ArithmeticError):
+        _packed_long_ascents(array("I", [0b110100, 0b1011, 0b110100]), 3)
+    assert _packed_long_ascents(array("I", [0b110100]), 3) == bytes([1])
 
 
 def test_enumeration_uses_neither_dp_nor_closed_form(monkeypatch):
