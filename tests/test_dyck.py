@@ -99,8 +99,8 @@ def test_enumerate_order_is_pinned_for_rows_11_and_12():
 
 
 def test_streamed_blocks_keep_the_order():
-    # rows 13 and 14 are built block by block; sha256 of their paths as
-    # little-endian 32-bit ints, in the order the tuple-based enumerator had
+    # rows 13 and 14 are streamed block by block; the sha256 of their paths
+    # as little-endian 32-bit ints pins the left-major order there too
     pins = {
         13: "642229847480e094aede0788fc223d7a79afbdf02c5e366466f25b13c41f5a12",
         14: "1b2249ad49447c326f9e09f387203efb35d163da282f6d0538feac3a8086357a",
