@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -199,6 +200,37 @@ def test_verify_json_report(capsys):
     assert payload["ok"] is False
     bad = [check for check in payload["checks"] if not check["ok"]]
     assert [check["name"] for check in bad] == ["theorem-agreement"]
+
+
+# sha256 of stdout and exit code of `thagkl verify`, pinned so that any
+# change to the battery's output is a deliberate edit of this table.
+VERIFY_PINS = [
+    (["--max", "80"], 0, "310fd2d56e9d143465e321317ca6f95c9a1cfef5edc264f055ebaf164b74dd89"),
+    (
+        ["--max", "80", "--format", "json"],
+        0,
+        "eb15d0915b181735a1203adbdfbfdcc723b456407584f24bd99c0d969a5b8adf",
+    ),
+    (
+        ["--max", "12", "--corrupt", "5,1"],
+        1,
+        "15612cd06fb67e740d3a86c2b5a2d190c1c022de4f0cb7f4b7fe227deeab6392",
+    ),
+    (
+        ["--max", "12", "--corrupt", "5,1", "--format", "json"],
+        1,
+        "f7c9878c6f6cae403aed42dac0e769deb036b193b8e1c600b4e59c783fcd5c03",
+    ),
+    (["--max", "0"], 0, "8c635c800076d08f932645b8f00298e1d145aac45c1a56b84f4b5c2eb47ce29a"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", VERIFY_PINS)
+def test_verify_output_bytes_pinned(capsys, argv, exit_code, digest):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == exit_code
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_module_entry_point():
