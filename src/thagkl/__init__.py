@@ -29,13 +29,11 @@ from .flats import (
     FlatLattice,
     Graph,
     build_lattice,
-    closure,
     thagomizer_graph,
 )
 from .kl import (
     KLTable,
     TheoremReport,
-    char_poly_boolean,
     char_poly_thag,
     kl_poly,
     phi_series,
@@ -45,7 +43,6 @@ from .polynomials import (
     IntPoly,
     PolySeries,
     expand_F,
-    poly_reverse,
     solve_reflection_equation,
 )
 from .symfunc import (
@@ -56,8 +53,10 @@ from .symfunc import (
     v_poly_via_plethysm,
     w_poly,
 )
+from .verify import Check, run_checks
 
 __all__ = [
+    "Check",
     "ConjectureReport",
     "ConjectureTerm",
     "FlatLattice",
@@ -69,11 +68,9 @@ __all__ = [
     "TheoremReport",
     "build_lattice",
     "catalan",
-    "char_poly_boolean",
     "char_poly_thag",
     "closed_form",
     "closed_form_row",
-    "closure",
     "conjecture_poly",
     "conjecture_terms",
     "count_by_ascents_dp",
@@ -86,7 +83,7 @@ __all__ = [
     "long_ascents",
     "partitions_of",
     "phi_series",
-    "poly_reverse",
+    "run_checks",
     "solve_reflection_equation",
     "thagomizer_graph",
     "upsilon",

@@ -1,36 +1,37 @@
-"""Command-line interface.
+"""Command-line interface: parses arguments and renders results.
 
 Subcommands expose every pipeline with deterministic text, CSV, or JSON
-output (JSON payloads carry a "schema" version field).  Exit codes: 0 on
-success, 1 when a verification run finds a discrepancy, 2 on usage errors.
+output (JSON payloads carry a "schema" version field).  The checks behind
+``thagkl verify`` live in :mod:`thagkl.verify`.  Exit codes: 0 on success,
+1 when a verification run finds a discrepancy, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
 
-from . import flats as flats_mod
 from .dyck import (
-    catalan,
+    MAX_ENUM_SEMILENGTH,
     closed_form_row,
     count_by_ascents_dp,
     count_by_ascents_enum,
 )
-from .equivariant import conjecture_poly, eq_kl, verify_conjecture
-from .kl import char_poly_thag, kl_poly, phi_series, verify_theorem
-from .polynomials import IntPoly, PolySeries
+from .equivariant import conjecture_poly, eq_kl
+from .flats import MAX_LATTICE_RANK, build_lattice, thagomizer_graph
+from .kl import kl_poly
+from .polynomials import IntPoly
 from .symfunc import SchurPoly
+from .verify import corrupted_series, run_checks
 
 SCHEMA_VERSION = 1
 
-LATTICE_CHECK_MAX = 5
-CONJECTURE_CHECK_MAX = 10
-
-# Largest index accepted by `poly --n` and `table --max`, and by
-# `equivariant --n`: each command finishes in a few seconds at its bound.
+# Largest index accepted by `poly --n`, `table --max`, `dyck --n` and
+# `verify --max`, and by `equivariant --n`; `flats --n` stops where the
+# thagomizer's rank n + 1 reaches MAX_LATTICE_RANK.
 KL_INDEX_MAX = 300
 EQUIVARIANT_INDEX_MAX = 22
 
@@ -57,7 +58,8 @@ def _at_most(limit: int):
     return parse
 
 
-def _emit_json(payload: dict) -> None:
+def _emit_json(kind: str, **fields) -> None:
+    payload = {"schema": SCHEMA_VERSION, "kind": kind, **fields}
     print(json.dumps(payload, separators=(", ", ": ")))
 
 
@@ -71,9 +73,7 @@ def _schur_terms(f: SchurPoly) -> list[dict]:
 def _cmd_poly(args: argparse.Namespace) -> int:
     p = kl_poly(args.n)
     if args.format == "json":
-        _emit_json(
-            {"schema": SCHEMA_VERSION, "kind": "poly", "n": args.n, "coeffs": list(p.coeffs) or [0]}
-        )
+        _emit_json("poly", n=args.n, coeffs=list(p.coeffs) or [0])
     else:
         print(p)
     return 0
@@ -86,14 +86,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for k in range(p.degree() + 1):
             rows.append((n, k, p[k]))
     if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "table",
-                "max_n": args.max,
-                "rows": [{"n": n, "k": k, "c": c} for n, k, c in rows],
-            }
-        )
+        _emit_json("table", max_n=args.max, rows=[{"n": n, "k": k, "c": c} for n, k, c in rows])
     elif args.format == "csv":
         print("n,k,c")
         for n, k, c in rows:
@@ -115,58 +108,33 @@ def _cmd_dyck(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    dense = [row.get(k, 0) for k in range(max(row) + 1)] if row else [0]
-    if args.k is not None:
-        value = row.get(args.k, 0)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "kind": "table",
-                    "n": args.n,
-                    "k": args.k,
-                    "method": args.method,
-                    "value": value,
-                }
-            )
-        else:
-            print(value)
-        return 0
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "table",
-                "n": args.n,
-                "method": args.method,
-                "counts": dense,
-            }
-        )
+    if args.k is None:
+        dense = [row.get(k, 0) for k in range(max(row) + 1)] if row else [0]
+        fields = {"n": args.n, "method": args.method, "counts": dense}
+        text = " ".join(str(v) for v in dense)
     else:
-        print(" ".join(str(v) for v in dense))
+        value = row.get(args.k, 0)
+        fields = {"n": args.n, "k": args.k, "method": args.method, "value": value}
+        text = str(value)
+    if args.format == "json":
+        _emit_json("table", **fields)
+    else:
+        print(text)
     return 0
 
 
 def _cmd_flats(args: argparse.Namespace) -> int:
-    graph = flats_mod.thagomizer_graph(args.n)
-    try:
-        lattice = flats_mod.build_lattice(graph)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    lattice = build_lattice(thagomizer_graph(args.n))
     counts = lattice.rank_counts()
     chi = lattice.char_poly(lattice.flats[-1])
     if args.format == "json":
         _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "report",
-                "n": args.n,
-                "flat_counts_by_rank": counts,
-                "total_flats": len(lattice),
-                "char_poly": list(chi.coeffs),
-                "kl_poly": list(lattice.kl_poly().coeffs),
-            }
+            "report",
+            n=args.n,
+            flat_counts_by_rank=counts,
+            total_flats=len(lattice),
+            char_poly=list(chi.coeffs),
+            kl_poly=list(lattice.kl_poly().coeffs),
         )
     else:
         print(f"flats by rank: {' '.join(str(c) for c in counts)} (total {len(lattice)})")
@@ -178,14 +146,7 @@ def _cmd_flats(args: argparse.Namespace) -> int:
 def _cmd_equivariant(args: argparse.Namespace) -> int:
     p = eq_kl(args.n)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "schur",
-                "n": args.n,
-                "terms": _schur_terms(p),
-            }
-        )
+        _emit_json("schur", n=args.n, terms=_schur_terms(p))
     else:
         for lam, coeff in p.terms():
             print(f"s{list(lam)}: {coeff}")
@@ -199,14 +160,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     for n in range(1, args.max + 1):
         entries.append({"n": n, "terms": _schur_terms(conjecture_poly(n))})
     if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "table",
-                "max_n": args.max,
-                "entries": entries,
-            }
-        )
+        _emit_json("table", max_n=args.max, entries=entries)
     else:
         for entry in entries:
             parts = ", ".join(
@@ -216,124 +170,23 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _corrupted_series(order: int, n: int, k: int) -> PolySeries:
-    if n < 0 or k < 0:
-        raise ValueError(f"corruption indices must be nonnegative, got n={n}, k={k}")
-    if n + 1 > order:
-        raise ValueError(f"corruption index n={n} outside series order {order}")
-    series = phi_series(order)
-    coeffs = list(series.coeffs)
-    target = list(coeffs[n + 1].coeffs)
-    while len(target) <= k:
-        target.append(0)
-    target[k] += 1
-    coeffs[n + 1] = IntPoly(target)
-    return PolySeries(order, coeffs)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    max_n = args.max
-    checks: list[dict] = []
-
-    order = max_n + 1
     series = None
     if args.corrupt:
         try:
             n_str, _, k_str = args.corrupt.partition(",")
-            series = _corrupted_series(order, int(n_str), int(k_str))
+            series = corrupted_series(args.max + 1, int(n_str), int(k_str))
         except ValueError as exc:
             print(f"bad --corrupt argument {args.corrupt!r}: {exc}", file=sys.stderr)
             return 2
-    theorem = verify_theorem(order, series=series)
-    detail = "; ".join(
-        f"(n={m.n}, k={m.k}): recursion={m.recursion} series={m.series} dp={m.dyck_dp}"
-        for m in theorem.mismatches[:5]
-    )
-    checks.append(
-        {
-            "name": "theorem-agreement",
-            "ok": theorem.ok,
-            "detail": detail or f"recursion = series = dp for n <= {max_n}",
-        }
-    )
-
-    bad_closed = []
-    for n in range(max_n + 1):
-        p = kl_poly(n)
-        row = closed_form_row(n)
-        bad_closed.extend((n, k) for k in range(p.degree() + 1) if p[k] != row.get(k, 0))
-    checks.append(
-        {
-            "name": "closed-form-agreement",
-            "ok": not bad_closed,
-            "detail": f"mismatches at {bad_closed[:5]}" if bad_closed else f"closed form matches for n <= {max_n}",
-        }
-    )
-
-    lattice_max = min(max_n, LATTICE_CHECK_MAX)
-    lattice_bad = []
-    for n in range(lattice_max + 1):
-        lattice = flats_mod.build_lattice(flats_mod.thagomizer_graph(n))
-        if lattice.kl_poly() != kl_poly(n):
-            lattice_bad.append(("kl", n))
-        if lattice.char_poly(lattice.flats[-1]) != char_poly_thag(n):
-            lattice_bad.append(("chi", n))
-    checks.append(
-        {
-            "name": "lattice-cross-check",
-            "ok": not lattice_bad,
-            "detail": f"failures: {lattice_bad}" if lattice_bad else f"lattice engine matches for n <= {lattice_max}",
-        }
-    )
-
-    conjecture_max = min(max_n, CONJECTURE_CHECK_MAX)
-    if conjecture_max >= 1:
-        conjecture = verify_conjecture(conjecture_max)
-        detail = "; ".join(
-            f"(n={m.n}, partition={list(m.partition)})" for m in conjecture.mismatches[:5]
-        )
-        checks.append(
-            {
-                "name": "conjecture-agreement",
-                "ok": conjecture.ok,
-                "detail": detail or f"closed form matches the solver for n <= {conjecture_max}",
-            }
-        )
-
-    bad_catalan = [n for n in range(max_n + 1) if kl_poly(n).evaluate(1) != catalan(n)]
-    bad_leading = [
-        m
-        for m in range(max_n // 2 + 1)
-        if kl_poly(2 * m).leading_coefficient() != catalan(m)
-    ]
-    checks.append(
-        {
-            "name": "catalan-checks",
-            "ok": not bad_catalan and not bad_leading,
-            "detail": (
-                f"P(1) failures at {bad_catalan[:5]}; leading failures at {bad_leading[:5]}"
-                if bad_catalan or bad_leading
-                else f"P_n(1) and leading coefficients are Catalan for n <= {max_n}"
-            ),
-        }
-    )
-
-    all_ok = all(check["ok"] for check in checks)
+    checks = run_checks(args.max, series=series)
+    ok = all(check.ok for check in checks)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "report",
-                "max_n": max_n,
-                "ok": all_ok,
-                "checks": checks,
-            }
-        )
+        _emit_json("report", max_n=args.max, ok=ok, checks=[dataclasses.asdict(c) for c in checks])
     else:
         for check in checks:
-            status = "PASS" if check["ok"] else "FAIL"
-            print(f"{status} {check['name']}: {check['detail']}")
-    return 0 if all_ok else 1
+            print(f"{'PASS' if check.ok else 'FAIL'} {check.name}: {check.detail}")
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,14 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_dyck = sub.add_parser("dyck", help="long-ascent counts of Dyck paths")
-    p_dyck.add_argument("--n", type=_nonneg, required=True)
+    p_dyck.add_argument(
+        "--n",
+        type=_at_most(KL_INDEX_MAX),
+        required=True,
+        help=f"semilength, at most {KL_INDEX_MAX} ({MAX_ENUM_SEMILENGTH} for enum)",
+    )
     p_dyck.add_argument("--k", type=_nonneg, default=None)
     p_dyck.add_argument("--method", choices=("enum", "dp", "closed"), default="dp")
     add_format(p_dyck, "text", "json")
     p_dyck.set_defaults(func=_cmd_dyck)
 
     p_flats = sub.add_parser("flats", help="lattice-of-flats census and polynomials")
-    p_flats.add_argument("--n", type=_nonneg, required=True)
+    p_flats.add_argument(
+        "--n",
+        type=_at_most(MAX_LATTICE_RANK - 1),
+        required=True,
+        help=f"index, at most {MAX_LATTICE_RANK - 1}",
+    )
     add_format(p_flats, "text", "json")
     p_flats.set_defaults(func=_cmd_flats)
 
@@ -388,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.set_defaults(func=_cmd_conjecture)
 
     p_verify = sub.add_parser("verify", help="run the full cross-check battery")
-    p_verify.add_argument("--max", type=_nonneg, required=True)
+    p_verify.add_argument(
+        "--max", type=_at_most(KL_INDEX_MAX), required=True, help=f"largest index, at most {KL_INDEX_MAX}"
+    )
     p_verify.add_argument(
         "--corrupt",
         metavar="N,K",

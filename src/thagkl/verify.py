@@ -1,0 +1,133 @@
+"""The cross-check battery behind ``thagkl verify``.
+
+``run_checks(max_n)`` returns one ``Check`` per comparison of independent
+pipelines, in this order: recursion = series = Dyck DP (``theorem-agreement``),
+recursion = binomial closed form, lattice-of-flats engine = recursion and
+(t-1)(t-2)^n for n <= ``LATTICE_CHECK_MAX``, equivariant solver = conjectured
+closed form for 1 <= n <= ``CONJECTURE_CHECK_MAX`` (left out when max_n is 0),
+and the Catalan values of P_n(1) and of the leading coefficient of P_{2m}.
+A disagreement is data: its check has ``ok`` false and names the first few
+disagreements in ``detail``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import operator
+
+from .dyck import catalan, closed_form_row
+from .equivariant import verify_conjecture
+from .flats import build_lattice, thagomizer_graph
+from .kl import char_poly_thag, kl_poly, phi_series, verify_theorem
+from .polynomials import IntPoly, PolySeries
+
+LATTICE_CHECK_MAX = 5
+CONJECTURE_CHECK_MAX = 10
+
+
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One check of the battery: its name, whether it passed, and what it saw."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+def corrupted_series(order: int, n: int, k: int) -> PolySeries:
+    """``phi_series(order)`` with the coefficient of t^k in P_n bumped by one.
+
+    The negative control of ``theorem-agreement``: passed as ``series`` to
+    ``run_checks``, it must fail that check, and only that one, at (n, k).
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"corruption indices must be nonnegative, got n={n}, k={k}")
+    if n + 1 > order:
+        raise ValueError(f"corruption index n={n} outside series order {order}")
+    series = phi_series(order)
+    coeffs = list(series.coeffs)
+    target = list(coeffs[n + 1].coeffs)
+    while len(target) <= k:
+        target.append(0)
+    target[k] += 1
+    coeffs[n + 1] = IntPoly(target)
+    return PolySeries(order, coeffs)
+
+
+def run_checks(max_n: int, *, series: PolySeries | None = None) -> tuple[Check, ...]:
+    """Run the battery for the indices 0..max_n.
+
+    ``series`` replaces the honest series root in ``theorem-agreement``; it
+    must reach order ``max_n + 1`` (see ``corrupted_series``).
+    """
+    max_n = operator.index(max_n)
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    checks = [
+        _theorem_agreement(max_n, series),
+        _closed_form_agreement(max_n),
+        _lattice_cross_check(min(max_n, LATTICE_CHECK_MAX)),
+    ]
+    if max_n >= 1:
+        checks.append(_conjecture_agreement(min(max_n, CONJECTURE_CHECK_MAX)))
+    checks.append(_catalan_checks(max_n))
+    return tuple(checks)
+
+
+def _theorem_agreement(max_n: int, series: PolySeries | None) -> Check:
+    report = verify_theorem(max_n + 1, series=series)
+    detail = "; ".join(
+        f"(n={m.n}, k={m.k}): recursion={m.recursion} series={m.series} dp={m.dyck_dp}"
+        for m in report.mismatches[:5]
+    )
+    return Check("theorem-agreement", report.ok, detail or f"recursion = series = dp for n <= {max_n}")
+
+
+def _closed_form_agreement(max_n: int) -> Check:
+    bad = []
+    for n in range(max_n + 1):
+        p = kl_poly(n)
+        row = closed_form_row(n)
+        bad.extend((n, k) for k in range(p.degree() + 1) if p[k] != row.get(k, 0))
+    return Check(
+        "closed-form-agreement",
+        not bad,
+        f"mismatches at {bad[:5]}" if bad else f"closed form matches for n <= {max_n}",
+    )
+
+
+def _lattice_cross_check(max_n: int) -> Check:
+    bad = []
+    for n in range(max_n + 1):
+        lattice = build_lattice(thagomizer_graph(n))
+        if lattice.kl_poly() != kl_poly(n):
+            bad.append(("kl", n))
+        if lattice.char_poly(lattice.flats[-1]) != char_poly_thag(n):
+            bad.append(("chi", n))
+    return Check(
+        "lattice-cross-check",
+        not bad,
+        f"failures: {bad}" if bad else f"lattice engine matches for n <= {max_n}",
+    )
+
+
+def _conjecture_agreement(max_n: int) -> Check:
+    report = verify_conjecture(max_n)
+    detail = "; ".join(f"(n={m.n}, partition={list(m.partition)})" for m in report.mismatches[:5])
+    return Check(
+        "conjecture-agreement", report.ok, detail or f"closed form matches the solver for n <= {max_n}"
+    )
+
+
+def _catalan_checks(max_n: int) -> Check:
+    bad_value = [n for n in range(max_n + 1) if kl_poly(n).evaluate(1) != catalan(n)]
+    bad_leading = [
+        m for m in range(max_n // 2 + 1) if kl_poly(2 * m).leading_coefficient() != catalan(m)
+    ]
+    return Check(
+        "catalan-checks",
+        not bad_value and not bad_leading,
+        f"P(1) failures at {bad_value[:5]}; leading failures at {bad_leading[:5]}"
+        if bad_value or bad_leading
+        else f"P_n(1) and leading coefficients are Catalan for n <= {max_n}",
+    )

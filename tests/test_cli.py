@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from thagkl.cli import EQUIVARIANT_INDEX_MAX, KL_INDEX_MAX, main
+from thagkl.flats import MAX_LATTICE_RANK
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,9 @@ def test_poly_negative_exits_two(capsys):
         ("poly", "--n", KL_INDEX_MAX),
         ("table", "--max", KL_INDEX_MAX),
         ("equivariant", "--n", EQUIVARIANT_INDEX_MAX),
+        ("dyck", "--n", KL_INDEX_MAX),
+        ("verify", "--max", KL_INDEX_MAX),
+        ("flats", "--n", MAX_LATTICE_RANK - 1),
     ],
 )
 def test_index_over_bound_exits_two(capsys, command, option, limit):
