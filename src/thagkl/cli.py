@@ -30,10 +30,12 @@ from .verify import corrupted_series, run_checks
 SCHEMA_VERSION = 1
 
 # Largest index accepted by `poly --n`, `table --max`, `dyck --n` and
-# `verify --max`, and by `equivariant --n`; `flats --n` stops where the
+# `verify --max`, by `equivariant --n`, and by `conjecture --max` (80 takes
+# about a second and prints about 2 MB); `flats --n` stops where the
 # thagomizer's rank n + 1 reaches MAX_LATTICE_RANK.
 KL_INDEX_MAX = 300
 EQUIVARIANT_INDEX_MAX = 22
+CONJECTURE_INDEX_MAX = 80
 
 
 def _nonneg(text: str) -> int:
@@ -246,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.set_defaults(func=_cmd_equivariant)
 
     p_conj = sub.add_parser("conjecture", help="closed-form candidate terms up to --max")
-    p_conj.add_argument("--max", type=_nonneg, required=True)
+    p_conj.add_argument(
+        "--max",
+        type=_at_most(CONJECTURE_INDEX_MAX),
+        required=True,
+        help=f"largest index, at most {CONJECTURE_INDEX_MAX}",
+    )
     add_format(p_conj, "text", "json")
     p_conj.set_defaults(func=_cmd_conjecture)
 

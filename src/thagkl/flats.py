@@ -35,19 +35,57 @@ h = i terms out of both expressions of Q_i,
 
 one sum over the up-set of i.  The reflection solver checks every rhs_i, so
 an error here raises instead of returning a wrong polynomial.
+
+Two vertices u != v are twins when N(u) - {v} = N(v) - {u}.  False twins
+share N(v), true twins share N(v) + {v}, and no vertex has both kinds, so
+twinship is an equivalence.  Neighbour sets are used, not edge counts:
+parallel edges do not change the lattice, which is that of the underlying
+simple graph.  Permuting twins is an automorphism of that graph and maps
+flats to flats, so P_g and W_g are constant on each orbit of flats under
+those permutations.  Two flats lie in one orbit exactly when their blocks
+have the same multiset of per-twin-class vertex counts, which
+``build_lattice`` records as each flat's orbit key.  The recursion is solved
+at the first flat of each orbit that the top-down pass meets, its highest
+index, and the rest of the orbit copy that flat's P and row.  A graph
+without twins has one flat per orbit and runs the same loop.
+
+Each flat's row, the coefficients of t^rk(g) P_g and of W_g, is one int
+with a signed slot per coefficient (the native format ``_SLOT_FORMAT``, 64
+bits), so the up-set sum of rhs_i is one C-level ``sum`` of ints.  Adding
+half a slot to every slot and then flipping each slot's top bit leaves
+every slot sum in two's complement, which ``memoryview.cast`` reads back.
+An up-set sum holds fewer than len(lattice) rows, so a guard raises
+``ArithmeticError`` once the largest coefficient times len(lattice) could
+reach half a slot.  Bitsets are scanned by ``itertools.compress`` over a 0/1
+selector read from ``bin(mask)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from operator import itemgetter
-from typing import FrozenSet, Iterator
+import sys
+from array import array
+from collections import Counter
+from itertools import compress, repeat
+from operator import rshift
+from typing import FrozenSet
 
 from .polynomials import IntPoly, ONE, solve_reflection_equation
 
 MAX_LATTICE_RANK = 8
 
+# native signed integer format of one coefficient slot of a packed KL row
+_SLOT_FORMAT = "q"
+
+# maps the '0'/'1' digits of bin(mask) to 0/1 bytes
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 Flat = FrozenSet[int]
+
+
+def _check_int(value: object, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,13 +96,19 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_int(self.num_vertices, "number of vertices")
         if self.num_vertices < 0:
             raise ValueError(f"number of vertices {self.num_vertices} is negative")
-        for u, v in self.edges:
+        edges = tuple(map(tuple, self.edges))
+        for u, v in edges:
+            _check_int(u, "edge endpoint")
+            _check_int(v, "edge endpoint")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint out of range")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not permitted")
+        # a list of edges is stored as a tuple, so the graph stays hashable
+        object.__setattr__(self, "edges", edges)
 
     def _components(self, edge_subset: Flat) -> list[int]:
         """Union-find representative per vertex under the chosen edges."""
@@ -119,37 +163,56 @@ def closure(graph: Graph, edge_subset: Flat) -> Flat:
     )
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _selector(mask: int) -> bytes:
+    """Bit k of ``mask`` as byte k, 0 or 1: a selector for ``compress``."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _twin_classes(graph: Graph) -> list[int]:
+    """Twin class of each vertex, numbered from 0 in order of first vertex.
+
+    u and v share a class when N(u) - {v} = N(v) - {u}: equal open
+    neighbourhoods (false twins) or equal closed ones (true twins).
+    """
+    neighbours: list[set[int]] = [set() for _ in range(graph.num_vertices)]
+    for u, v in graph.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    open_sets = [frozenset(s) for s in neighbours]
+    shared = Counter(open_sets)
+    ids: dict[tuple[bool, frozenset[int]], int] = {}
+    return [ids.setdefault((True, s) if shared[s] > 1 else (False, s | {v}), len(ids))
+            for v, s in enumerate(open_sets)]
 
 
 class FlatLattice:
     """All flats of a graph's cycle matroid, ordered by inclusion.
 
     ``ranked_covers[r]`` maps each flat of rank r, as an edge bitmask, to the
-    bitmasks of the flats that cover it.  Flats are sorted by (rank, sorted
-    edge indices), so index 0 is the empty flat and the last index is the
-    full edge set; ``flats`` holds them as frozensets.  ``up_sets[i]`` and
-    ``down_sets[i]`` are bitsets over flat indices: bit j of ``up_sets[i]``
-    is set iff flats[i] <= flats[j], and of ``down_sets[i]`` iff
-    flats[j] <= flats[i].  Moebius rows and the KL polynomials are computed
-    lazily and cached.
+    bitmasks of the flats that cover it, and ``orbit_of`` maps each flat's
+    bitmask to the number of its orbit under twin permutations.  Flats are
+    sorted by (rank, sorted edge indices), so index 0 is the empty flat and
+    the last index is the full edge set; ``flats`` holds them as frozensets.
+    ``up_sets[i]`` and ``down_sets[i]`` are bitsets over flat indices: bit j
+    of ``up_sets[i]`` is set iff flats[i] <= flats[j], and of
+    ``down_sets[i]`` iff flats[j] <= flats[i].  Moebius rows and the KL
+    polynomials are computed lazily and cached.
     """
 
-    def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]]) -> None:
+    def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]],
+                 orbit_of: dict[int, int]) -> None:
         self.graph = graph
+        edge_ids = range(len(graph.edges))
         masks: list[int] = []
         ranks: list[int] = []
         for rank, level in enumerate(ranked_covers):
-            for mask in sorted(level, key=lambda m: list(_bits(m))):
+            for mask in sorted(level, key=lambda m: list(compress(edge_ids, _selector(m)))):
                 masks.append(mask)
                 ranks.append(rank)
-        self.flats: tuple[Flat, ...] = tuple(frozenset(_bits(m)) for m in masks)
+        self.flats: tuple[Flat, ...] = tuple(
+            frozenset(compress(edge_ids, _selector(m))) for m in masks)
         self.ranks: tuple[int, ...] = tuple(ranks)
+        self._orbits: list[int] = [orbit_of[m] for m in masks]
         self._index = {f: i for i, f in enumerate(self.flats)}
         at = {m: i for i, m in enumerate(masks)}
         covers = [[at[m] for m in ranked_covers[r][mask]]
@@ -196,13 +259,15 @@ class FlatLattice:
             raise ValueError(f"flat index {i} out of range 0..{len(self) - 1}")
         row = self._mu_rows.get(i)
         if row is None:
-            row = {}
-            up = self.up_sets[i]
-            # ascending j, so mu(i, h) is known for every h in [i, j) first
-            for j in _bits(up):
-                below = (self.down_sets[j] & up) ^ (1 << j)
-                row[j] = -sum(row[h] for h in _bits(below)) if j != i else 1
-            self._mu_rows[i] = row
+            # mu[h - i] = mu(i, h), and stays 0 for h not above i and for
+            # h = j until it is set; ascending j, so every h in [i, j) is known
+            up = self.up_sets[i] >> i
+            above = list(compress(range(i, len(self)), _selector(up)))
+            mu = [0] * (len(self) - i)
+            mu[0] = 1
+            for j in above[1:]:
+                mu[j - i] = -sum(compress(mu, _selector(self.down_sets[j] >> i)))
+            row = self._mu_rows[i] = dict(zip(above, compress(mu, _selector(up))))
         return dict(row)
 
     def char_poly(self, flat: Flat) -> IntPoly:
@@ -211,7 +276,7 @@ class FlatLattice:
         mu = self.mu_row(0)
         rank = self.ranks[top]
         coeffs = [0] * (rank + 1)
-        for h in _bits(self.down_sets[top]):
+        for h in compress(range(len(self)), _selector(self.down_sets[top])):
             coeffs[rank - self.ranks[h]] += mu[h]
         return IntPoly(coeffs)
 
@@ -235,31 +300,50 @@ class FlatLattice:
         if self._kl_upper is None:
             top = self.ranks[-1]
             width = top + 1
+            size = array(_SLOT_FORMAT).itemsize
+            bits = 8 * size
+            half = 1 << (bits - 1)
+            # the top bit of each of the 2 * width slots of a row
+            bias = int.from_bytes(half.to_bytes(size, "little") * (2 * width), "little")
             kl: list[IntPoly] = [ONE] * len(self)
-            # per flat g: the coefficients of t^rk(g) P_g, then those of W_g,
-            # each padded to rk(M) + 1, so one column sum over an up-set
-            # gives both sums of rhs_i.  Columns are read by itemgetter, not
-            # zip: CPython keeps freed short tuples in free lists, and zip's
-            # tuples of every up-set length would stay there and raise the
-            # process's peak memory.
-            terms: list[list[int]] = [[]] * len(self)
-            columns = [itemgetter(k) for k in range(2 * width)]
+            # per flat g: t^rk(g) P_g in slots 0..top and W_g in slots
+            # width..width+top, so one sum over an up-set gives both sums of rhs_i
+            rows = [0] * len(self)
+            first_of: dict[int, int] = {}
+            peak = 0
             for i in reversed(range(len(self))):
+                first = first_of.setdefault(self._orbits[i], i)
+                if first != i:
+                    kl[i] = kl[first]
+                    rows[i] = rows[first]
+                    continue
                 rank = self.ranks[i]
                 if rank == top:
                     p = w = ONE
                 else:
-                    rows = list(map(terms.__getitem__, _bits(self.up_sets[i] ^ (1 << i))))
-                    sums = [sum(map(column, rows)) for column in columns]
+                    # adding then flipping each slot's top bit leaves each
+                    # signed slot sum in two's complement in its own slot
+                    total = sum(compress(rows, _selector(self.up_sets[i] ^ (1 << i))), bias)
+                    sums = memoryview((total ^ bias).to_bytes(2 * width * size, sys.byteorder)
+                                      ).cast(_SLOT_FORMAT)
                     rhs = IntPoly(sums[rank + k] - sums[width + k]
                                   for k in range(top - rank + 1))
                     p = solve_reflection_equation(top - rank, rhs)
                     w = rhs + p
+                slots = [0] * (2 * width)
+                slots[rank:rank + len(p.coeffs)] = p.coeffs
+                slots[width:width + len(w.coeffs)] = w.coeffs
+                peak = max(peak, max(map(abs, slots)))
+                if peak * len(self) >= half:
+                    raise ArithmeticError(
+                        f"coefficient {peak} times {len(self)} flats may overflow "
+                        f"a {bits}-bit slot"
+                    )
+                row = 0
+                for c in reversed(slots):
+                    row = (row << bits) + c
                 kl[i] = p
-                row = [0] * (2 * width)
-                row[rank:rank + len(p.coeffs)] = p.coeffs
-                row[width:width + len(w.coeffs)] = w.coeffs
-                terms[i] = row
+                rows[i] = row
             self._kl_upper = kl
         return self._kl_upper
 
@@ -267,22 +351,39 @@ class FlatLattice:
 def build_lattice(graph: Graph) -> FlatLattice:
     """Enumerate every flat, rank by rank, by merging blocks.
 
-    A block is kept as the bitmask of the edges incident to its vertices.
-    Two blocks are joined exactly by the edges incident to both, and merging
-    them adds those edges to the flat, which gives each cover of the flat
-    once.  Vertices without edges never merge and are left out.  The blocks
-    of a flat are a list: a freed tuple would linger in CPython's tuple free
+    A block is kept as one int: the bitmask of the edges incident to its
+    vertices, plus, above the edge bits, its vertex count per twin class
+    (``_twin_classes``), packed in fields wide enough for any class.  Two
+    blocks are joined exactly by the edges incident to both, and merging them
+    adds those edges to the flat, which gives each cover of the flat once;
+    the merged block is the sum of the two minus the joining edges.  A new
+    flat's orbit key is the sorted list of its blocks' count fields.
+    Vertices without edges never merge and are left out.  The blocks of a
+    flat are a list: a freed tuple would linger in CPython's tuple free
     lists.  Guarded by MAX_LATTICE_RANK; the lattice is exponential in rank.
     """
     if graph.rank() > MAX_LATTICE_RANK:
         raise ValueError(
             f"matroid rank {graph.rank()} exceeds lattice bound {MAX_LATTICE_RANK}"
         )
-    incident = [0] * graph.num_vertices
+    classes = _twin_classes(graph)
+    field = max(Counter(classes).values(), default=0).bit_length()
+    num_edges = len(graph.edges)
+    edge_bits = (1 << num_edges) - 1
+    incident = [1 << (num_edges + field * c) for c in classes]
     for e, (u, v) in enumerate(graph.edges):
         incident[u] |= 1 << e
         incident[v] |= 1 << e
-    level: dict[int, list[int]] = {0: [b for b in incident if b]}
+    orbit_ids: dict[tuple[int, ...], int] = {}
+    above_edges = repeat(num_edges)
+
+    def orbit(blocks: list[int]) -> int:
+        return orbit_ids.setdefault(tuple(sorted(map(rshift, blocks, above_edges))),
+                                    len(orbit_ids))
+
+    bottom = [b for b in incident if b & edge_bits]
+    level: dict[int, list[int]] = {0: bottom}
+    orbit_of = {0: orbit(bottom)}
     ranked_covers: list[dict[int, list[int]]] = []
     while level:
         covers: dict[int, list[int]] = {}
@@ -291,13 +392,14 @@ def build_lattice(graph: Graph) -> FlatLattice:
             above = covers[flat] = []
             for a, block_a in enumerate(blocks):
                 for b in range(a + 1, len(blocks)):
-                    joining = block_a & blocks[b]
+                    joining = block_a & blocks[b] & edge_bits
                     if joining:
                         bigger = flat | joining
                         above.append(bigger)
                         if bigger not in nxt:
-                            nxt[bigger] = (blocks[:a] + [block_a | blocks[b]]
-                                           + blocks[a + 1:b] + blocks[b + 1:])
+                            merged = nxt[bigger] = (blocks[:a] + [block_a + blocks[b] - joining]
+                                                    + blocks[a + 1:b] + blocks[b + 1:])
+                            orbit_of[bigger] = orbit(merged)
         ranked_covers.append(covers)
         level = nxt
-    return FlatLattice(graph, ranked_covers)
+    return FlatLattice(graph, ranked_covers, orbit_of)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from thagkl.cli import EQUIVARIANT_INDEX_MAX, KL_INDEX_MAX, main
+from thagkl.cli import CONJECTURE_INDEX_MAX, EQUIVARIANT_INDEX_MAX, KL_INDEX_MAX, main
 from thagkl.flats import MAX_LATTICE_RANK
 
 
@@ -55,6 +55,7 @@ def test_poly_negative_exits_two(capsys):
         ("dyck", "--n", KL_INDEX_MAX),
         ("verify", "--max", KL_INDEX_MAX),
         ("flats", "--n", MAX_LATTICE_RANK - 1),
+        ("conjecture", "--max", CONJECTURE_INDEX_MAX),
     ],
 )
 def test_index_over_bound_exits_two(capsys, command, option, limit):
@@ -234,6 +235,38 @@ def test_verify_output_bytes_pinned(capsys, argv, exit_code, digest):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == exit_code
     assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout of `thagkl flats --n k`, text then json, for k = 0..7;
+# the lattice engine's internals may change, its printed census may not.
+FLATS_PINS = {
+    0: ("1a4be33b651f7402fd53e88d091912c45d556d6ea919dc7ac2613fa67b97af8c",
+        "2b8d2fae41821c42f1f6dc4f24f02f4174f45706754704342ec2ae7b6beda1cd"),
+    1: ("404f88c7e1cd0da5641272e44afe9de23ecd00dea25a71cfc13d89023b64b9bb",
+        "92e37347b9e8e26f9ee0818934c7f0a15663fd78ef4eddbf35de7c80627f6d5d"),
+    2: ("9357c816dcaf9655f071d0a6b976b3080b2684eadd7c08cb229c8b3de8e16006",
+        "9d5f4889bbd56ce0b74c345cece487bd8e08781126a9bceb9002dc2381fab691"),
+    3: ("797b19c5c8d01ebf1667d6f03bd15fd1567a94ac803f5d4dbb7adf2df8eca212",
+        "cceed621c05fe5ee50fd2740d3825d50498a41a6e6b12ce5d9034a4d7fdaec1f"),
+    4: ("874b66afaa95cd175680a323b343c7eb443d1b91aef8dfc14d938333d2217298",
+        "7335cbad14d681e86f8147d0fdd488c7842cc3de47a8cd51203684fde780e72f"),
+    5: ("1a6c8be4aeba7be179111274744f0f3c2a6a77ab8c862fe1bb3f95dd831fb0fa",
+        "c9283e07629265e3ac2e603f4e7b79047935c7067a997054a4eb0a3f1e75ac63"),
+    6: ("30dd4a90a554ca2e02ae9582127ebc092a68c31b63804133f92a4771f3b90d11",
+        "74fe23c56c1540a39b584974a91c34b72988b7c71d1cfd8ec893df6fa9e37d3f"),
+    7: ("3fc2bf81d8db5e0ce85f6f88612966c11bda20046f0f567c85b6dacfc8cf93a7",
+        "0b240bcc9177a5b0fb2a19ce73c43af9e2aa48d76867ca3caf451d6ae95ec27e"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", sorted(FLATS_PINS))
+def test_flats_output_bytes_pinned(capsys, n, fmt):
+    code, out, err = run_cli(capsys, "flats", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert err == ""
+    digest = FLATS_PINS[n][fmt == "json"]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -39,6 +39,31 @@ def test_graph_rejects_negative_vertex_count():
         Graph(-1, ())
 
 
+def test_graph_rejects_bool_vertex_count():
+    # True would otherwise be a one-vertex graph whose edge (0, 1) is out of range
+    with pytest.raises(TypeError):
+        Graph(True, ((0, 1),))
+
+
+@pytest.mark.parametrize("count", [3.0, "3", None])
+def test_graph_rejects_non_int_vertex_count(count):
+    with pytest.raises(TypeError):
+        Graph(count, ())
+
+
+@pytest.mark.parametrize("edge", [(0, True), (False, 1), (0, 1.0), ("0", 1)])
+def test_graph_rejects_non_int_endpoint(edge):
+    with pytest.raises(TypeError):
+        Graph(3, (edge,))
+
+
+def test_graph_stores_edges_as_tuple_of_tuples():
+    graph = Graph(3, [[0, 1], (1, 2)])
+    assert graph.edges == ((0, 1), (1, 2))
+    assert hash(graph) == hash(Graph(3, ((0, 1), (1, 2))))
+    assert graph == Graph(3, ((0, 1), (1, 2)))
+
+
 def test_thagomizer_graph_shapes():
     g0 = thagomizer_graph(0)
     assert (g0.num_vertices, len(g0.edges)) == (2, 1)

@@ -5,12 +5,17 @@ flats found by closing single-edge extensions, the order by frozenset
 containment, a Moebius row per flat, and the characteristic polynomial of
 every interval [i, g] fed to the defining recursion one pair at a time.  It
 shares only ``closure``, ``IntPoly`` and the reflection solver with the
-engine under test.
+engine under test.  In particular it knows nothing of twin vertices, so it
+checks the engine's orbit shortcut on graphs with planted twins.
 """
 
+import itertools
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thagkl import flats
 from thagkl.flats import Graph, build_lattice, closure, thagomizer_graph
 from thagkl.polynomials import ONE, ZERO, IntPoly, solve_reflection_equation
 
@@ -122,12 +127,155 @@ def multigraphs(draw):
     return Graph(num_vertices, tuple(edges))
 
 
+@st.composite
+def graphs_with_twins(draw):
+    """A multigraph on two to four vertices, then one to three clones of its
+    vertices: a false twin copies a vertex's neighbours, a true twin also
+    gets the edge joining it to the vertex.  Some copied edges are doubled."""
+    num_vertices = draw(st.integers(2, 4))
+    pair = st.tuples(st.integers(0, num_vertices - 1), st.integers(0, num_vertices - 1))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=5))
+    for _ in range(draw(st.integers(1, 3))):
+        source = draw(st.integers(0, num_vertices - 1))
+        clone = num_vertices
+        num_vertices += 1
+        neighbours = sorted({w for e in edges if source in e for w in e if w != source})
+        for w in neighbours:
+            edges.append((clone, w))
+            if draw(st.booleans()):
+                edges.append((w, clone))
+        if draw(st.booleans()):
+            edges.append((source, clone))
+    return Graph(num_vertices, tuple(edges))
+
+
+def complete_graph(v: int) -> Graph:
+    return Graph(v, tuple((u, w) for u in range(v) for w in range(u + 1, v)))
+
+
+# hubs 0, 1 are true twins, 2, 3 false twins, 4 has no twin; (2, 4) is doubled
+TRUE_AND_FALSE_TWINS = Graph(
+    5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 2))
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(multigraphs())
 @example(thagomizer_graph(4))
-@example(Graph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5))))
+@example(complete_graph(5))
 @example(Graph(6, ((0, 1), (0, 1), (1, 2), (3, 4), (3, 4), (4, 3))))
 def test_engine_matches_reference(graph):
+    assert_matches_reference(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_twins())
+@example(complete_graph(6))
+@example(thagomizer_graph(5))
+@example(TRUE_AND_FALSE_TWINS)
+def test_engine_with_planted_twins_matches_reference(graph):
+    assert len(set(flats._twin_classes(graph))) < graph.num_vertices
+    assert_matches_reference(graph)
+
+
+def test_twin_classes_of_named_graphs():
+    assert flats._twin_classes(TRUE_AND_FALSE_TWINS) == [0, 0, 1, 1, 2]
+    assert flats._twin_classes(thagomizer_graph(3)) == [0, 0, 1, 1, 1]
+    assert flats._twin_classes(complete_graph(4)) == [0, 0, 0, 0]
+    # a path on four vertices has no twins
+    assert flats._twin_classes(Graph(4, ((0, 1), (1, 2), (2, 3)))) == [0, 1, 2, 3]
+
+
+def test_orbit_key_merging_non_twins_is_caught(monkeypatch):
+    # hub 0 and outer vertex 2 of the thagomizer are not twins; an engine
+    # that treats them as one class solves a wrong polynomial somewhere
+    graph = thagomizer_graph(3)
+    ref = ReferenceLattice(graph)
+    expected = [ref.kl_of_upper(i) for i in range(len(ref.flats))]
+    assert build_lattice(graph)._kl_of_uppers() == expected
+    honest = flats._twin_classes
+
+    def merged(g):
+        classes = honest(g)
+        return [classes[0] if c == classes[2] else c for c in classes]
+
+    monkeypatch.setattr(flats, "_twin_classes", merged)
+    try:
+        wrong = build_lattice(graph)._kl_of_uppers()
+    except ArithmeticError:
+        return
+    assert wrong != expected
+
+
+@pytest.mark.parametrize("graph, slot", [(complete_graph(6), "b"), (complete_graph(7), "h")])
+def test_narrow_slot_raises(monkeypatch, graph, slot):
+    monkeypatch.setattr(flats, "_SLOT_FORMAT", slot)
+    with pytest.raises(ArithmeticError, match="slot"):
+        build_lattice(graph).kl_poly()
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(4, ((0, 1), (1, 2), (2, 3))),
+    Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))),
+    Graph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (1, 4))),
+])
+def test_twin_free_graph_solves_every_non_top_flat(monkeypatch, graph):
+    assert len(set(flats._twin_classes(graph))) == graph.num_vertices
+    solves = []
+
+    def counting(rank, rhs):
+        solves.append(rank)
+        return solve_reflection_equation(rank, rhs)
+
+    monkeypatch.setattr(flats, "solve_reflection_equation", counting)
+    lattice = build_lattice(graph)
+    lattice.kl_poly()
+    assert len(solves) == len(lattice) - 1
+
+
+def vertex_partition(graph: Graph, flat) -> list[list[int]]:
+    """Blocks of the vertices that the flat's edges connect."""
+    block = {v: {v} for v in range(graph.num_vertices)}
+    for e in flat:
+        u, v = graph.edges[e]
+        if block[u] is not block[v]:
+            merged = block[u] | block[v]
+            for w in merged:
+                block[w] = merged
+    return [sorted(b) for b in {id(b): b for b in block.values()}.values()]
+
+
+@pytest.mark.parametrize("graph, classes", [
+    (thagomizer_graph(4), [[0, 1], [2, 3, 4, 5]]),
+    (TRUE_AND_FALSE_TWINS, [[0, 1], [2, 3]]),
+])
+def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
+    solves = []
+
+    def counting(rank, rhs):
+        solves.append(rank)
+        return solve_reflection_equation(rank, rhs)
+
+    monkeypatch.setattr(flats, "solve_reflection_equation", counting)
+    lattice = build_lattice(graph)
+    lattice.kl_poly()
+    # orbits of the non-top flats, by applying every permutation of twins
+    perms = []
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        sigma = list(range(graph.num_vertices))
+        for c, image in zip(classes, images):
+            for v, w in zip(c, image):
+                sigma[v] = w
+        perms.append(sigma)
+    orbits = {
+        min(tuple(sorted(tuple(sorted(s[v] for v in b)) for b in vertex_partition(graph, f)))
+            for s in perms)
+        for f in lattice.flats[:-1]
+    }
+    assert len(solves) == len(orbits) < len(lattice) - 1
+
+
+def assert_matches_reference(graph):
     lattice = build_lattice(graph)
     ref = ReferenceLattice(graph)
     assert lattice.flats == ref.flats
