@@ -200,11 +200,7 @@ def test_orbit_key_merging_non_twins_is_caught(monkeypatch):
         return [classes[0] if c == classes[2] else c for c in classes]
 
     monkeypatch.setattr(flats, "_twin_classes", merged)
-    try:
-        wrong = build_lattice(graph)._kl_of_uppers()
-    except ArithmeticError:
-        return
-    assert wrong != expected
+    assert build_lattice(graph)._kl_of_uppers() != expected
 
 
 @pytest.mark.parametrize("graph, slot", [(complete_graph(6), "b"), (complete_graph(7), "h")])
@@ -212,25 +208,6 @@ def test_narrow_slot_raises(monkeypatch, graph, slot):
     monkeypatch.setattr(flats, "_SLOT_FORMAT", slot)
     with pytest.raises(ArithmeticError, match="slot"):
         build_lattice(graph).kl_poly()
-
-
-@pytest.mark.parametrize("graph", [
-    Graph(4, ((0, 1), (1, 2), (2, 3))),
-    Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))),
-    Graph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (1, 4))),
-])
-def test_twin_free_graph_solves_every_non_top_flat(monkeypatch, graph):
-    assert len(set(flats._twin_classes(graph))) == graph.num_vertices
-    solves = []
-
-    def counting(rank, rhs):
-        solves.append(rank)
-        return solve_reflection_equation(rank, rhs)
-
-    monkeypatch.setattr(flats, "solve_reflection_equation", counting)
-    lattice = build_lattice(graph)
-    lattice.kl_poly()
-    assert len(solves) == len(lattice) - 1
 
 
 def vertex_partition(graph: Graph, flat) -> list[list[int]]:
@@ -248,6 +225,11 @@ def vertex_partition(graph: Graph, flat) -> list[list[int]]:
 @pytest.mark.parametrize("graph, classes", [
     (thagomizer_graph(4), [[0, 1], [2, 3, 4, 5]]),
     (TRUE_AND_FALSE_TWINS, [[0, 1], [2, 3]]),
+    # twin-free graphs: a path, a 5-cycle with a chord, two triangles
+    # joined by an edge and a doubled edge
+    (Graph(4, ((0, 1), (1, 2), (2, 3))), []),
+    (Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))), []),
+    (Graph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (1, 4))), []),
 ])
 def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
     solves = []
@@ -272,7 +254,9 @@ def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
             for s in perms)
         for f in lattice.flats[:-1]
     }
-    assert len(solves) == len(orbits) < len(lattice) - 1
+    assert len(solves) == len(orbits)
+    # without twins every non-top flat is solved
+    assert (len(solves) < len(lattice) - 1) == bool(classes)
 
 
 def assert_matches_reference(graph):
