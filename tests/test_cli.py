@@ -270,6 +270,59 @@ def test_flats_output_bytes_pinned(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of `thagkl dyck` with the given arguments, text then
+# json: every method at the ends and middle of its index range, and one
+# single entry.
+DYCK_PINS = {
+    ("--n", "0", "--method", "dp"): (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "74734ed1da73ab07b53708b63b9c20e811786b6b2fac22f53ad7ecf8b847024f"),
+    ("--n", "1", "--method", "dp"): (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "fa22b2f8bfc403a73362ff5e1d1622c0d1bc53b5f32c21818f4ba278e61728af"),
+    ("--n", "12", "--method", "dp"): (
+        "1e10a4bba454c994601ac84a7854dcdf792ae6ea1ba633bc459a43d33ef055ee",
+        "5b5d187362cf0d41f28f920d25add748453b5d4ec0b003a5b08a2200132e0efc"),
+    ("--n", "80", "--method", "dp"): (
+        "7d8c28e9ab36ef7f6878badb72339005d3bc8e6be85c558d4334469a5c11197e",
+        "4e7347a9b284dd89212f087e03376c285392479965fb22108d626b8290ccf403"),
+    ("--n", "300", "--method", "dp"): (
+        "c2562804268398ce375831f5af3682f5ac8d9af8d71913f15a64c4a631773047",
+        "bd5e42a2bba59f55127cc80dcf266fea42ba3e7e8f9e0debd9337761015206aa"),
+    ("--n", "0", "--method", "closed"): (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "8574ca3b7dbfbf5e8192d22d038c9e216c68df3c3a6b484fd99e326cddcb9f82"),
+    ("--n", "1", "--method", "closed"): (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "27f2bd389b23760f2ff4401e7c7d8602313534ac39906df368cd87cfecbf8b79"),
+    ("--n", "12", "--method", "closed"): (
+        "1e10a4bba454c994601ac84a7854dcdf792ae6ea1ba633bc459a43d33ef055ee",
+        "c0a00ab203317a654f3e124e4f33bb2e4b3cb13938b3f9e566e68eb561e6fd95"),
+    ("--n", "80", "--method", "closed"): (
+        "7d8c28e9ab36ef7f6878badb72339005d3bc8e6be85c558d4334469a5c11197e",
+        "aa419f9330fb063166b62ce73fd88741e962d5844a30cf75f22748e30cc18f6a"),
+    ("--n", "300", "--method", "closed"): (
+        "c2562804268398ce375831f5af3682f5ac8d9af8d71913f15a64c4a631773047",
+        "5700769722bcb864797d0a98530de86f95b8f111126b8e0b088c63f4fc4540f3"),
+    ("--n", "14", "--method", "enum"): (
+        "5cc0f43693a8e563b2c3bb7c5e8a60193a18c1b86f2c7a0b0d388f7d12bc78e1",
+        "0caedbc662a35a4efd3d201a15374685adefd66ce47ba615a9937d2233eef8b0"),
+    ("--n", "80", "--k", "20", "--method", "dp"): (
+        "1f726e1c0515193a0a85f39d73d4fcbe128b725510c4aa762faae9929564cd8a",
+        "422cb5363219124b6d8055808badeef2d2a2f3732b2c057b2aaad6bc3cb68e18"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", sorted(DYCK_PINS), ids=" ".join)
+def test_dyck_output_bytes_pinned(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, "dyck", *argv, "--format", fmt)
+    assert code == 0
+    assert err == ""
+    digest = DYCK_PINS[argv][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "thagkl", "poly", "--n", "5", "--format", "json"],

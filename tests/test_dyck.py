@@ -12,6 +12,7 @@ from thagkl import dyck
 from thagkl.dyck import (
     _CHUNK,
     MAX_ENUM_SEMILENGTH,
+    DyckTable,
     _bit_long_ascents,
     _packed_long_ascents,
     catalan,
@@ -295,11 +296,38 @@ def test_three_methods_agree_to_enumeration_bound():
 
 
 def test_dp_row_sums_are_catalan():
-    for n in range(41):
+    # one table up to the CLI bound; every row sums to its Catalan number
+    table = DyckTable(300)
+    for n in range(301):
+        assert sum(table.row(n).values()) == catalan(n)
+    for n in (0, 1, 40, 100, 200):
         assert sum(count_by_ascents_dp(n).values()) == catalan(n)
-    # the capability bound of the dynamic program
-    for n in (100, 200):
-        assert sum(count_by_ascents_dp(n).values()) == catalan(n)
+
+
+# sha256 of the repr of every DP row up to the CLI bound, and of the closed
+# form over n <= 120 and k <= n + 2 (zero entries included); both frozen
+# from the list-vector program and the all-j closed-form sum they replaced.
+DP_ROWS_300_SHA256 = "977462c44028831129565b8dac28f0fc4362788161c95b207450bb268eb054b2"
+CLOSED_FORM_120_SHA256 = "712fe69fb4bf3e5fe09347e2c0d4d4672eee9f9bb9b6baf93d9c6306cf7a51d2"
+
+
+def test_dp_rows_pinned_to_cli_bound():
+    table = DyckTable(300)
+    rows = repr([table.row(n) for n in range(301)])
+    assert hashlib.sha256(rows.encode()).hexdigest() == DP_ROWS_300_SHA256
+
+
+def test_closed_form_values_pinned():
+    values = repr([[closed_form(n, k) for k in range(n + 3)] for n in range(121)])
+    assert hashlib.sha256(values.encode()).hexdigest() == CLOSED_FORM_120_SHA256
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 120).flatmap(lambda m: st.tuples(st.integers(0, m), st.just(m))))
+def test_dp_row_does_not_depend_on_table_size(nm):
+    # the height cut and the count-vector layout both depend on max_n
+    n, m = nm
+    assert DyckTable(m).row(n) == DyckTable(n).row(n)
 
 
 def test_dp_matches_closed_form_at_large_n():
