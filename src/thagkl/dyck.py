@@ -12,6 +12,11 @@ up to a size fixed in advance, and a binomial closed form
 
     a[n][k] = 1/(n+1) * C(n+1, k) * sum_{j} C(j-k-1, k-1) * C(n+1-k, n-j).
 
+The program keeps each count vector (indexed by k) as one int, a slot of
+2*max_n + 1 bits per k: vectors add with ``+`` and move up one k with a
+shift, and no count of at most 2*max_n steps fills its slot.  The closed
+form sums only over 2k <= j <= n, where both binomials are nonzero.
+
 The enumerator works on lane-packed integers.  A path of semilength n is an
 int of 2n bits, the first step in the top bit and U = 1, held in one 32-bit
 lane of an ``array('I')``.  The paths are built in blocks by the
@@ -34,10 +39,8 @@ longer than a lane.
 from __future__ import annotations
 
 import functools
-import operator
 import sys
 from array import array
-from itertools import zip_longest
 from math import comb
 from typing import Iterator
 
@@ -59,10 +62,17 @@ _TO_BITS = str.maketrans("UD", "10")
 _FROM_BITS = str.maketrans("10", "UD")
 
 
+def _check_index(value: object, message: str) -> None:
+    """Raise unless ``value`` is a nonnegative int; a bool is not an index."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"index must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(message)
+
+
 def catalan(n: int) -> int:
     """n-th Catalan number, C(2n, n) / (n + 1), checked to divide exactly."""
-    if n < 0:
-        raise ValueError("catalan index must be nonnegative")
+    _check_index(n, "catalan index must be nonnegative")
     q, r = divmod(comb(2 * n, n), n + 1)
     if r:
         raise ArithmeticError(f"catalan division inexact at n={n}")
@@ -154,15 +164,12 @@ def _blocks(n: int) -> Iterator[array]:
                 yield _joined(a, n - 1 - a, lefts, rights)
 
 
-def _check_enum_bound(n: int) -> int:
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+def _check_enum_bound(n: int) -> None:
+    _check_index(n, "semilength must be nonnegative")
     if n > MAX_ENUM_SEMILENGTH:
         raise ValueError(
             f"semilength {n} exceeds enumeration bound {MAX_ENUM_SEMILENGTH}"
         )
-    return n
 
 
 def enumerate_paths(n: int) -> Iterator[str]:
@@ -170,7 +177,7 @@ def enumerate_paths(n: int) -> Iterator[str]:
 
     Rejects n beyond MAX_ENUM_SEMILENGTH (the list is Catalan-sized).
     """
-    n = _check_enum_bound(n)
+    _check_enum_bound(n)
     # a sentinel bit above the path keeps its leading D steps (zero bits)
     top = 1 << (2 * n)
     return (
@@ -271,7 +278,7 @@ def _packed_long_ascents(block: array, n: int) -> bytes:
 
 def count_by_ascents_enum(n: int) -> dict[int, int]:
     """Triangle row by exhaustive enumeration: k -> #paths with k long ascents."""
-    n = _check_enum_bound(n)
+    _check_enum_bound(n)
     row: dict[int, int] = {}
     # the paths are generated here, so they skip long_ascents' input check
     for block in _blocks(n):
@@ -291,50 +298,60 @@ class DyckTable:
 
     The sweep counts U/D prefixes of length up to 2*max_n with no negative
     height by (height, run length, long ascents).  The run length saturates at
-    2: runs of length >= 2 are equivalent for the statistic.  A D step leaving
-    run state 2 closes one long ascent, which shifts that state's count vector
-    by one in k.  Row n is the count vector of prefixes of length 2n that end
-    at height 0 (they end with a D step, so in run state 0).  After s steps a
-    prefix above height 2*max_n - s can no longer return to 0 by step
-    2*max_n, so it is dropped; every row n <= max_n stays exact.
+    2: runs of length >= 2 are equivalent for the statistic.  The counts of
+    one (height, run) state form a vector indexed by k, held as one int with
+    a slot of 2*max_n + 1 bits per k, count k in the k-th slot from the
+    bottom.  Adding vectors is ``+``, and a D step leaving run state 2 closes
+    one long ascent, which moves that state's counts up one slot with a
+    shift.  No slot carries into the next: after s <= 2*max_n steps every
+    count is at most 2^s < 2^(2*max_n + 1).  Row n is read off the slots of
+    the count of prefixes of length 2n that end at height 0 (they end with a
+    D step, so in run state 0).  After s steps a prefix above height
+    2*max_n - s can no longer return to 0 by step 2*max_n, so it is dropped;
+    every row n <= max_n stays exact.
     """
 
     def __init__(self, max_n: int) -> None:
-        if max_n < 0:
-            raise ValueError("semilength must be nonnegative")
+        _check_index(max_n, "semilength must be nonnegative")
         self.max_n = max_n
-        # states[run][height]: count vector indexed by long ascents
-        states: tuple[list[list[int]], ...] = ([[1]], [[]], [[]])
+        slot = 2 * max_n + 1
+        mask = (1 << slot) - 1
+        # states[run][height]: packed count vector
+        states: tuple[list[int], ...] = ([1], [0], [0])
         self._rows: list[dict[int, int]] = [{0: 1}]
         for n in range(1, max_n + 1):
-            states = _step(states, 2 * (max_n - n) + 1)
-            states = _step(states, 2 * (max_n - n))
-            self._rows.append({k: v for k, v in enumerate(states[0][0]) if v})
+            states = _step(states, 2 * (max_n - n) + 1, slot)
+            states = _step(states, 2 * (max_n - n), slot)
+            row, packed, k = {}, states[0][0], 0
+            while packed:
+                if count := packed & mask:
+                    row[k] = count
+                packed >>= slot
+                k += 1
+            self._rows.append(row)
 
     def row(self, n: int) -> dict[int, int]:
         """Row n as a fresh dict k -> count, nonzero entries only."""
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"semilength {n} outside the table's range 0..{self.max_n}")
+        message = f"semilength {n} outside the table's range 0..{self.max_n}"
+        _check_index(n, message)
+        if n > self.max_n:
+            raise ValueError(message)
         return dict(self._rows[n])
 
 
-def _step(
-    states: tuple[list[list[int]], ...], max_height: int
-) -> tuple[list[list[int]], ...]:
+def _step(states: tuple[list[int], ...], max_height: int, slot: int) -> tuple[list[int], ...]:
     """One U/D step of the sweep, keeping heights up to max_height."""
     run0, run1, run2 = states
     keep = max_height + 1
     # D steps lower the height and reset the run; leaving run 2 adds one k
     down = [
-        [x + y + z for x, y, z in zip_longest(run0[h], run1[h], [0] + run2[h], fillvalue=0)]
-        if run2[h]
-        else _vec_add(run0[h], run1[h])
+        run0[h] + run1[h] + (run2[h] << slot)
         for h in range(1, min(len(run0), keep + 1))
     ]
     return (
-        (down + [[], []])[:keep],
-        ([[]] + run0)[:keep],
-        [[]] + [_vec_add(a, b) for a, b in zip(run1[: keep - 1], run2)],
+        (down + [0, 0])[:keep],
+        ([0] + run0)[:keep],
+        [0] + [a + b for a, b in zip(run1[: keep - 1], run2)],
     )
 
 
@@ -347,39 +364,23 @@ def count_by_ascents_dp(n: int) -> dict[int, int]:
     return DyckTable(n).row(n)
 
 
-def _vec_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
-def _binom(a: int, b: int) -> int:
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def closed_form(n: int, k: int) -> int:
     """Triangle entry by the binomial closed form.
 
-    The inner factor C(j-k-1, k-1) at k = 0 is read as C(j-1, -1) := 1 when
-    j = 0 and 0 otherwise, which makes the k = 0 column come out as 1 in
-    agreement with the enumeration (only (UD)^n avoids UU).  All other
-    binomials with a negative argument vanish.  Division by n+1 must be
-    exact; a remainder indicates an implementation fault.
+    The sum runs over 2k <= j <= n only: below 2k the inner factor
+    C(j-k-1, k-1) vanishes and above n the outer C(n+1-k, n-j) does, while
+    on that range neither has a negative argument.  At k = 0 the inner
+    factor is read as C(j-1, -1) := 1 when j = 0 and 0 otherwise, so the
+    entry is C(n+1, n) / (n+1) = 1, in agreement with the enumeration (only
+    (UD)^n avoids UU).  Division by n+1 must be exact; a remainder indicates
+    an implementation fault.
     """
-    if n < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    total = 0
-    for j in range(n + 1):
-        if k == 0:
-            inner = 1 if j == 0 else 0
-        else:
-            inner = _binom(j - k - 1, k - 1)
-        if inner:
-            total += inner * _binom(n + 1 - k, n - j)
-    total *= comb(n + 1, k) if k <= n + 1 else 0
-    q, r = divmod(total, n + 1)
+    _check_index(n, "arguments must be nonnegative")
+    _check_index(k, "arguments must be nonnegative")
+    if k == 0:
+        return 1
+    total = sum(comb(j - k - 1, k - 1) * comb(n + 1 - k, n - j) for j in range(2 * k, n + 1))
+    q, r = divmod(comb(n + 1, k) * total, n + 1)
     if r:
         raise ArithmeticError(f"inexact division by {n + 1} at (n, k) = ({n}, {k})")
     return q
@@ -387,6 +388,7 @@ def closed_form(n: int, k: int) -> int:
 
 def closed_form_row(n: int) -> dict[int, int]:
     """Triangle row assembled from the closed form, nonzero entries only."""
+    _check_index(n, "arguments must be nonnegative")
     row = {}
     for k in range(n // 2 + 1):
         value = closed_form(n, k)

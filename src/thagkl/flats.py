@@ -146,6 +146,7 @@ def thagomizer_graph(n: int) -> Graph:
     hub edge, then each outer vertex j contributes edges (0, j) and (1, j),
     its "spike".
     """
+    _check_int(n, "thagomizer index")
     if n < 0:
         raise ValueError("index must be nonnegative")
     edges: list[tuple[int, int]] = [(0, 1)]

@@ -131,12 +131,37 @@ def test_bit_counts_disagree_on_run_closed_by_the_end():
     assert _bit_long_ascents(0b110100) == 1  # U U D U D D
 
 
-@pytest.mark.parametrize("bad", [2.5, "3", None])
+@pytest.mark.parametrize("bad", [True, 2.5, "3", None])
 def test_enumerators_reject_non_integer_semilength(bad):
     with pytest.raises(TypeError):
         count_by_ascents_enum(bad)
     with pytest.raises(TypeError):
         enumerate_paths(bad)
+
+
+# every other index of the triangle; True would otherwise be read as 1
+INDEXED = {
+    "catalan": catalan,
+    "closed_form n": lambda n: closed_form(n, 0),
+    "closed_form k": lambda k: closed_form(5, k),
+    "closed_form_row": closed_form_row,
+    "count_by_ascents_dp": count_by_ascents_dp,
+    "DyckTable": DyckTable,
+    "DyckTable.row": lambda n: DyckTable(5).row(n),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_triangle_indices_reject_non_int(name, bad):
+    with pytest.raises(TypeError):
+        INDEXED[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_triangle_indices_reject_negative(name):
+    with pytest.raises(ValueError):
+        INDEXED[name](-1)
 
 
 def test_paths_fit_in_a_lane():

@@ -59,6 +59,12 @@ def test_graph_stores_edges_as_tuple_of_tuples():
     assert graph == Graph(3, ((0, 1), (1, 2)))
 
 
+@pytest.mark.parametrize("bad, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)])
+def test_thagomizer_graph_rejects_bad_index(bad, error):
+    with pytest.raises(error):
+        thagomizer_graph(bad)
+
+
 def test_thagomizer_graph_shapes():
     g0 = thagomizer_graph(0)
     assert (g0.num_vertices, len(g0.edges)) == (2, 1)
