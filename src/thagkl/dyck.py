@@ -388,7 +388,7 @@ def closed_form(n: int, k: int) -> int:
 
 def closed_form_row(n: int) -> dict[int, int]:
     """Triangle row assembled from the closed form, nonzero entries only."""
-    _check_index(n, "arguments must be nonnegative")
+    _check_index(n, "semilength must be nonnegative")
     row = {}
     for k in range(n // 2 + 1):
         value = closed_form(n, k)

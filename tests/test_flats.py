@@ -59,7 +59,9 @@ def test_graph_stores_edges_as_tuple_of_tuples():
     assert graph == Graph(3, ((0, 1), (1, 2)))
 
 
-@pytest.mark.parametrize("bad, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)])
+@pytest.mark.parametrize(
+    "bad, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)]
+)
 def test_thagomizer_graph_rejects_bad_index(bad, error):
     with pytest.raises(error):
         thagomizer_graph(bad)
