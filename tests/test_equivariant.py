@@ -56,6 +56,22 @@ def test_eq_kl_table_pinned_through_rank_fifteen():
     assert digest == "d7e2a243db66490d7b1fbacaf90a50dbb9e2ec0b84a550cc7dcf0dd1304b20de"
 
 
+def test_eq_kl_table_pinned_through_rank_eighteen():
+    # digest of repr(eq_kl(n)) for n < 19 before the ribbon walk was packed
+    digest = hashlib.sha256(
+        "".join(repr(eq_kl(n)) for n in range(19)).encode()
+    ).hexdigest()
+    assert digest == "7dd2110aaf3eab64069b2891957740f701eb406055c5ef728ab4d19198d45b58"
+
+
+def test_eq_kl_table_pinned_through_rank_twenty_two():
+    # digest of repr(eq_kl(n)) for n < 23, the CLI's largest equivariant index
+    digest = hashlib.sha256(
+        "".join(repr(eq_kl(n)) for n in range(23)).encode()
+    ).hexdigest()
+    assert digest == "9db52d9c003c213ec13f3ca99578d60dc42623497468a6fab00abbe7724c2e9c"
+
+
 def test_eq_kl_graded_dimension_recovers_scalar():
     for n in range(11):
         assert eq_kl(n).graded_dimension() == kl_poly(n)
@@ -99,8 +115,13 @@ def test_symmetrized_rhs_matches_ordered_reference():
     table = EqKLTable()
     for n in range(7):
         table.poly(n)
-        rhs, _ = table._recursion_rhs(n)
+        rhs, below = table._recursion_rhs(n)
         assert rhs == _rhs_reference(n, table)
+        expected_below = SchurPoly({}, degree=n)
+        for i in range(n):
+            expected_below = expected_below + table.poly(i).mul_w(n - i)
+        assert below == expected_below
+        assert below.degree == n
 
 
 def test_upsilon_small_families():

@@ -180,6 +180,57 @@ def mul_w_pieri(f: SchurPoly, j: int) -> SchurPoly:
     return total
 
 
+def broken_ribbons_recursive(lam, size):
+    """Reference enumerator: the row-by-row recursion over mu_i, one generator per row.
+
+    Row i takes mu_i from lam_i up to min(cap, lam_i + remaining), where cap
+    is mu_{i-1} capped at lam_{i-1} + 1 (no 2x2 square).  Rows i-1 and i
+    join when mu_i = lam_{i-1} + 1.  Below lam the shape is one row of x
+    boxes followed by a column of single boxes.
+    """
+    rows = len(lam)
+
+    def rec(i, remaining, cap, gained, joins, acc):
+        if remaining == 0:
+            yield tuple(acc) + lam[i:], gained, gained - joins
+            return
+        if i == rows:
+            link = lam[-1] + 1 if rows else 0
+            for x in range(min(cap, remaining), 0, -1):
+                column = remaining - x
+                r = gained + 1 + column
+                yield (
+                    tuple(acc) + (x,) + (1,) * column,
+                    r,
+                    r - joins - column - (x == link),
+                )
+            return
+        low = lam[i]
+        link = lam[i - 1] + 1 if i else 0
+        for value in range(min(cap, low + remaining), low - 1, -1):
+            acc.append(value)
+            yield from rec(
+                i + 1,
+                remaining - (value - low),
+                min(value, low + 1),
+                gained + (value > low),
+                joins + (value == link),
+                acc,
+            )
+            acc.pop()
+
+    yield from rec(0, size, lam[0] + size if lam else size, 0, 0, [])
+
+
+def test_broken_ribbons_match_recursive_reference():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for j in range(9):
+                got = list(broken_ribbons(lam, j))
+                assert len(got) == len(set(got)), (lam, j)
+                assert set(got) == set(broken_ribbons_recursive(lam, j)), (lam, j)
+
+
 def test_broken_ribbons_examples():
     # each shape comes with (rows gaining boxes, components)
     assert sorted(broken_ribbons((2, 1), 2), reverse=True) == [
@@ -245,6 +296,35 @@ def test_sum_mul_w_matches_pieri_reference(degree_and_pairs, cancel):
     got = sum_mul_w(pairs, degree)
     assert got == expected
     assert got.degree == degree
+    if cancel:
+        assert got.is_zero()
+
+
+def _wide_schur_polys(degree: int):
+    coeffs = st.lists(
+        st.integers(-(2**80), 2**80), min_size=1, max_size=4
+    ).map(IntPoly)
+    return st.dictionaries(
+        st.sampled_from(partitions_of(degree)), coeffs, max_size=4
+    ).map(lambda terms: SchurPoly(terms, degree=degree))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.data(), st.booleans())
+def test_sum_mul_w_matches_pieri_reference_on_wide_coefficients(degree, data, cancel):
+    # coefficients up to 2^80 in absolute value, of both signs, so a slot
+    # narrower than the proven bound carries into its neighbour
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        j = data.draw(st.integers(0, degree))
+        pairs.append((data.draw(_wide_schur_polys(degree - j)), j))
+    if cancel:
+        pairs = pairs + [(f.scaled(-1), j) for f, j in pairs]
+    expected = SchurPoly({}, degree=degree)
+    for f, j in pairs:
+        expected = expected + mul_w_pieri(f, j)
+    got = sum_mul_w(pairs, degree)
+    assert got == expected
     if cancel:
         assert got.is_zero()
 
