@@ -13,18 +13,15 @@ coefficient is extracted by the same reflection trick as the scalar case
 first sum is sum_l v_l h_{n-l} = w_n, so the first term is (t-1) * w_n.
 
 The rest of the triple sum (i < n) is regrouped by associativity.  With
-the partial sums A_k = sum_{i<=k} p_i w_{k-i} and B_n = sum_{i<n} p_i
-w_{n-i}, it equals
+the partial sums A_k = sum_{i<=k} p_i w_{k-i} and B_n = sum_{k<n} p_k
+w_{n-k}, it is B_n + sum_{k<n} A_k w_{n-k} (the pairs (i, m) with
+i + m = k are those of A_k), so
 
-    B_n + sum_{j=1}^{n} A_{n-j} w_j,
+    rhs_n = (t-1) w_n + sum_{k<n} (p_k + A_k) w_{n-k}.
 
-since for j >= 1 the pairs (i, m) with i + m = n - j are exactly those of
-A_{n-j}, and j = 0 leaves B_n.  Once p_n is solved, A_n = B_n + p_n is
-stored.  Row n still has 2n products with a w_j, but they are summed by two
-calls of the row kernel ``symfunc.sum_mul_w``: one for B_n, and one for
-(t-1) w_n + B_n + sum_j A_{n-j} w_j.  The kernel adds raw coefficient lists
-and builds one ``IntPoly`` per partition, so no single product is ever
-built as a ``SchurPoly``.
+Once p_n is solved, A_n = B_n + p_n is stored.  Row n is one call of the
+row kernel ``symfunc.sum_mul_w``, which walks each (lam, n - k) once and
+feeds each ribbon to both B_n and rhs_n; no product is a ``SchurPoly``.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -38,11 +35,8 @@ import dataclasses
 import functools
 
 from .kl import kl_poly
-from .polynomials import IntPoly, ONE, T, ZERO, solve_reflection_equation
+from .polynomials import IntPoly, ONE, T, ZERO, _check_int, solve_reflection_equation
 from .symfunc import Partition, SchurPoly, partitions_of, sum_mul_w
-
-# (t-1) s[]: every row's first term is this times w_n
-_T_MINUS_ONE = SchurPoly({(): T - ONE}, degree=0)
 
 
 class EqKLTable:
@@ -56,6 +50,7 @@ class EqKLTable:
         self._partials: list[SchurPoly] = []
 
     def poly(self, n: int) -> SchurPoly:
+        _check_int(n, "index")
         if n < 0:
             raise ValueError("index must be nonnegative")
         while len(self._entries) <= n:
@@ -63,16 +58,24 @@ class EqKLTable:
         return self._entries[n]
 
     def _recursion_rhs(self, n: int) -> tuple[SchurPoly, SchurPoly]:
-        """The right-hand side of row n and B_n = sum_{i<n} p_i w_(n-i).
+        """The right-hand side of row n and B_n, from p_k and A_k for k < n.
 
-        Needs p_i and A_i for every i < n.  B_n is one ``sum_mul_w`` call and
-        the whole right-hand side a second, with B_n carried in as the pair
-        (B_n, 0) and the first term (t-1) w_n as the pair ((t-1) s[], n).
+        The pair for k is p_k + t^lift A_k and (t-1) w_n is the pair
+        (t^lift (t-1) s[], n), so the kernel returns B_n + t^lift (rhs_n -
+        B_n).  Neither part has degree above n + 1 (deg p_k <= k/2,
+        deg A_k <= k, deg w_j = j), so lift = n + 2 keeps them apart.
         """
-        below = sum_mul_w(((self._entries[i], n - i) for i in range(n)), n)
-        pairs = [(below, 0), (_T_MINUS_ONE, n)]
-        pairs.extend((self._partials[n - j], j) for j in range(1, n + 1))
-        return sum_mul_w(pairs, n), below
+        lift = n + 2
+        pairs = [(SchurPoly({(): (T - ONE).shifted(lift)}), n)]
+        for k in range(n):
+            p, a = self._entries[k], self._partials[k]
+            lanes = {lam: IntPoly((p.coefficient(lam).coeffs + (0,) * lift)[:lift]
+                                  + a.coefficient(lam).coeffs) for lam in partitions_of(k)}
+            pairs.append((SchurPoly(lanes, degree=k), n - k))
+        both = sum_mul_w(pairs, n).terms()
+        below = SchurPoly({lam: IntPoly(c.coeffs[:lift]) for lam, c in both}, degree=n)
+        above = SchurPoly({lam: IntPoly(c.coeffs[lift:]) for lam, c in both}, degree=n)
+        return below + above, below
 
     def _append_next(self) -> None:
         n = len(self._entries)
@@ -212,6 +215,7 @@ def verify_conjecture(
     negative controls); missing indices fall back to the honest closed form.
     Disagreements are returned as data, not raised.
     """
+    _check_int(max_n, "max_n")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     mismatches: list[TermMismatch] = []

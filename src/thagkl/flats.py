@@ -70,7 +70,7 @@ from itertools import compress, repeat
 from operator import rshift
 from typing import FrozenSet
 
-from .polynomials import IntPoly, ONE, solve_reflection_equation
+from .polynomials import IntPoly, ONE, _check_int, solve_reflection_equation
 
 MAX_LATTICE_RANK = 8
 
@@ -81,11 +81,6 @@ _SLOT_FORMAT = "q"
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 Flat = FrozenSet[int]
-
-
-def _check_int(value: object, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .polynomials import (
     IntPoly,
     PolySeries,
     ZERO,
+    _check_int,
     expand_F,
     solve_reflection_equation,
 )
@@ -61,6 +62,7 @@ class KLTable:
         self._entries: list[IntPoly] = []
 
     def poly(self, n: int) -> IntPoly:
+        _check_int(n, "index")
         if n < 0:
             raise ValueError("index must be nonnegative")
         while len(self._entries) <= n:
@@ -103,6 +105,7 @@ def phi_series(order: int) -> PolySeries:
     Equal to u * F(t, u); the u^0 coefficient is zero and the u^(n+1)
     coefficient is P_n.
     """
+    _check_int(order, "truncation order")
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if order == 0:
@@ -139,6 +142,7 @@ def verify_theorem(order: int, *, series: PolySeries | None = None) -> TheoremRe
     controls); by default the honest expansion is used.  The DP rows all come
     from one ``DyckTable`` sweep of its own.
     """
+    _check_int(order, "order")
     if order < 1:
         raise ValueError("order must be at least 1")
     if series is None:

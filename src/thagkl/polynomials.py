@@ -171,6 +171,12 @@ class IntPoly:
         return " ".join(parts)
 
 
+def _check_int(value: object, what: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is an int; a bool is not an index."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
 def _as_poly(value: Union[IntPoly, int]) -> IntPoly:
     if isinstance(value, IntPoly):
         return value

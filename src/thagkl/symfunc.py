@@ -19,7 +19,9 @@ broken-ribbon rule: the coefficient of s[mu] in s[lam] * w_j is the skew
 Schur function s_{mu/lam} at the alphabet t - 1, which factors over the
 ribbons of mu/lam (Macdonald, Symmetric Functions and Hall Polynomials,
 Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square, with
-r rows and c edge-connected components, and 0 otherwise.
+r rows and c edge-connected components, and 0 otherwise.  ``broken_ribbons``
+walks these shapes on an explicit stack, once per (lam, j), and the kernel
+sums them as packed integers, one per mu, in slots proven wide enough.
 The Pieri rules serve the second character
 
     v_l(t) = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c    (graded dim (t-2)^l)
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import functools
 from math import factorial
-from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from .polynomials import IntPoly, ONE, ZERO, _as_poly
@@ -143,41 +144,36 @@ def broken_ribbons(lam: Partition, size: int) -> Iterator[tuple[Partition, int, 
     shape share an edge exactly when mu_{i+1} = lam_i + 1, so c is r minus
     the number of those joins.  Below the last row of lam the shape is one
     row of x boxes followed by a column of single boxes, all joined.
+
+    The walk keeps an explicit stack of partial shapes, one row at a time.
+    Row i may reach lam_{i-1} + 1 after a row that grew and lam_{i-1} after
+    one that did not, so a state carries only whether its last row grew.
     """
     rows = len(lam)
-
-    def rec(
-        i: int, remaining: int, cap: int, gained: int, joins: int, acc: list[int]
-    ) -> Iterator[tuple[Partition, int, int]]:
+    # above[i] is lam_{i-1}; above[0] is too large to cap or join anything
+    above = (lam[0] + size if lam else size,) + lam
+    # (next row, mu so far, boxes left, rows gained, joins, last row grew)
+    stack = [(0, (), size, 0, 0, 1)]
+    while stack:
+        i, head, remaining, gained, joins, grew = stack.pop()
         if remaining == 0:
-            yield tuple(acc) + lam[i:], gained, gained - joins
-            return
+            yield head + lam[i:], gained, gained - joins
+            continue
+        link = above[i] + 1
+        cap = above[i] + grew
         if i == rows:
-            link = lam[-1] + 1 if rows else 0
-            for x in range(min(cap, remaining), 0, -1):
+            for x in range(cap if cap < remaining else remaining, 0, -1):
                 column = remaining - x
                 r = gained + 1 + column
-                yield (
-                    tuple(acc) + (x,) + (1,) * column,
-                    r,
-                    r - joins - column - (x == link),
-                )
-            return
+                yield head + (x,) + (1,) * column, r, r - joins - column - (x == link)
+            continue
         low = lam[i]
-        link = lam[i - 1] + 1 if i else 0
-        for value in range(min(cap, low + remaining), low - 1, -1):
-            acc.append(value)
-            yield from rec(
-                i + 1,
-                remaining - (value - low),
-                min(value, low + 1),
-                gained + (value > low),
-                joins + (value == link),
-                acc,
-            )
-            acc.pop()
-
-    yield from rec(0, size, lam[0] + size if lam else size, 0, 0, [])
+        i += 1
+        stack.append((i, head + (low,), remaining, gained, joins, 0))
+        limit = low + remaining
+        gained += 1
+        for value in range(low + 1, (cap if cap < limit else limit) + 1):
+            stack.append((i, head + (value,), limit - value, gained, joins + (value == link), 1))
 
 
 class SchurPoly:
@@ -329,53 +325,53 @@ def _sign_t_power(sign_exponent: int, t_exponent: int) -> IntPoly:
 def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
     """The sum of f * w_j over the (f, j) pairs, each f of degree ``degree - j``.
 
-    By the broken-ribbon rule the coefficient of s[mu] in s[lam] * w_j is
-    (-1)^(r-c) t^(j-r) (t-1)^c summed over the broken ribbons mu/lam of j
-    boxes, with r rows gaining boxes and c edge-connected components (see
-    ``broken_ribbons``).  So every input coefficient list is added straight
-    into a plain int list S_c(mu), at offset j - r and with sign (-1)^(r-c);
-    at the end each mu's lists are folded by Horner's rule in (t-1),
-    S_0 + (t-1)(S_1 + (t-1)(S_2 + ...)), where a product with t - 1 is a
-    shift and a subtraction.  One ``IntPoly`` is built per mu.
+    By the broken-ribbon rule s[lam] * w_j is the sum of (-1)^(r-c) t^(j-r)
+    (t-1)^c s[mu] over ``broken_ribbons(lam, j)``.  Each polynomial is one
+    signed int with ``slot`` bits per power of t (its value at t = 2^slot):
+    the inputs of each (lam, j) are summed into one int and walked once, a
+    ribbon's weight is one int cached by (j - r, c, sign), and each mu keeps
+    one int, unpacked once into signed digits.
+
+    The slot is wide enough: mu/lam fixes the ribbon, so each (lam, j) meets
+    a given mu at most once, with a weight of 1-norm 2^c <= 2^top (top the
+    largest j).  So every output coefficient is below L1 * 2^top in absolute
+    value, L1 the sum of the inputs' coefficient 1-norms, and a slot of
+    ``(L1 << top).bit_length() + 1`` bits holds it as a signed digit.
     """
     pairs = list(pairs)
-    width = 0
-    top = 0
+    norm = top = 0
     for f, j in pairs:
         if j < 0:
             raise ValueError("index must be nonnegative")
         if f.degree + j != degree:
             raise ValueError(f"degree mismatch: {f.degree} + {j} != {degree}")
-        for coeff in f._terms.values():
-            width = max(width, len(coeff.coeffs) + j)
         top = max(top, j)
-    sums: dict[Partition, list[list[int] | None]] = {}
+        norm += sum(sum(map(abs, coeff.coeffs)) for coeff in f._terms.values())
+    slot = (norm << top).bit_length() + 1
+    packed: dict[tuple[Partition, int], int] = {}
     for f, j in pairs:
         for lam, coeff in f._terms.items():
-            coeffs = coeff.coeffs
-            size = len(coeffs)
-            for mu, rows, components in broken_ribbons(lam, j):
-                by_c = sums.get(mu)
-                if by_c is None:
-                    by_c = sums[mu] = [None] * (top + 1)
-                s = by_c[components]
-                if s is None:
-                    s = by_c[components] = [0] * width
-                start = j - rows
-                stop = start + size
-                op = sub if (rows - components) & 1 else add
-                s[start:stop] = map(op, s[start:stop], coeffs)
+            value = sum(c << (slot * k) for k, c in enumerate(coeff.coeffs))
+            packed[lam, j] = packed.get((lam, j), 0) + value
+    t_minus_one = (1 << slot) - 1  # also the mask of one slot
+    weights: dict[tuple[int, int, int], int] = {}
+    acc: dict[Partition, int] = {}
+    for (lam, j), value in packed.items():
+        for mu, rows, components in broken_ribbons(lam, j):
+            key = (j - rows, components, (rows - components) & 1)
+            weight = weights.get(key)
+            if weight is None:
+                weight = (-1) ** key[2] * t_minus_one**components
+                weight = weights[key] = weight << (slot * key[0])
+            acc[mu] = acc.get(mu, 0) + value * weight
+    half = 1 << (slot - 1)
     out: dict[Partition, IntPoly] = {}
-    for mu, by_c in sums.items():
-        total = None
-        for s in reversed(by_c):
-            if total is not None:
-                total = [a - b for a, b in zip([0, *total], [*total, 0])]
-                if s is not None:
-                    total[:width] = map(add, total, s)
-            elif s is not None:
-                total = s
-        out[mu] = IntPoly(total)
+    for mu, value in acc.items():
+        coeffs = []
+        while value:
+            coeffs.append(((value + half) & t_minus_one) - half)
+            value = (value - coeffs[-1]) >> slot
+        out[mu] = IntPoly(coeffs)
     return SchurPoly(out, degree=degree)
 
 

@@ -13,13 +13,12 @@ disagreements in ``detail``.
 from __future__ import annotations
 
 import dataclasses
-import operator
 
 from .dyck import catalan, closed_form_row
 from .equivariant import verify_conjecture
 from .flats import build_lattice, thagomizer_graph
 from .kl import char_poly_thag, kl_poly, phi_series, verify_theorem
-from .polynomials import IntPoly, PolySeries
+from .polynomials import IntPoly, PolySeries, _check_int
 
 LATTICE_CHECK_MAX = 5
 CONJECTURE_CHECK_MAX = 10
@@ -60,7 +59,7 @@ def run_checks(max_n: int, *, series: PolySeries | None = None) -> tuple[Check, 
     ``series`` replaces the honest series root in ``theorem-agreement``; it
     must reach order ``max_n + 1`` (see ``corrupted_series``).
     """
-    max_n = operator.index(max_n)
+    _check_int(max_n, "max_n")
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     checks = [

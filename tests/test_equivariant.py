@@ -175,6 +175,15 @@ def test_conjecture_poly_rank_five():
     assert conjecture_poly(4) == expected
 
 
+# True would otherwise be read as the index 1
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+def test_indices_reject_non_ints(bad):
+    with pytest.raises(TypeError):
+        eq_kl(bad)
+    with pytest.raises(TypeError):
+        verify_conjecture(bad)
+
+
 def test_conjecture_poly_rejects_zero():
     with pytest.raises(ValueError):
         conjecture_poly(0)

@@ -41,6 +41,17 @@ def test_kl_poly_rejects_negative_index():
         kl_poly(-1)
 
 
+# True would otherwise be read as the index 1
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+def test_indices_reject_non_ints(bad):
+    with pytest.raises(TypeError):
+        kl_poly(bad)
+    with pytest.raises(TypeError):
+        phi_series(bad)
+    with pytest.raises(TypeError):
+        verify_theorem(bad)
+
+
 def test_kl_poly_structure_to_twenty():
     for n in range(21):
         p = kl_poly(n)

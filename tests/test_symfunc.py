@@ -229,6 +229,12 @@ def test_broken_ribbons_match_recursive_reference():
                 got = list(broken_ribbons(lam, j))
                 assert len(got) == len(set(got)), (lam, j)
                 assert set(got) == set(broken_ribbons_recursive(lam, j)), (lam, j)
+    # a negative size has no shapes and a non-int size is refused, as before
+    for lam in [(), (2, 1)]:
+        assert list(broken_ribbons(lam, -1)) == list(broken_ribbons_recursive(lam, -1)) == []
+        for walk in (broken_ribbons, broken_ribbons_recursive):
+            with pytest.raises(TypeError):
+                list(walk(lam, 1.5))
 
 
 def test_broken_ribbons_examples():

@@ -55,7 +55,10 @@ def test_max_zero_leaves_out_the_conjecture_check():
     assert all(check.ok for check in checks)
 
 
-@pytest.mark.parametrize("bad, error", [(-1, ValueError), (2.5, TypeError), ("3", TypeError)])
+@pytest.mark.parametrize(
+    "bad, error",
+    [(-1, ValueError), (2.5, TypeError), ("3", TypeError), (True, TypeError), (False, TypeError)],
+)
 def test_bad_max_n_raises(bad, error):
     with pytest.raises(error):
         run_checks(bad)
