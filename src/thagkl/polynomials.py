@@ -172,7 +172,7 @@ class IntPoly:
 
 
 def _check_int(value: object, what: str) -> None:
-    """Raise ``TypeError`` unless ``value`` is an int; a bool is not an index."""
+    """Raise ``TypeError`` unless ``value`` is an int; a bool does not count as one."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 

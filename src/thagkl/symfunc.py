@@ -147,7 +147,7 @@ def broken_ribbons(lam: Partition, size: int) -> Iterator[tuple[Partition, int, 
 
     The walk keeps an explicit stack of partial shapes, one row at a time.
     Row i may reach lam_{i-1} + 1 after a row that grew and lam_{i-1} after
-    one that did not, so a state carries only whether its last row grew.
+    one that did not, so that flag is all a state keeps of its last row.
     """
     rows = len(lam)
     # above[i] is lam_{i-1}; above[0] is too large to cap or join anything
