@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb, factorial
 
@@ -100,6 +101,36 @@ def test_vertical_strips_examples():
     assert set(vertical_strips((2,), 2)) == {(3, 1), (2, 1, 1)}
     assert set(vertical_strips((), 3)) == {(1, 1, 1)}
     assert set(vertical_strips((2, 2), 1)) == {(3, 2), (2, 2, 1)}
+
+
+def strips_oracle(lam, size, vertical):
+    """Brute-force strips: every mu of |lam| + size boxes whose rows grow from lam
+    by 0 or 1 (vertical), or that contains lam and interlaces it (horizontal),
+    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...; independent of the strip walks."""
+    found = set()
+    for mu in partitions_of(sum(lam) + size):
+        padded = lam + (0,) * (len(mu) - len(lam))
+        if len(padded) > len(mu):
+            continue
+        if vertical:
+            if all(m - l in (0, 1) for m, l in zip(mu, padded)):
+                found.add(mu)
+        elif all(m >= l for m, l in zip(mu, padded)) and all(
+            m <= l for m, l in zip(mu[1:], padded)
+        ):
+            found.add(mu)
+    return found
+
+
+def test_strips_match_brute_force_oracle():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for size in range(9):
+                for walk, vertical in ((horizontal_strips, False), (vertical_strips, True)):
+                    got = list(walk(lam, size))
+                    assert len(got) == len(set(got)), (walk.__name__, lam, size)
+                    assert set(got) == strips_oracle(lam, size, vertical), (
+                        walk.__name__, lam, size)
 
 
 def test_pieri_single_box():
@@ -354,6 +385,15 @@ def test_v_poly_low_indices():
     assert v_poly(1) == SchurPoly({(1,): T_MINUS_2})
     assert v_poly(2) == SchurPoly(
         {(2,): IntPoly((1, -2, 1)), (1, 1): IntPoly((3, -2))}
+    )
+
+
+def test_v_poly_digest():
+    # sha256 of repr(v_poly(l)) for l = 0..12, joined: pins the values and
+    # the term order of the second tensor character
+    joined = "".join(repr(v_poly(ell)) for ell in range(13))
+    assert hashlib.sha256(joined.encode()).hexdigest() == (
+        "52c5b7dd91a3e63bbf200b9030c34834a12f0f9af089ce781782ae8d309fbb97"
     )
 
 
