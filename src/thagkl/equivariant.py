@@ -112,6 +112,7 @@ def upsilon(n: int) -> tuple[Partition, ...]:
     eta in {0, 1}, and b = n - a - 2i - eta required to be 0 (omitted) or to
     satisfy 2 <= b <= a.  Returned deduplicated in canonical order.
     """
+    _check_int(n, "index")
     if n < 1:
         raise ValueError("index must be positive")
     found: set[Partition] = set()
@@ -167,7 +168,7 @@ def conjecture_terms(n: int) -> tuple[ConjectureTerm, ...]:
     return tuple(terms)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def conjecture_poly(n: int) -> SchurPoly:
     """Closed-form candidate for the equivariant polynomial at index n.
 

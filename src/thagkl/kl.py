@@ -50,6 +50,7 @@ def char_poly_boolean(r: int) -> IntPoly:
 
 def char_poly_thag(i: int) -> IntPoly:
     """Characteristic polynomial (t-1)*(t-2)^i of the index-i thagomizer matroid."""
+    _check_int(i, "index")
     if i < 0:
         raise ValueError("index must be nonnegative")
     return (T - ONE) * (T - 2 * ONE) ** i

@@ -4,9 +4,7 @@ A partition is a tuple of weakly decreasing positive integers; a ``SchurPoly``
 is a finite expansion sum_lambda c_lambda(t) * s[lambda] in which every index
 partition has one common size and every coefficient is a nonzero ``IntPoly``.
 
-The only products ever taken are against a complete homogeneous h_a (one row:
-horizontal strips), an elementary e_b (one column: vertical strips), or the
-tensor-power character
+The solver's only products are against the tensor-power character
 
     w_j(t) = sum_{a+b=j}   (-1)^b     t^a h_a e_b        (graded dim (t-1)^j)
 
@@ -22,28 +20,34 @@ Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square, with
 r rows and c edge-connected components, and 0 otherwise.  ``broken_ribbons``
 walks these shapes on an explicit stack, once per (lam, j), and the kernel
 sums them as packed integers, one per mu, in slots proven wide enough.
-The Pieri rules serve the second character
+
+Every other skew shape is a filter on that walk: the Pieri products with h_a
+and e_b add horizontal strips (broken ribbons with no joined rows, r = c)
+and vertical strips (one new box per row, r = size).  The second character
 
     v_l(t) = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c    (graded dim (t-2)^l)
 
-from v(t,u) = s(tu)/s(u)^2.  A plethysm evaluation of v_l through the
-power-sum basis, in integers, is provided as an independent cross-check.
+comes from v(t,u) = s(tu)/s(u)^2 = w(t,u)/s(u) and 1/s(u) = sum_m (-1)^m
+e_m u^m, so v_l = sum_m (-1)^m e_m w_{l-m} is one ``sum_mul_w`` call.  A
+plethysm evaluation of v_l through the power-sum basis, in integers, is
+provided as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import functools
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .polynomials import IntPoly, ONE, ZERO, _as_poly
+from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_int
 
 Partition = tuple[int, ...]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order ([n] first)."""
+    _check_int(n, "size")
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     return _partitions_bounded(n, n)
@@ -89,50 +93,19 @@ def hook_dim(lam: Partition) -> int:
 def horizontal_strips(lam: Partition, size: int) -> Iterator[Partition]:
     """All mu obtained from lam by adding a horizontal strip of ``size`` boxes.
 
-    mu interleaves lam: mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... (at most one
-    new box per column, hence at most one new row).
+    These are the broken ribbons with no joined rows (r = c): a join puts two
+    new boxes in one column, and a strip has at most one per column.
     """
-    rows = len(lam)
-
-    def rec(i: int, remaining: int, cap: int, acc: list[int]) -> Iterator[Partition]:
-        if i == rows:
-            if remaining == 0:
-                yield tuple(acc)
-            elif remaining <= cap:
-                yield tuple(acc + [remaining])
-            return
-        low = lam[i]
-        for value in range(min(cap, low + remaining), low - 1, -1):
-            acc.append(value)
-            yield from rec(i + 1, remaining - (value - low), lam[i], acc)
-            acc.pop()
-
-    first_cap = lam[0] + size if lam else size
-    yield from rec(0, size, first_cap, [])
+    return (mu for mu, rows, components in broken_ribbons(lam, size) if rows == components)
 
 
 def vertical_strips(lam: Partition, size: int) -> Iterator[Partition]:
     """All mu obtained from lam by adding a vertical strip of ``size`` boxes.
 
-    Each existing row grows by at most one box; new rows are single boxes.
+    These are the broken ribbons whose ``size`` boxes sit in ``size`` rows
+    (r = size), at most one new box per row.
     """
-    rows = len(lam)
-
-    def rec(i: int, remaining: int, prev: int, acc: list[int]) -> Iterator[Partition]:
-        if i == rows:
-            if remaining == 0:
-                yield tuple(acc)
-            elif prev >= 1:
-                yield tuple(acc + [1] * remaining)
-            return
-        for delta in (1, 0):
-            value = lam[i] + delta
-            if delta <= remaining and value <= prev:
-                acc.append(value)
-                yield from rec(i + 1, remaining - delta, value, acc)
-                acc.pop()
-
-    yield from rec(0, size, lam[0] + 1 if lam else size, [])
+    return (mu for mu, rows, _ in broken_ribbons(lam, size) if rows == size)
 
 
 def broken_ribbons(lam: Partition, size: int) -> Iterator[tuple[Partition, int, int]]:
@@ -214,6 +187,7 @@ class SchurPoly:
     @classmethod
     def h(cls, a: int) -> SchurPoly:
         """The complete homogeneous h_a = s[a]."""
+        _check_int(a, "row length")
         if a < 0:
             raise ValueError("negative row length")
         return cls({(a,) if a else (): ONE}, degree=a)
@@ -221,6 +195,7 @@ class SchurPoly:
     @classmethod
     def e(cls, b: int) -> SchurPoly:
         """The elementary e_b = s[1^b]."""
+        _check_int(b, "column length")
         if b < 0:
             raise ValueError("negative column length")
         return cls({(1,) * b: ONE}, degree=b)
@@ -272,27 +247,23 @@ class SchurPoly:
 
     def mul_h(self, a: int) -> SchurPoly:
         """Pieri rule: multiply by h_a (add horizontal strips of size a)."""
-        if a < 0:
-            raise ValueError("negative row length")
-        if a == 0:
-            return self
-        out: dict[Partition, IntPoly] = {}
-        for lam, coeff in self._terms.items():
-            for mu in horizontal_strips(lam, a):
-                out[mu] = out.get(mu, ZERO) + coeff
-        return SchurPoly(out, degree=self.degree + a)
+        return self._add_strips(horizontal_strips, a, "row length")
 
     def mul_e(self, b: int) -> SchurPoly:
         """Dual Pieri rule: multiply by e_b (add vertical strips of size b)."""
-        if b < 0:
-            raise ValueError("negative column length")
-        if b == 0:
+        return self._add_strips(vertical_strips, b, "column length")
+
+    def _add_strips(self, strips: Callable, size: int, what: str) -> SchurPoly:
+        _check_int(size, what)
+        if size < 0:
+            raise ValueError(f"negative {what}")
+        if size == 0:
             return self
         out: dict[Partition, IntPoly] = {}
         for lam, coeff in self._terms.items():
-            for mu in vertical_strips(lam, b):
+            for mu in strips(lam, size):
                 out[mu] = out.get(mu, ZERO) + coeff
-        return SchurPoly(out, degree=self.degree + b)
+        return SchurPoly(out, degree=self.degree + size)
 
     def mul_w(self, j: int) -> SchurPoly:
         """Product with w_j = h_j[(t-1)X]: the one-pair case of ``sum_mul_w``."""
@@ -316,12 +287,6 @@ class SchurPoly:
         return f"SchurPoly({dict(self.terms())!r})"
 
 
-def _sign_t_power(sign_exponent: int, t_exponent: int) -> IntPoly:
-    """(-1)^sign_exponent * t^t_exponent as an IntPoly."""
-    coeff = -1 if sign_exponent % 2 else 1
-    return IntPoly((0,) * t_exponent + (coeff,))
-
-
 def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
     """The sum of f * w_j over the (f, j) pairs, each f of degree ``degree - j``.
 
@@ -341,6 +306,7 @@ def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
     pairs = list(pairs)
     norm = top = 0
     for f, j in pairs:
+        _check_int(j, "index")
         if j < 0:
             raise ValueError("index must be nonnegative")
         if f.degree + j != degree:
@@ -375,7 +341,7 @@ def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
     return SchurPoly(out, degree=degree)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def w_poly(j: int) -> SchurPoly:
     """Character of the j-fold tensor power of the virtual line with dimension t-1.
 
@@ -384,22 +350,18 @@ def w_poly(j: int) -> SchurPoly:
     return SchurPoly.one().mul_w(j)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def v_poly(ell: int) -> SchurPoly:
     """Character of the ell-fold tensor power of the virtual line with dimension t-2.
 
-    Coefficient of u^ell in s(tu)/s(u)^2:
-    sum_{a+b+c=ell} (-1)^(b+c) t^a h_a e_b e_c.
+    Coefficient of u^ell in s(tu)/s(u)^2, which is
+    sum_{a+b+c=ell} (-1)^(b+c) t^a h_a e_b e_c.  Read as w(t,u)/s(u), with
+    1/s(u) = sum_m (-1)^m e_m u^m, it is sum_m (-1)^m e_m w_(ell-m).
     """
+    _check_int(ell, "index")
     if ell < 0:
         raise ValueError("index must be nonnegative")
-    total = SchurPoly({}, degree=ell)
-    for a in range(ell + 1):
-        for b in range(ell - a + 1):
-            c = ell - a - b
-            term = SchurPoly.h(a).mul_e(b).mul_e(c)
-            total = total + term.scaled(_sign_t_power(b + c, a))
-    return total
+    return sum_mul_w([(SchurPoly({(1,) * m: (-1) ** m}), ell - m) for m in range(ell + 1)], ell)
 
 
 def cycle_type_order(mu: Partition) -> int:

@@ -184,6 +184,14 @@ def test_indices_reject_non_ints(bad):
         verify_conjecture(bad)
 
 
+def test_closed_form_helpers_reject_bools():
+    # the call with 1 fills the cache entry that True would hit, as 1 == True
+    for call in (conjecture_poly, upsilon):
+        call(1)
+        with pytest.raises(TypeError):
+            call(True)
+
+
 def test_conjecture_poly_rejects_zero():
     with pytest.raises(ValueError):
         conjecture_poly(0)

@@ -52,6 +52,12 @@ def test_indices_reject_non_ints(bad):
         verify_theorem(bad)
 
 
+def test_char_poly_thag_rejects_bool():
+    assert char_poly_thag(1) == IntPoly((2, -3, 1))
+    with pytest.raises(TypeError):
+        char_poly_thag(True)
+
+
 def test_kl_poly_structure_to_twenty():
     for n in range(21):
         p = kl_poly(n)

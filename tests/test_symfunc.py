@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from math import comb, factorial
@@ -10,7 +11,6 @@ from thagkl import symfunc
 from thagkl.polynomials import IntPoly, ONE, T, ZERO
 from thagkl.symfunc import (
     SchurPoly,
-    _sign_t_power,
     broken_ribbons,
     character_value,
     conjugate,
@@ -103,10 +103,11 @@ def test_vertical_strips_examples():
     assert set(vertical_strips((2, 2), 1)) == {(3, 2), (2, 2, 1)}
 
 
+@functools.cache
 def strips_oracle(lam, size, vertical):
     """Brute-force strips: every mu of |lam| + size boxes whose rows grow from lam
     by 0 or 1 (vertical), or that contains lam and interlaces it (horizontal),
-    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...; independent of the strip walks."""
+    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...; independent of ``broken_ribbons``."""
     found = set()
     for mu in partitions_of(sum(lam) + size):
         padded = lam + (0,) * (len(mu) - len(lam))
@@ -119,7 +120,22 @@ def strips_oracle(lam, size, vertical):
             m <= l for m, l in zip(mu[1:], padded)
         ):
             found.add(mu)
-    return found
+    return frozenset(found)
+
+
+def pieri_oracle(f: SchurPoly, size: int, vertical: bool) -> SchurPoly:
+    """f * e_size (vertical) or f * h_size, summed over the brute-force strips."""
+    out = {}
+    for lam, coeff in f.terms():
+        for mu in strips_oracle(lam, size, vertical):
+            out[mu] = out.get(mu, ZERO) + coeff
+    return SchurPoly(out, degree=f.degree + size)
+
+
+def _sign_t_power(sign_exponent: int, t_exponent: int) -> IntPoly:
+    """(-1)^sign_exponent * t^t_exponent as an IntPoly."""
+    coeff = -1 if sign_exponent % 2 else 1
+    return IntPoly((0,) * t_exponent + (coeff,))
 
 
 def test_strips_match_brute_force_oracle():
@@ -203,11 +219,13 @@ def test_w_poly_low_indices():
 
 
 def mul_w_pieri(f: SchurPoly, j: int) -> SchurPoly:
-    """Reference product with w_j = sum_{a+b=j} (-1)^b t^a h_a e_b, by both Pieri rules."""
+    """Reference product with w_j = sum_{a+b=j} (-1)^b t^a h_a e_b, by both Pieri
+    rules over the brute-force strips (the library's strips walk broken ribbons)."""
     total = SchurPoly({}, degree=f.degree + j)
     for a in range(j + 1):
         b = j - a
-        total = total + f.mul_h(a).mul_e(b).scaled(_sign_t_power(b, a))
+        product = pieri_oracle(pieri_oracle(f, a, vertical=False), b, vertical=True)
+        total = total + product.scaled(_sign_t_power(b, a))
     return total
 
 
@@ -397,6 +415,18 @@ def test_v_poly_digest():
     )
 
 
+def test_v_poly_matches_paper_form():
+    # v_l = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c, by the brute-force strips
+    for ell in range(9):
+        total = SchurPoly({}, degree=ell)
+        for a in range(ell + 1):
+            for b in range(ell - a + 1):
+                c = ell - a - b
+                term = pieri_oracle(pieri_oracle(SchurPoly.h(a), b, True), c, True)
+                total = total + term.scaled(_sign_t_power(b + c, a))
+        assert v_poly(ell) == total, ell
+
+
 def test_graded_dimensions_of_tensor_characters():
     for j in range(13):
         assert w_poly(j).graded_dimension() == T_MINUS_1**j
@@ -436,6 +466,26 @@ def test_e_h_series_inverse():
             sign = -1 if m % 2 else 1
             acc = acc + SchurPoly.e(m).mul_h(order - m).scaled(sign)
         assert acc.is_zero()
+
+
+def test_indices_reject_bools():
+    # each call with 1 fills any cache entry that True would hit, as 1 == True
+    f = SchurPoly({(2, 1): 1})
+    calls = [
+        partitions_of,
+        w_poly,
+        v_poly,
+        SchurPoly.h,
+        SchurPoly.e,
+        f.mul_h,
+        f.mul_e,
+        f.mul_w,
+        lambda j: sum_mul_w([(f, j)], 3 + j),
+    ]
+    for call in calls:
+        call(1)
+        with pytest.raises(TypeError):
+            call(True)
 
 
 def test_cycle_type_order():
