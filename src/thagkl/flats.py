@@ -53,11 +53,32 @@ Each flat's row, the coefficients of t^rk(g) P_g and of W_g, is one int
 with a signed slot per coefficient (the native format ``_SLOT_FORMAT``, 64
 bits), so the up-set sum of rhs_i is one C-level ``sum`` of ints.  Adding
 half a slot to every slot and then flipping each slot's top bit leaves
-every slot sum in two's complement, which ``memoryview.cast`` reads back.
-An up-set sum holds fewer than len(lattice) rows, so a guard raises
-``ArithmeticError`` once the largest coefficient times len(lattice) could
-reach half a slot.  Bitsets are scanned by ``itertools.compress`` over a 0/1
-selector read from ``bin(mask)``.
+every slot sum in two's complement, which ``memoryview.cast`` reads back;
+a row is packed the same way in reverse, from the slots' bytes in an
+``array``.  An up-set sum holds fewer than len(lattice) rows, so a guard
+raises ``ArithmeticError`` once the largest coefficient times len(lattice)
+could reach half a slot.
+
+Flats are sorted by rank, then by their sorted lists of edge indices.  No
+flat contains another of its rank, so the lowest edge at which two flats of
+one rank differ decides their order: the flat that holds it comes first.
+``bin(mask)[:1:-1]`` spells the mask's bits from edge 0 up, the bit-reversed
+mask, so sorting each rank by it in descending order gives that order
+without building the lists.
+
+Bitsets are scanned by ``itertools.compress`` over a 0/1 selector read from
+``bin(mask)``, one step per bit up to the highest, so each scan covers only
+the flats that can be in the set it sums.  A flat strictly above i has a
+larger rank, so the up-set sum of rhs_i starts at the first flat of rank
+rk(i) + 1.  A flat strictly below j has a smaller rank, so the down-set of j
+without j itself ends before the first flat of rank rk(j).
+
+Moebius rows use the twin symmetry too.  If every twin permutation fixes
+flat i, then mu(i, h) = mu(i, sigma h) for every such sigma, so mu(i, .) is
+constant on orbits.  A flat is fixed exactly when its orbit has one member,
+which always holds for the bottom flat.  For such an i, ``mu_row`` takes one
+down-set sum per orbit of the flats above i and copies it to the orbit's
+other members; for any other i it takes one sum per flat.
 """
 
 from __future__ import annotations
@@ -107,6 +128,8 @@ class Graph:
 
     def _components(self, edge_subset: Flat) -> list[int]:
         """Union-find representative per vertex under the chosen edges."""
+        for e in edge_subset:
+            _check_int(e, "edge index")
         bad = sorted(e for e in edge_subset if not 0 <= e < len(self.edges))
         if bad:
             raise ValueError(f"edge indices {bad} out of range for {len(self.edges)} edges")
@@ -188,11 +211,14 @@ class FlatLattice:
     bitmasks of the flats that cover it, and ``orbit_of`` maps each flat's
     bitmask to the number of its orbit under twin permutations.  Flats are
     sorted by (rank, sorted edge indices), so index 0 is the empty flat and
-    the last index is the full edge set; ``flats`` holds them as frozensets.
-    ``up_sets[i]`` and ``down_sets[i]`` are bitsets over flat indices: bit j
-    of ``up_sets[i]`` is set iff flats[i] <= flats[j], and of
-    ``down_sets[i]`` iff flats[j] <= flats[i].  Moebius rows and the KL
-    polynomials are computed lazily and cached.
+    the last index is the full edge set; ``flats`` holds them as frozensets,
+    and ``index_of`` finds one by its bitmask.  The flats of rank r have the
+    indices ``_rank_start[r]`` up to ``_rank_start[r + 1]``.  ``up_sets[i]``
+    and ``down_sets[i]`` are bitsets over flat indices: bit j of
+    ``up_sets[i]`` is set iff flats[i] <= flats[j], and of ``down_sets[i]``
+    iff flats[j] <= flats[i].  Moebius rows, each shared across the orbits
+    above a flat that twin permutations fix, and the KL polynomials are
+    computed lazily and cached.
     """
 
     def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]],
@@ -201,16 +227,20 @@ class FlatLattice:
         edge_ids = range(len(graph.edges))
         masks: list[int] = []
         ranks: list[int] = []
+        # _rank_start[r] is the index of the first flat of rank r, and
+        # _rank_start[top + 1] is len(self)
+        self._rank_start = [0]
         for rank, level in enumerate(ranked_covers):
-            for mask in sorted(level, key=lambda m: list(compress(edge_ids, _selector(m)))):
-                masks.append(mask)
-                ranks.append(rank)
+            # bin(m)[:1:-1] reads the bits of m from edge 0 up: descending,
+            # the flat holding the lowest edge of a difference comes first
+            masks.extend(sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True))
+            ranks.extend(repeat(rank, len(level)))
+            self._rank_start.append(len(masks))
         self.flats: tuple[Flat, ...] = tuple(
             frozenset(compress(edge_ids, _selector(m))) for m in masks)
         self.ranks: tuple[int, ...] = tuple(ranks)
         self._orbits: list[int] = [orbit_of[m] for m in masks]
-        self._index = {f: i for i, f in enumerate(self.flats)}
-        at = {m: i for i, m in enumerate(masks)}
+        self._at = at = {m: i for i, m in enumerate(masks)}
         covers = [[at[m] for m in ranked_covers[r][mask]]
                   for mask, r in zip(masks, self.ranks)]
         # a cover has a larger index, so one pass from the top finds every
@@ -234,10 +264,14 @@ class FlatLattice:
         return len(self.flats)
 
     def index_of(self, flat: Flat) -> int:
-        try:
-            return self._index[frozenset(flat)]
-        except KeyError:
-            raise ValueError(f"{sorted(flat)} is not a flat of this lattice") from None
+        edges = frozenset(flat)
+        for e in edges:
+            _check_int(e, "edge index")
+        if all(0 <= e < len(self.graph.edges) for e in edges):
+            i = self._at.get(sum(1 << e for e in edges))
+            if i is not None:
+                return i
+        raise ValueError(f"{sorted(edges)} is not a flat of this lattice")
 
     def rank_counts(self) -> list[int]:
         """Number of flats of each rank, index = rank."""
@@ -251,19 +285,29 @@ class FlatLattice:
 
         Returns a fresh dict; the cached row stays private to the lattice.
         """
+        _check_int(i, "flat index")
         if not 0 <= i < len(self):
             raise ValueError(f"flat index {i} out of range 0..{len(self) - 1}")
         row = self._mu_rows.get(i)
         if row is None:
-            # mu[h - i] = mu(i, h), and stays 0 for h not above i and for
-            # h = j until it is set; ascending j, so every h in [i, j) is known
-            up = self.up_sets[i] >> i
-            above = list(compress(range(i, len(self)), _selector(up)))
+            # mu[h - i] = mu(i, h), and stays 0 for h not above i until it is
+            # set; ascending j, so every h in [i, j) is known
+            above = list(compress(range(i, len(self)), _selector(self.up_sets[i] >> i)))
             mu = [0] * (len(self) - i)
             mu[0] = 1
+            # a flat alone in its orbit is fixed by every twin permutation,
+            # so mu(i, .) is constant on orbits: one sum per orbit
+            fixed = self._orbits.count(self._orbits[i]) == 1
+            solved: dict[int, int] = {}
             for j in above[1:]:
-                mu[j - i] = -sum(compress(mu, _selector(self.down_sets[j] >> i)))
-            row = self._mu_rows[i] = dict(zip(above, compress(mu, _selector(up))))
+                key = self._orbits[j] if fixed else j
+                value = solved.get(key)
+                if value is None:
+                    # without bit j the down-set ends below rank rk(j)
+                    below = (self.down_sets[j] ^ (1 << j)) >> i
+                    value = solved[key] = -sum(compress(mu, _selector(below)))
+                mu[j - i] = value
+            row = self._mu_rows[i] = {j: mu[j - i] for j in above}
         return dict(row)
 
     def char_poly(self, flat: Flat) -> IntPoly:
@@ -305,6 +349,7 @@ class FlatLattice:
             # per flat g: t^rk(g) P_g in slots 0..top and W_g in slots
             # width..width+top, so one sum over an up-set gives both sums of rhs_i
             rows = [0] * len(self)
+            starts = self._rank_start
             first_of: dict[int, int] = {}
             peak = 0
             for i in reversed(range(len(self))):
@@ -317,13 +362,14 @@ class FlatLattice:
                 if rank == top:
                     p = w = ONE
                 else:
+                    # every flat of up(i) but i has rank above rk(i);
                     # adding then flipping each slot's top bit leaves each
                     # signed slot sum in two's complement in its own slot
-                    total = sum(compress(rows, _selector(self.up_sets[i] ^ (1 << i))), bias)
+                    lo = starts[rank + 1]
+                    total = sum(compress(rows[lo:], _selector(self.up_sets[i] >> lo)), bias)
                     sums = memoryview((total ^ bias).to_bytes(2 * width * size, sys.byteorder)
-                                      ).cast(_SLOT_FORMAT)
-                    rhs = IntPoly(sums[rank + k] - sums[width + k]
-                                  for k in range(top - rank + 1))
+                                      ).cast(_SLOT_FORMAT).tolist()
+                    rhs = IntPoly([a - b for a, b in zip(sums[rank:width], sums[width:])])
                     p = solve_reflection_equation(top - rank, rhs)
                     w = rhs + p
                 slots = [0] * (2 * width)
@@ -335,11 +381,11 @@ class FlatLattice:
                         f"coefficient {peak} times {len(self)} flats may overflow "
                         f"a {bits}-bit slot"
                     )
-                row = 0
-                for c in reversed(slots):
-                    row = (row << bits) + c
+                # flipping each slot's top bit of the two's complement bytes
+                # adds half a slot to every slot, which the bias takes back
+                packed = int.from_bytes(array(_SLOT_FORMAT, slots).tobytes(), sys.byteorder)
                 kl[i] = p
-                rows[i] = row
+                rows[i] = (packed ^ bias) - bias
             self._kl_upper = kl
         return self._kl_upper
 

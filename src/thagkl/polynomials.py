@@ -282,7 +282,10 @@ def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:
     coefficients of -P, so P can be read off the top of rhs:
     P[k] = rhs[rank - k] for k <= (rank-1)//2.  The low-order window of rhs
     must then replicate -P and the gap between the two windows must vanish;
-    either failing indicates a corrupted right-hand side.
+    either failing indicates a corrupted right-hand side, and the error
+    names the lowest coefficient at fault.  All of this works on the
+    coefficient tuple padded to length rank + 1: P is one reversed slice,
+    the -P window one tuple comparison and the gap one slice test.
     """
     if rank <= 0:
         raise ValueError("rank must be positive")
@@ -291,17 +294,20 @@ def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:
             f"right-hand side has degree {rhs.degree()} > rank {rank}"
         )
     dmax = (rank - 1) // 2
-    solution = IntPoly(rhs[rank - k] for k in range(dmax + 1))
-    for j in range(dmax + 1):
-        if rhs[j] != -solution[j]:
-            raise ArithmeticError(
-                f"inconsistent reflection: coefficient of t^{j} is {rhs[j]}, "
-                f"expected {-solution[j]}"
-            )
-    for j in range(dmax + 1, rank - dmax):
-        if rhs[j] != 0:
-            raise ArithmeticError(
-                f"inconsistent reflection: coefficient of t^{j} is {rhs[j]}, "
-                "expected 0 in the window between -P and its reflection"
-            )
-    return solution
+    cs = rhs.coeffs + (0,) * (rank + 1 - len(rhs.coeffs))
+    # P[k] = cs[rank - k] for k = 0..dmax; rank - dmax - 1 >= 0 ends the slice
+    solution = cs[rank:rank - dmax - 1:-1]
+    expected = tuple(-c for c in solution)
+    if cs[:dmax + 1] != expected:
+        j = next(j for j, (c, e) in enumerate(zip(cs, expected)) if c != e)
+        raise ArithmeticError(
+            f"inconsistent reflection: coefficient of t^{j} is {cs[j]}, "
+            f"expected {expected[j]}"
+        )
+    if any(cs[dmax + 1:rank - dmax]):
+        j = next(j for j in range(dmax + 1, rank - dmax) if cs[j])
+        raise ArithmeticError(
+            f"inconsistent reflection: coefficient of t^{j} is {cs[j]}, "
+            "expected 0 in the window between -P and its reflection"
+        )
+    return IntPoly(solution)

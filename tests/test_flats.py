@@ -105,6 +105,33 @@ def test_closure_rejects_edge_index_out_of_range():
             g.subset_rank(frozenset(bad))
 
 
+EDGE_ENTRY_POINTS = {
+    "closure": lambda g, lattice, edges: closure(g, edges),
+    "subset_rank": lambda g, lattice, edges: g.subset_rank(edges),
+    "index_of": lambda g, lattice, edges: lattice.index_of(edges),
+    "char_poly": lambda g, lattice, edges: lattice.char_poly(edges),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EDGE_ENTRY_POINTS))
+def test_edge_index_entry_points_reject_bool_and_float(entry):
+    g = thagomizer_graph(2)
+    lattice = build_lattice(g)
+    call = EDGE_ENTRY_POINTS[entry]
+    call(g, lattice, {1})
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="edge index must be an int"):
+            call(g, lattice, {bad})
+
+
+def test_mu_row_rejects_bool_and_float_index():
+    lattice = build_lattice(thagomizer_graph(2))
+    assert lattice.mu_row(1)[1] == 1
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="flat index must be an int"):
+            lattice.mu_row(bad)
+
+
 def test_closure_properties_randomized():
     rng = random.Random(4242)
     g = thagomizer_graph(4)
@@ -208,6 +235,10 @@ def test_index_of_rejects_non_flat():
     # a complete spike without the hub edge is not closed
     with pytest.raises(ValueError):
         lattice.index_of(frozenset({1, 2}))
+    # edge indices outside 0..4 name no flat
+    for bad in ({-1}, {5}, {1, 10**9}):
+        with pytest.raises(ValueError, match="is not a flat"):
+            lattice.index_of(bad)
 
 
 def test_mu_row_rejects_index_out_of_range():

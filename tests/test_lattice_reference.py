@@ -10,6 +10,7 @@ checks the engine's orbit shortcut on graphs with planted twins.
 """
 
 import itertools
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
@@ -222,7 +223,8 @@ def vertex_partition(graph: Graph, flat) -> list[list[int]]:
     return [sorted(b) for b in {id(b): b for b in block.values()}.values()]
 
 
-@pytest.mark.parametrize("graph, classes", [
+# graphs with their twin classes of more than one vertex
+ORBIT_CASES = [
     (thagomizer_graph(4), [[0, 1], [2, 3, 4, 5]]),
     (TRUE_AND_FALSE_TWINS, [[0, 1], [2, 3]]),
     # twin-free graphs: a path, a 5-cycle with a chord, two triangles
@@ -230,7 +232,28 @@ def vertex_partition(graph: Graph, flat) -> list[list[int]]:
     (Graph(4, ((0, 1), (1, 2), (2, 3))), []),
     (Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))), []),
     (Graph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (1, 4))), []),
-])
+    (complete_graph(5), [[0, 1, 2, 3, 4]]),
+]
+
+
+def orbits_of(graph: Graph, classes, flat_list) -> set:
+    """Orbits of the flats under every permutation of twins, each named by
+    its least image as a sorted tuple of sorted vertex blocks."""
+    perms = []
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        sigma = list(range(graph.num_vertices))
+        for c, image in zip(classes, images):
+            for v, w in zip(c, image):
+                sigma[v] = w
+        perms.append(sigma)
+    return {
+        min(tuple(sorted(tuple(sorted(s[v] for v in b)) for b in vertex_partition(graph, f)))
+            for s in perms)
+        for f in flat_list
+    }
+
+
+@pytest.mark.parametrize("graph, classes", ORBIT_CASES)
 def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
     solves = []
 
@@ -241,22 +264,54 @@ def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
     monkeypatch.setattr(flats, "solve_reflection_equation", counting)
     lattice = build_lattice(graph)
     lattice.kl_poly()
-    # orbits of the non-top flats, by applying every permutation of twins
-    perms = []
-    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
-        sigma = list(range(graph.num_vertices))
-        for c, image in zip(classes, images):
-            for v, w in zip(c, image):
-                sigma[v] = w
-        perms.append(sigma)
-    orbits = {
-        min(tuple(sorted(tuple(sorted(s[v] for v in b)) for b in vertex_partition(graph, f)))
-            for s in perms)
-        for f in lattice.flats[:-1]
-    }
-    assert len(solves) == len(orbits)
+    # one solve per orbit of the non-top flats
+    assert len(solves) == len(orbits_of(graph, classes, lattice.flats[:-1]))
     # without twins every non-top flat is solved
     assert (len(solves) < len(lattice) - 1) == bool(classes)
+
+
+@pytest.mark.parametrize("graph, classes", ORBIT_CASES)
+def test_one_down_set_sum_per_orbit_in_the_bottom_mu_row(monkeypatch, graph, classes):
+    # the row reads one selector for the up-set of the bottom flat, then
+    # one per down-set it sums
+    selectors = []
+
+    def counting(mask):
+        selectors.append(mask)
+        return honest(mask)
+
+    honest = flats._selector
+    lattice = build_lattice(graph)
+    monkeypatch.setattr(flats, "_selector", counting)
+    row = lattice.mu_row(0)
+    monkeypatch.undo()
+    sums = len(selectors) - 1
+    # the bottom flat is alone in its orbit, so mu(0, .) is shared by each
+    # orbit of the flats above it
+    assert sums == len(orbits_of(graph, classes, lattice.flats[1:]))
+    assert (sums < len(lattice) - 1) == bool(classes)
+    assert row == ReferenceLattice(graph).mu_row(0)
+
+
+def test_mu_row_of_a_flat_moved_by_twin_permutations():
+    # in K_5 the flat {01} shares its orbit with every single edge, and mu
+    # from it differs inside one orbit above it: {012}{34} is a product of
+    # two rank-1 intervals, {01}{234} merges three blocks of {01}{2}{3}{4}
+    graph = complete_graph(5)
+    lattice = build_lattice(graph)
+    ref = ReferenceLattice(graph)
+    edge = {pair: e for e, pair in enumerate(graph.edges)}
+
+    def flat(*pairs):
+        return lattice.index_of(closure(graph, {edge[p] for p in pairs}))
+
+    i = flat((0, 1))
+    assert lattice._orbits.count(lattice._orbits[i]) == len(graph.edges)
+    j, k = flat((0, 1), (1, 2), (3, 4)), flat((0, 1), (2, 3), (3, 4))
+    assert lattice._orbits[j] == lattice._orbits[k]
+    row = lattice.mu_row(i)
+    assert (row[j], row[k]) == (1, 2)
+    assert row == ref.mu_row(i)
 
 
 def assert_matches_reference(graph):
@@ -264,6 +319,9 @@ def assert_matches_reference(graph):
     ref = ReferenceLattice(graph)
     assert lattice.flats == ref.flats
     assert lattice.ranks == ref.ranks
+    # the first index of each rank, then len(lattice)
+    top = lattice.ranks[-1]
+    assert lattice._rank_start == [bisect_left(ref.ranks, r) for r in range(top + 2)]
     assert len(lattice) == connected_partitions(graph.num_vertices, graph.edges)
     for i, f in enumerate(lattice.flats):
         for j, g in enumerate(lattice.flats):
@@ -276,7 +334,6 @@ def assert_matches_reference(graph):
     assert lattice.kl_poly() == ref.kl_of_upper(0)
     # Braden-Huh-Matherne-Proudfoot-Wang (arXiv:2010.06088): nonnegative,
     # constant term 1, and deg < rank / 2 for every upper interval
-    top = lattice.ranks[-1]
     for rank, p in zip(lattice.ranks, lattice._kl_of_uppers()):
         assert p.constant_term() == 1
         assert 2 * p.degree() < top - rank or (rank == top and p == ONE)

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from math import comb
 
 import pytest
@@ -252,3 +253,86 @@ def test_solve_reflection_rejects_inconsistent_rhs():
         solve_reflection_equation(3, IntPoly((0, 0, 1)))
     with pytest.raises(ArithmeticError):
         solve_reflection_equation(2, IntPoly((0, 0, 0, 1)))
+
+
+GAP = " in the window between -P and its reflection"
+
+
+@pytest.mark.parametrize("rank, coeffs, message", [
+    # P = 1 read off t^3, so t^0 should hold -1
+    (3, (0, 0, 0, 1), "inconsistent reflection: coefficient of t^0 is 0, expected -1"),
+    # P = 1 + 2t read off t^4 and t^3; t^0 holds -1, t^1 should hold -2
+    (4, (-1, 0, 0, 2, 1), "inconsistent reflection: coefficient of t^1 is 0, expected -2"),
+    # P = 1, -P = -1 at t^0, and t^1 lies in the gap
+    (2, (-1, 5, 1), "inconsistent reflection: coefficient of t^1 is 5, expected 0" + GAP),
+    # P = 1 + 2t read off t^6..t^4, -P at t^0..t^2, and t^3 is the gap
+    (6, (-1, -2, 0, 7, 0, 2, 1), "inconsistent reflection: coefficient of t^3 is 7, expected 0" + GAP),
+    (3, (0, 0, 0, 0, 1), "right-hand side has degree 4 > rank 3"),
+])
+def test_solve_reflection_messages_name_the_bad_coefficient(rank, coeffs, message):
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        solve_reflection_equation(rank, IntPoly(coeffs))
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_solve_reflection_rejects_nonpositive_rank(rank):
+    with pytest.raises(ValueError, match="rank must be positive"):
+        solve_reflection_equation(rank, ZERO)
+
+
+def reference_solve_reflection(rank: int, rhs: IntPoly) -> IntPoly:
+    """The solver as one loop per window, kept as the reference."""
+    if rank <= 0:
+        raise ValueError("rank must be positive")
+    if rhs.degree() > rank:
+        raise ArithmeticError(
+            f"right-hand side has degree {rhs.degree()} > rank {rank}"
+        )
+    dmax = (rank - 1) // 2
+    solution = IntPoly(rhs[rank - k] for k in range(dmax + 1))
+    for j in range(dmax + 1):
+        if rhs[j] != -solution[j]:
+            raise ArithmeticError(
+                f"inconsistent reflection: coefficient of t^{j} is {rhs[j]}, "
+                f"expected {-solution[j]}"
+            )
+    for j in range(dmax + 1, rank - dmax):
+        if rhs[j] != 0:
+            raise ArithmeticError(
+                f"inconsistent reflection: coefficient of t^{j} is {rhs[j]}, "
+                "expected 0 in the window between -P and its reflection"
+            )
+    return solution
+
+
+@st.composite
+def reflection_cases(draw):
+    """A rank and a right-hand side: consistent, or one made so and then
+    changed at a few coefficients, or drawn at random."""
+    rank = draw(st.integers(-1, 12))
+    kind = draw(st.sampled_from(["consistent", "perturbed", "random"]))
+    if kind == "random" or rank <= 0:
+        coeffs = draw(st.lists(st.integers(-3, 3), max_size=max(rank, 0) + 3))
+        return rank, IntPoly(coeffs)
+    low =IntPoly(draw(st.lists(st.integers(-20, 20), max_size=(rank - 1) // 2 + 1)))
+    coeffs = list((poly_reverse(rank, low) - low).coeffs) + [0] * (rank + 3)
+    if kind == "perturbed":
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(0, rank + 1))
+            coeffs[k] += draw(st.integers(-2, 2).filter(bool))
+    return rank, IntPoly(coeffs)
+
+
+def outcome(solve, rank, rhs):
+    try:
+        return solve(rank, rhs)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reflection_cases())
+def test_solve_reflection_matches_reference_loop(case):
+    rank, rhs = case
+    assert outcome(solve_reflection_equation, rank, rhs) == outcome(
+        reference_solve_reflection, rank, rhs)
