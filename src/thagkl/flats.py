@@ -227,8 +227,6 @@ class FlatLattice:
         edge_ids = range(len(graph.edges))
         masks: list[int] = []
         ranks: list[int] = []
-        # _rank_start[r] is the index of the first flat of rank r, and
-        # _rank_start[top + 1] is len(self)
         self._rank_start = [0]
         for rank, level in enumerate(ranked_covers):
             # bin(m)[:1:-1] reads the bits of m from edge 0 up: descending,
@@ -275,10 +273,8 @@ class FlatLattice:
 
     def rank_counts(self) -> list[int]:
         """Number of flats of each rank, index = rank."""
-        counts = [0] * (self.ranks[-1] + 1)
-        for r in self.ranks:
-            counts[r] += 1
-        return counts
+        starts = self._rank_start
+        return [b - a for a, b in zip(starts, starts[1:])]
 
     def mu_row(self, i: int) -> dict[int, int]:
         """Moebius function mu(flats[i], flats[j]) for all j above i.
