@@ -30,10 +30,10 @@ of the same sequence, each int decoded to a U/D word of length 2n.
 Counting reads 4096 lanes at a time into one big int, so each of the two
 counts takes a few whole-int operations per chunk (SWAR, SIMD within a
 register): long runs of one-bits and UUD factors, each popcounted lane by
-lane.  A path whose counts disagree is raised, not resolved.  The scalar
-``_bit_long_ascents`` stays: it is the reference the packed count is tested
-against, and the only counter for ``long_ascents``, whose words may be
-longer than a lane.
+lane.  Both read ``pair = x & (x >> 1)`` and differ only on a word that
+ends in UU, which is raised.  The scalar ``_bit_long_ascents`` stays: it is
+the reference the packed count is tested against, and the only counter for
+``long_ascents``, whose words may be longer than a lane.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ import sys
 from array import array
 from math import comb
 from typing import Iterator
+
+from .polynomials import _check_index
 
 MAX_ENUM_SEMILENGTH = 14
 
@@ -62,17 +64,9 @@ _TO_BITS = str.maketrans("UD", "10")
 _FROM_BITS = str.maketrans("10", "UD")
 
 
-def _check_index(value: object, message: str) -> None:
-    """Raise unless ``value`` is a nonnegative int; a bool is not an index."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"index must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(message)
-
-
 def catalan(n: int) -> int:
     """n-th Catalan number, C(2n, n) / (n + 1), checked to divide exactly."""
-    _check_index(n, "catalan index must be nonnegative")
+    _check_index(n, "catalan index")
     q, r = divmod(comb(2 * n, n), n + 1)
     if r:
         raise ArithmeticError(f"catalan division inexact at n={n}")
@@ -165,7 +159,7 @@ def _blocks(n: int) -> Iterator[array]:
 
 
 def _check_enum_bound(n: int) -> None:
-    _check_index(n, "semilength must be nonnegative")
+    _check_index(n, "semilength")
     if n > MAX_ENUM_SEMILENGTH:
         raise ValueError(
             f"semilength {n} exceeds enumeration bound {MAX_ENUM_SEMILENGTH}"
@@ -211,9 +205,10 @@ def _bit_long_ascents(x: int) -> int:
 
     Bit i of ``pair`` marks a U whose preceding step is also U.  A maximal
     run of >= 2 U's is counted once, at its last such bit; a UUD factor is a
-    ``pair`` bit followed by a D.  For a valid path the two agree (every
-    maximal long run is closed by a D) and a disagreement is reported rather
-    than silently resolved.
+    ``pair`` bit followed by a D.  The run bits are the factor bits shifted
+    up one place, with bit 0 of ``pair`` added, so the counts differ only on
+    a word ending in UU (no Dyck path does), which is raised; a fault in
+    ``pair`` passes both alike.
     """
     pair = x & (x >> 1)
     runs = (pair & ~(pair << 1)).bit_count()
@@ -255,7 +250,7 @@ def _packed_long_ascents(block: array, n: int) -> bytes:
     ``_CHUNK`` paths at a time, and both counts of ``_bit_long_ascents`` are
     taken lane by lane.  ``v ^ steps`` (the complement on the lane's 2n step
     bits) stands for ``~v``, so that no lane reads the bit its neighbour
-    shifts in.  A path whose two counts disagree raises ``ArithmeticError``.
+    shifts in.  The counts differ only on a path ending in UU, which raises.
     """
     steps = _lanes((1 << (2 * n)) - 1)
     lanes = memoryview(block)
@@ -312,7 +307,7 @@ class DyckTable:
     """
 
     def __init__(self, max_n: int) -> None:
-        _check_index(max_n, "semilength must be nonnegative")
+        _check_index(max_n, "semilength")
         self.max_n = max_n
         slot = 2 * max_n + 1
         mask = (1 << slot) - 1
@@ -332,10 +327,9 @@ class DyckTable:
 
     def row(self, n: int) -> dict[int, int]:
         """Row n as a fresh dict k -> count, nonzero entries only."""
-        message = f"semilength {n} outside the table's range 0..{self.max_n}"
-        _check_index(n, message)
+        _check_index(n, "semilength")
         if n > self.max_n:
-            raise ValueError(message)
+            raise ValueError(f"semilength {n} outside the table's range 0..{self.max_n}")
         return dict(self._rows[n])
 
 
@@ -375,8 +369,8 @@ def closed_form(n: int, k: int) -> int:
     (UD)^n avoids UU).  Division by n+1 must be exact; a remainder indicates
     an implementation fault.
     """
-    _check_index(n, "arguments must be nonnegative")
-    _check_index(k, "arguments must be nonnegative")
+    _check_index(n, "semilength")
+    _check_index(k, "long-ascent count")
     if k == 0:
         return 1
     total = sum(comb(j - k - 1, k - 1) * comb(n + 1 - k, n - j) for j in range(2 * k, n + 1))
@@ -388,7 +382,7 @@ def closed_form(n: int, k: int) -> int:
 
 def closed_form_row(n: int) -> dict[int, int]:
     """Triangle row assembled from the closed form, nonzero entries only."""
-    _check_index(n, "semilength must be nonnegative")
+    _check_index(n, "semilength")
     row = {}
     for k in range(n // 2 + 1):
         value = closed_form(n, k)

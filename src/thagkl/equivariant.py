@@ -35,7 +35,7 @@ import dataclasses
 import functools
 
 from .kl import kl_poly
-from .polynomials import IntPoly, ONE, T, ZERO, _check_int, solve_reflection_equation
+from .polynomials import IntPoly, ONE, T, ZERO, _check_index, solve_reflection_equation
 from .symfunc import Partition, SchurPoly, partitions_of, sum_mul_w
 
 
@@ -50,9 +50,7 @@ class EqKLTable:
         self._partials: list[SchurPoly] = []
 
     def poly(self, n: int) -> SchurPoly:
-        _check_int(n, "index")
-        if n < 0:
-            raise ValueError("index must be nonnegative")
+        _check_index(n, "index")
         while len(self._entries) <= n:
             self._append_next()
         return self._entries[n]
@@ -112,9 +110,7 @@ def upsilon(n: int) -> tuple[Partition, ...]:
     eta in {0, 1}, and b = n - a - 2i - eta required to be 0 (omitted) or to
     satisfy 2 <= b <= a.  Returned deduplicated in canonical order.
     """
-    _check_int(n, "index")
-    if n < 1:
-        raise ValueError("index must be positive")
+    _check_index(n, "index", 1)
     found: set[Partition] = set()
     for a in range(2, n):
         for eta in (0, 1):
@@ -175,8 +171,7 @@ def conjecture_poly(n: int) -> SchurPoly:
     sum over the partition family of kappa * t^(ell-1) * (t+1)^omega * s[lam],
     plus ((n-1)t + 1) * s[n].
     """
-    if n < 1:
-        raise ValueError("index must be positive")
+    _check_index(n, "index", 1)
     terms: dict[Partition, IntPoly] = {(n,): IntPoly((1, n - 1))}
     for term in conjecture_terms(n):
         coeff = IntPoly((term.kappa,)).shifted(term.ell - 1)
@@ -216,9 +211,7 @@ def verify_conjecture(
     negative controls); missing indices fall back to the honest closed form.
     Disagreements are returned as data, not raised.
     """
-    _check_int(max_n, "max_n")
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+    _check_index(max_n, "max_n", 1)
     mismatches: list[TermMismatch] = []
     for n in range(1, max_n + 1):
         computed = eq_kl(n)

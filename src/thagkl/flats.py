@@ -91,7 +91,7 @@ from itertools import compress, repeat
 from operator import rshift
 from typing import FrozenSet
 
-from .polynomials import IntPoly, ONE, _check_int, solve_reflection_equation
+from .polynomials import IntPoly, ONE, _check_index, solve_reflection_equation
 
 MAX_LATTICE_RANK = 8
 
@@ -112,14 +112,12 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _check_int(self.num_vertices, "number of vertices")
-        if self.num_vertices < 0:
-            raise ValueError(f"number of vertices {self.num_vertices} is negative")
+        _check_index(self.num_vertices, "number of vertices")
         edges = tuple(map(tuple, self.edges))
         for u, v in edges:
-            _check_int(u, "edge endpoint")
-            _check_int(v, "edge endpoint")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            _check_index(u, "edge endpoint")
+            _check_index(v, "edge endpoint")
+            if max(u, v) >= self.num_vertices:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint out of range")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not permitted")
@@ -129,8 +127,8 @@ class Graph:
     def _components(self, edge_subset: Flat) -> list[int]:
         """Union-find representative per vertex under the chosen edges."""
         for e in edge_subset:
-            _check_int(e, "edge index")
-        bad = sorted(e for e in edge_subset if not 0 <= e < len(self.edges))
+            _check_index(e, "edge index")
+        bad = sorted(e for e in edge_subset if e >= len(self.edges))
         if bad:
             raise ValueError(f"edge indices {bad} out of range for {len(self.edges)} edges")
         parent = list(range(self.num_vertices))
@@ -164,9 +162,7 @@ def thagomizer_graph(n: int) -> Graph:
     hub edge, then each outer vertex j contributes edges (0, j) and (1, j),
     its "spike".
     """
-    _check_int(n, "thagomizer index")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    _check_index(n, "thagomizer index")
     edges: list[tuple[int, int]] = [(0, 1)]
     for j in range(2, n + 2):
         edges.append((0, j))
@@ -264,8 +260,8 @@ class FlatLattice:
     def index_of(self, flat: Flat) -> int:
         edges = frozenset(flat)
         for e in edges:
-            _check_int(e, "edge index")
-        if all(0 <= e < len(self.graph.edges) for e in edges):
+            _check_index(e, "edge index")
+        if all(e < len(self.graph.edges) for e in edges):
             i = self._at.get(sum(1 << e for e in edges))
             if i is not None:
                 return i
@@ -281,8 +277,8 @@ class FlatLattice:
 
         Returns a fresh dict; the cached row stays private to the lattice.
         """
-        _check_int(i, "flat index")
-        if not 0 <= i < len(self):
+        _check_index(i, "flat index")
+        if i >= len(self):
             raise ValueError(f"flat index {i} out of range 0..{len(self) - 1}")
         row = self._mu_rows.get(i)
         if row is None:

@@ -35,7 +35,7 @@ from .polynomials import (
     IntPoly,
     PolySeries,
     ZERO,
-    _check_int,
+    _check_index,
     expand_F,
     solve_reflection_equation,
 )
@@ -43,16 +43,13 @@ from .polynomials import (
 
 def char_poly_boolean(r: int) -> IntPoly:
     """Characteristic polynomial (t-1)^r of a rank-r Boolean matroid."""
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
+    _check_index(r, "rank")
     return (T - ONE) ** r
 
 
 def char_poly_thag(i: int) -> IntPoly:
     """Characteristic polynomial (t-1)*(t-2)^i of the index-i thagomizer matroid."""
-    _check_int(i, "index")
-    if i < 0:
-        raise ValueError("index must be nonnegative")
+    _check_index(i, "index")
     return (T - ONE) * (T - 2 * ONE) ** i
 
 
@@ -63,9 +60,7 @@ class KLTable:
         self._entries: list[IntPoly] = []
 
     def poly(self, n: int) -> IntPoly:
-        _check_int(n, "index")
-        if n < 0:
-            raise ValueError("index must be nonnegative")
+        _check_index(n, "index")
         while len(self._entries) <= n:
             self._append_next()
         return self._entries[n]
@@ -106,9 +101,7 @@ def phi_series(order: int) -> PolySeries:
     Equal to u * F(t, u); the u^0 coefficient is zero and the u^(n+1)
     coefficient is P_n.
     """
-    _check_int(order, "truncation order")
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_index(order, "truncation order")
     if order == 0:
         return PolySeries(0, (ZERO,))
     f = expand_F(order - 1)
@@ -143,9 +136,7 @@ def verify_theorem(order: int, *, series: PolySeries | None = None) -> TheoremRe
     controls); by default the honest expansion is used.  The DP rows all come
     from one ``DyckTable`` sweep of its own.
     """
-    _check_int(order, "order")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _check_index(order, "order", 1)
     if series is None:
         series = phi_series(order)
     elif series.order < order:

@@ -120,8 +120,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        _check_index(n, "exponent")
         result = ONE
         base = self
         while n:
@@ -133,6 +132,7 @@ class IntPoly:
 
     def shifted(self, k: int) -> IntPoly:
         """Multiply by t^k."""
+        _check_index(k, "shift")
         if self.is_zero():
             return self
         return IntPoly((0,) * k + self.coeffs)
@@ -171,10 +171,15 @@ class IntPoly:
         return " ".join(parts)
 
 
-def _check_int(value: object, what: str) -> None:
-    """Raise ``TypeError`` unless ``value`` is an int; a bool does not count as one."""
+def _check_index(value: object, what: str, low: int = 0) -> None:
+    """Raise unless ``value`` is an int of at least ``low``, which is 0 or 1.
+
+    A bool or any other non-int raises ``TypeError`` (True would pass as 1).
+    """
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{what} must be {'positive' if low else 'nonnegative'}")
 
 
 def _as_poly(value: Union[IntPoly, int]) -> IntPoly:
@@ -193,8 +198,7 @@ def poly_reverse(r: int, p: IntPoly) -> IntPoly:
 
     Requires deg p <= r, otherwise the result would not be a polynomial.
     """
-    if r < 0:
-        raise ValueError("window size must be nonnegative")
+    _check_index(r, "window size")
     if p.degree() > r:
         raise ValueError(f"degree {p.degree()} exceeds reversal window {r}")
     return IntPoly(p[r - k] for k in range(r + 1))
@@ -212,8 +216,7 @@ class PolySeries:
     coeffs: tuple[IntPoly, ...]
 
     def __init__(self, order: int, coeffs: Iterable[Union[IntPoly, int]] = ()):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _check_index(order, "truncation order")
         cs = [_as_poly(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
@@ -245,8 +248,7 @@ def expand_F(order: int) -> PolySeries:
     rounded away.  No square root is extracted (the quadratic's other root
     has no power-series expansion at u = 0).
     """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_index(order, "truncation order")
     fs = [ZERO, ONE, ONE]  # F_{-1}, F_0, F_1
     for n in range(2, order + 1):
         f3, f2, f1 = (list(p.coeffs) for p in fs[-3:])
@@ -287,8 +289,7 @@ def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:
     coefficient tuple padded to length rank + 1: P is one reversed slice,
     the -P window one tuple comparison and the gap one slice test.
     """
-    if rank <= 0:
-        raise ValueError("rank must be positive")
+    _check_index(rank, "rank", 1)
     if rhs.degree() > rank:
         raise ArithmeticError(
             f"right-hand side has degree {rhs.degree()} > rank {rank}"

@@ -39,7 +39,7 @@ import functools
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_int
+from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_index
 
 Partition = tuple[int, ...]
 
@@ -47,9 +47,7 @@ Partition = tuple[int, ...]
 @functools.lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order ([n] first)."""
-    _check_int(n, "size")
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
+    _check_index(n, "size")
     return _partitions_bounded(n, n)
 
 
@@ -187,17 +185,13 @@ class SchurPoly:
     @classmethod
     def h(cls, a: int) -> SchurPoly:
         """The complete homogeneous h_a = s[a]."""
-        _check_int(a, "row length")
-        if a < 0:
-            raise ValueError("negative row length")
+        _check_index(a, "row length")
         return cls({(a,) if a else (): ONE}, degree=a)
 
     @classmethod
     def e(cls, b: int) -> SchurPoly:
         """The elementary e_b = s[1^b]."""
-        _check_int(b, "column length")
-        if b < 0:
-            raise ValueError("negative column length")
+        _check_index(b, "column length")
         return cls({(1,) * b: ONE}, degree=b)
 
     def coefficient(self, lam: Partition) -> IntPoly:
@@ -254,9 +248,7 @@ class SchurPoly:
         return self._add_strips(vertical_strips, b, "column length")
 
     def _add_strips(self, strips: Callable, size: int, what: str) -> SchurPoly:
-        _check_int(size, what)
-        if size < 0:
-            raise ValueError(f"negative {what}")
+        _check_index(size, what)
         if size == 0:
             return self
         out: dict[Partition, IntPoly] = {}
@@ -306,9 +298,7 @@ def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
     pairs = list(pairs)
     norm = top = 0
     for f, j in pairs:
-        _check_int(j, "index")
-        if j < 0:
-            raise ValueError("index must be nonnegative")
+        _check_index(j, "index")
         if f.degree + j != degree:
             raise ValueError(f"degree mismatch: {f.degree} + {j} != {degree}")
         top = max(top, j)
@@ -358,9 +348,7 @@ def v_poly(ell: int) -> SchurPoly:
     sum_{a+b+c=ell} (-1)^(b+c) t^a h_a e_b e_c.  Read as w(t,u)/s(u), with
     1/s(u) = sum_m (-1)^m e_m u^m, it is sum_m (-1)^m e_m w_(ell-m).
     """
-    _check_int(ell, "index")
-    if ell < 0:
-        raise ValueError("index must be nonnegative")
+    _check_index(ell, "index")
     return sum_mul_w([(SchurPoly({(1,) * m: (-1) ** m}), ell - m) for m in range(ell + 1)], ell)
 
 
@@ -418,8 +406,7 @@ def v_poly_via_plethysm(ell: int) -> SchurPoly:
     ell! once at the end.  The Schur coefficients must come out integral; a
     remainder is reported as a fault.
     """
-    if ell < 0:
-        raise ValueError("index must be nonnegative")
+    _check_index(ell, "index")
     scale = factorial(ell)
     acc: dict[Partition, list[int]] = {}
     for mu in partitions_of(ell):

@@ -18,7 +18,7 @@ from .dyck import catalan, closed_form_row
 from .equivariant import verify_conjecture
 from .flats import build_lattice, thagomizer_graph
 from .kl import char_poly_thag, kl_poly, phi_series, verify_theorem
-from .polynomials import IntPoly, PolySeries, _check_int
+from .polynomials import IntPoly, PolySeries, _check_index
 
 LATTICE_CHECK_MAX = 5
 CONJECTURE_CHECK_MAX = 10
@@ -39,8 +39,8 @@ def corrupted_series(order: int, n: int, k: int) -> PolySeries:
     The negative control of ``theorem-agreement``: passed as ``series`` to
     ``run_checks``, it must fail that check, and only that one, at (n, k).
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"corruption indices must be nonnegative, got n={n}, k={k}")
+    _check_index(n, "corruption index n")
+    _check_index(k, "corruption index k")
     if n + 1 > order:
         raise ValueError(f"corruption index n={n} outside series order {order}")
     series = phi_series(order)
@@ -59,9 +59,7 @@ def run_checks(max_n: int, *, series: PolySeries | None = None) -> tuple[Check, 
     ``series`` replaces the honest series root in ``theorem-agreement``; it
     must reach order ``max_n + 1`` (see ``corrupted_series``).
     """
-    _check_int(max_n, "max_n")
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    _check_index(max_n, "max_n")
     checks = [
         _theorem_agreement(max_n, series),
         _closed_form_agreement(max_n),

@@ -1,0 +1,81 @@
+"""One contract for every index argument of the package.
+
+Each entry takes an index with a least valid value ``low`` (0, or 1 where the
+index counts from 1).  It must accept ``low`` and raise ``TypeError`` for a
+bool or a float and ``ValueError`` for ``low - 1``.  The valid call comes
+first, so a cached entry cannot answer ``True`` from the entry for 1.
+"""
+
+import pytest
+
+from thagkl import dyck, equivariant, flats, kl, polynomials, symfunc, verify
+from thagkl.polynomials import IntPoly, ONE, T
+from thagkl.symfunc import SchurPoly
+
+GRAPH = flats.thagomizer_graph(2)
+LATTICE = flats.build_lattice(GRAPH)
+
+# (id, entry, low)
+ENTRIES = [
+    ("IntPoly.__pow__", lambda n: T**n, 0),
+    ("IntPoly.shifted", lambda k: T.shifted(k), 0),
+    ("poly_reverse", lambda r: polynomials.poly_reverse(r, ONE), 0),
+    ("PolySeries", lambda order: polynomials.PolySeries(order, ()), 0),
+    ("expand_F", polynomials.expand_F, 0),
+    # t^r P(1/t) - P(t) = 1 - t has the solution P = -1 at rank 1
+    ("solve_reflection_equation",
+     lambda r: polynomials.solve_reflection_equation(r, IntPoly((1, -1))), 1),
+    ("char_poly_boolean", kl.char_poly_boolean, 0),
+    ("char_poly_thag", kl.char_poly_thag, 0),
+    ("KLTable.poly", lambda n: kl.KLTable().poly(n), 0),
+    ("kl_poly", kl.kl_poly, 0),
+    ("phi_series", kl.phi_series, 0),
+    ("verify_theorem", kl.verify_theorem, 1),
+    ("catalan", dyck.catalan, 0),
+    ("enumerate_paths", dyck.enumerate_paths, 0),
+    ("count_by_ascents_enum", dyck.count_by_ascents_enum, 0),
+    ("DyckTable", dyck.DyckTable, 0),
+    ("DyckTable.row", lambda n: dyck.DyckTable(3).row(n), 0),
+    ("count_by_ascents_dp", dyck.count_by_ascents_dp, 0),
+    ("closed_form-n", lambda n: dyck.closed_form(n, 0), 0),
+    ("closed_form-k", lambda k: dyck.closed_form(4, k), 0),
+    ("closed_form_row", dyck.closed_form_row, 0),
+    ("Graph-vertices", lambda count: flats.Graph(count, ()), 0),
+    ("Graph-endpoint-u", lambda u: flats.Graph(3, ((u, 2),)), 0),
+    ("Graph-endpoint-v", lambda v: flats.Graph(3, ((2, v),)), 0),
+    ("closure", lambda e: flats.closure(GRAPH, {e}), 0),
+    ("subset_rank", lambda e: GRAPH.subset_rank({e}), 0),
+    ("thagomizer_graph", flats.thagomizer_graph, 0),
+    ("index_of", lambda e: LATTICE.index_of({e}), 0),
+    ("mu_row", LATTICE.mu_row, 0),
+    ("partitions_of", symfunc.partitions_of, 0),
+    ("SchurPoly.h", SchurPoly.h, 0),
+    ("SchurPoly.e", SchurPoly.e, 0),
+    ("SchurPoly.mul_h", lambda a: SchurPoly.one().mul_h(a), 0),
+    ("SchurPoly.mul_e", lambda b: SchurPoly.one().mul_e(b), 0),
+    ("SchurPoly.mul_w", lambda j: SchurPoly.one().mul_w(j), 0),
+    ("sum_mul_w", lambda j: symfunc.sum_mul_w([(SchurPoly.one(), j)], j), 0),
+    ("w_poly", symfunc.w_poly, 0),
+    ("v_poly", symfunc.v_poly, 0),
+    ("v_poly_via_plethysm", symfunc.v_poly_via_plethysm, 0),
+    ("EqKLTable.poly", lambda n: equivariant.EqKLTable().poly(n), 0),
+    ("eq_kl", equivariant.eq_kl, 0),
+    ("upsilon", equivariant.upsilon, 1),
+    ("conjecture_poly", equivariant.conjecture_poly, 1),
+    ("verify_conjecture", equivariant.verify_conjecture, 1),
+    ("corrupted_series-n", lambda n: verify.corrupted_series(5, n, 0), 0),
+    ("corrupted_series-k", lambda k: verify.corrupted_series(5, 0, k), 0),
+    ("run_checks", verify.run_checks, 0),
+]
+
+
+@pytest.mark.parametrize("entry, low", [pytest.param(f, low, id=name) for name, f, low in ENTRIES])
+def test_index_contract(entry, low):
+    entry(low)
+    entry(1)  # fills the cache entry that True would hit, as 1 == True
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="must be an int"):
+            entry(bad)
+    with pytest.raises(ValueError, match="must be positive" if low else "must be nonnegative"):
+        entry(low - 1)
+

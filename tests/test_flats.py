@@ -235,10 +235,12 @@ def test_index_of_rejects_non_flat():
     # a complete spike without the hub edge is not closed
     with pytest.raises(ValueError):
         lattice.index_of(frozenset({1, 2}))
-    # edge indices outside 0..4 name no flat
-    for bad in ({-1}, {5}, {1, 10**9}):
+    # edge indices above 0..4 name no flat; a negative one is no edge index
+    for bad in ({5}, {1, 10**9}):
         with pytest.raises(ValueError, match="is not a flat"):
             lattice.index_of(bad)
+    with pytest.raises(ValueError, match="edge index must be nonnegative"):
+        lattice.index_of({-1})
 
 
 def test_mu_row_rejects_index_out_of_range():

@@ -1,7 +1,8 @@
-"""The intra-package import graph, pinned.
+"""The intra-package import graph and the one index check, pinned.
 
 Pipelines do not read one another's results: each module may import only the
 package modules listed here, so a new edge is a deliberate edit of this table.
+``dyck`` imports ``polynomials`` for the index check alone.
 """
 
 import ast
@@ -15,7 +16,7 @@ ALLOWED = {
     "__init__": {"dyck", "equivariant", "flats", "kl", "polynomials", "symfunc", "verify"},
     "__main__": {"cli"},
     "polynomials": set(),
-    "dyck": set(),
+    "dyck": {"polynomials"},
     "symfunc": {"polynomials"},
     "flats": {"polynomials"},
     "kl": {"dyck", "polynomials"},
@@ -49,3 +50,30 @@ def package_imports(path: Path) -> set[str]:
 def test_import_graph_is_pinned():
     graph = {path.stem: package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert graph == ALLOWED
+
+
+def _bool_checks(path: Path) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of each ``isinstance(..., bool)`` call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}
+    # ast.walk is breadth first, so an inner function overwrites its outer one
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name
+    return [
+        (path.stem, owner.get(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+    ]
+
+
+def test_bools_are_rejected_in_one_place():
+    # every index argument shares polynomials._check_index, so the type and
+    # range contract cannot split into per-module variants again
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _bool_checks(path)]
+    assert found == [("polynomials", "_check_index")]

@@ -68,6 +68,16 @@ def test_arithmetic_rejects_non_integer_operands(op, bad):
         op(bad, p)
 
 
+def test_shifted_rejects_negative_and_bool_shifts():
+    # T.shifted(-1) returned T unshifted, and shifted(True) shifted by one
+    assert T.shifted(2) == IntPoly((0, 0, 0, 1))
+    for p in (T, ZERO):
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            p.shifted(-1)
+        with pytest.raises(TypeError, match="shift must be an int"):
+            p.shifted(True)
+
+
 def test_reverse_basic_window():
     assert poly_reverse(3, IntPoly((1, 1))) == IntPoly((0, 0, 1, 1))
 
