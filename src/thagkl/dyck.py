@@ -15,7 +15,9 @@ up to a size fixed in advance, and a binomial closed form
 The program keeps each count vector (indexed by k) as one int, a slot of
 2*max_n + 1 bits per k: vectors add with ``+`` and move up one k with a
 shift, and no count of at most 2*max_n steps fills its slot.  The closed
-form sums only over 2k <= j <= n, where both binomials are nonzero.
+form sums only over 2k <= j <= n, where both binomials are nonzero;
+``closed_form`` takes each binomial from ``math.comb`` and is the reference,
+while ``closed_form_row`` reads them as slices of one cached Pascal table.
 
 The enumerator works on lane-packed integers.  A path of semilength n is an
 int of 2n bits, the first step in the top bit and U = 1, held in one 32-bit
@@ -381,11 +383,42 @@ def closed_form(n: int, k: int) -> int:
 
 
 def closed_form_row(n: int) -> dict[int, int]:
-    """Triangle row assembled from the closed form, nonzero entries only."""
+    """Triangle row assembled from the closed form, nonzero entries only.
+
+    The same sum as ``closed_form``, read from one cached Pascal table:
+    C(j-k-1, k-1) for j = 2k..n is a slice of column k-1, and C(n+1-k, n-j)
+    the same slice of row n+1-k reversed.  Division by n+1 is checked exact.
+    """
     _check_index(n, "semilength")
-    row = {}
-    for k in range(n // 2 + 1):
-        value = closed_form(n, k)
-        if value:
-            row[k] = value
+    rows, columns = _pascal(n + 1)
+    top = rows[n + 1]
+    row = {0: 1}
+    for k in range(1, n // 2 + 1):
+        width = n - 2 * k + 1
+        inner = columns[k - 1][:width]
+        outer = reversed(rows[n + 1 - k][:width])
+        total = sum(a * b for a, b in zip(inner, outer))
+        q, r = divmod(top[k] * total, n + 1)
+        if r:
+            raise ArithmeticError(f"inexact division by {n + 1} at (n, k) = ({n}, {k})")
+        row[k] = q
     return row
+
+
+# Pascal's triangle, shared by every closed-form row: _PASCAL_ROWS[m][i] is
+# C(m, i) and _PASCAL_COLUMNS[c][m - c] is C(m, c), the same ints.
+_PASCAL_ROWS: list[list[int]] = [[1]]
+_PASCAL_COLUMNS: list[list[int]] = [[1]]
+
+
+def _pascal(size: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The Pascal table grown to row ``size`` at least: (rows, columns)."""
+    rows, columns = _PASCAL_ROWS, _PASCAL_COLUMNS
+    while len(rows) <= size:
+        last = rows[-1]
+        row = [1] + [a + b for a, b in zip(last, last[1:])] + [1]
+        for column, value in zip(columns, row):
+            column.append(value)
+        columns.append([1])
+        rows.append(row)
+    return rows, columns

@@ -20,8 +20,10 @@ i + m = k are those of A_k), so
     rhs_n = (t-1) w_n + sum_{k<n} (p_k + A_k) w_{n-k}.
 
 Once p_n is solved, A_n = B_n + p_n is stored.  Row n is one call of the
-row kernel ``symfunc.sum_mul_w``, which walks each (lam, n - k) once and
-feeds each ribbon to both B_n and rhs_n; no product is a ``SchurPoly``.
+row kernel ``symfunc._ribbon_sums`` (the kernel of ``sum_mul_w``), which
+walks each (lam, n - k) once and feeds each ribbon to both B_n and rhs_n.
+The table keeps p_k and A_k as coefficient tuples and packs them into the
+kernel's ints itself, so the only ``SchurPoly`` of a row is the public p_n.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -36,18 +38,22 @@ import functools
 
 from .kl import kl_poly
 from .polynomials import IntPoly, ONE, T, ZERO, _check_index, solve_reflection_equation
-from .symfunc import Partition, SchurPoly, partitions_of, sum_mul_w
+from .symfunc import Partition, SchurPoly, _pack, _ribbon_slot, _ribbon_sums, _unpack
 
 
 class EqKLTable:
-    """Bottom-up table of p_0, p_1, ...; entries are immutable SchurPoly values.
+    """Bottom-up table of p_0, p_1, ...; the entries handed out are SchurPoly values.
 
-    Alongside p_k it keeps the partial sum A_k = sum_{i<=k} p_i w_(k-i).
+    Row k keeps p_k and the partial sum A_k = sum_{i<=k} p_i w_(k-i) as dicts
+    from partition to coefficient tuple, and the total 1-norm of their
+    coefficients, which bounds the slot of every later row.
     """
 
     def __init__(self) -> None:
         self._entries: list[SchurPoly] = []
-        self._partials: list[SchurPoly] = []
+        self._solutions: list[dict[Partition, tuple[int, ...]]] = []
+        self._partials: list[dict[Partition, tuple[int, ...]]] = []
+        self._norms: list[int] = []
 
     def poly(self, n: int) -> SchurPoly:
         _check_index(n, "index")
@@ -55,35 +61,41 @@ class EqKLTable:
             self._append_next()
         return self._entries[n]
 
-    def _recursion_rhs(self, n: int) -> tuple[SchurPoly, SchurPoly]:
+    def _recursion_rhs(self, n: int) -> tuple[dict[Partition, tuple[int, ...]],
+                                              dict[Partition, tuple[int, ...]]]:
         """The right-hand side of row n and B_n, from p_k and A_k for k < n.
 
-        The pair for k is p_k + t^lift A_k and (t-1) w_n is the pair
-        (t^lift (t-1) s[], n), so the kernel returns B_n + t^lift (rhs_n -
-        B_n).  Neither part has degree above n + 1 (deg p_k <= k/2,
-        deg A_k <= k, deg w_j = j), so lift = n + 2 keeps them apart.
+        Both are dicts from partition to coefficient tuple, without zeros.
+        The input for k is p_k + t^lift A_k and (t-1) w_n is t^lift (t-1)
+        s[] with j = n, packed straight from the stored tuples, so the row
+        kernel ``symfunc._ribbon_sums`` returns B_n + t^lift (rhs_n - B_n).
+        Neither part has degree above n + 1 (deg p_k <= k/2, deg A_k <= k,
+        deg w_j = j), so lift = n + 2 keeps them apart.
         """
         lift = n + 2
-        pairs = [(SchurPoly({(): (T - ONE).shifted(lift)}), n)]
+        slot = _ribbon_slot([(2, n)] + [(norm, n - k) for k, norm in enumerate(self._norms)])
+        high = slot * lift
+        packed = {((), n): ((1 << slot) - 1) << high}
         for k in range(n):
-            p, a = self._entries[k], self._partials[k]
-            lanes = {lam: IntPoly((p.coefficient(lam).coeffs + (0,) * lift)[:lift]
-                                  + a.coefficient(lam).coeffs) for lam in partitions_of(k)}
-            pairs.append((SchurPoly(lanes, degree=k), n - k))
-        both = sum_mul_w(pairs, n).terms()
-        below = SchurPoly({lam: IntPoly(c.coeffs[:lift]) for lam, c in both}, degree=n)
-        above = SchurPoly({lam: IntPoly(c.coeffs[lift:]) for lam, c in both}, degree=n)
-        return below + above, below
+            j = n - k
+            for lam, coeffs in self._partials[k].items():
+                packed[lam, j] = packed.get((lam, j), 0) + (_pack(coeffs, slot) << high)
+            for lam, coeffs in self._solutions[k].items():
+                packed[lam, j] = packed.get((lam, j), 0) + _pack(coeffs, slot)
+        rhs: dict[Partition, tuple[int, ...]] = {}
+        below: dict[Partition, tuple[int, ...]] = {}
+        for mu, value in _ribbon_sums(packed, slot).items():
+            digits = _unpack(value, slot)
+            if low := _trimmed(digits[:lift]):
+                below[mu] = low
+            if total := _trimmed(_added(low, digits[lift:])):
+                rhs[mu] = total
+        return rhs, below
 
     def _append_next(self) -> None:
         n = len(self._entries)
         rhs, below = self._recursion_rhs(n)
-        terms: dict[Partition, IntPoly] = {}
-        for lam in partitions_of(n):
-            q = rhs.coefficient(lam)
-            if q.is_zero():
-                continue
-            terms[lam] = solve_reflection_equation(n + 1, q)
+        terms = {lam: solve_reflection_equation(n + 1, IntPoly(q)) for lam, q in rhs.items()}
         solution = SchurPoly(terms, degree=n)
         dimension = solution.graded_dimension()
         if dimension != kl_poly(n):
@@ -91,8 +103,32 @@ class EqKLTable:
                 f"graded dimension {dimension} of the equivariant solution "
                 f"differs from the scalar polynomial at n={n}"
             )
+        solved = {lam: coeff.coeffs for lam, coeff in terms.items() if coeff}
+        partial = {}
+        for lam in below.keys() | solved.keys():
+            coeffs = _trimmed(_added(below.get(lam, ()), solved.get(lam, ())))
+            if coeffs:
+                partial[lam] = coeffs
         self._entries.append(solution)
-        self._partials.append(below + solution)
+        self._solutions.append(solved)
+        self._partials.append(partial)
+        self._norms.append(sum(sum(map(abs, coeffs))
+                               for row in (solved, partial) for coeffs in row.values()))
+
+
+def _added(a, b) -> list[int]:
+    """The coefficient lists a and b added, as long as the longer."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
+
+
+def _trimmed(coeffs) -> tuple[int, ...]:
+    """The coefficients as a tuple without zeros on top."""
+    top = len(coeffs)
+    while top and not coeffs[top - 1]:
+        top -= 1
+    return tuple(coeffs[:top])
 
 
 _TABLE = EqKLTable()

@@ -10,16 +10,19 @@ The solver's only products are against the tensor-power character
 
 so no general Littlewood-Richardson machinery is needed.  w_j = h_j[(t-1)X]
 comes from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m]
-u^m.  ``sum_mul_w`` is the one implementation of products with w_j: it sums
-f * w_j over a list of (f, j) pairs in one pass (``SchurPoly.mul_w`` is its
-one-pair case, and ``w_poly`` applies that to 1).  It works by the
-broken-ribbon rule: the coefficient of s[mu] in s[lam] * w_j is the skew
-Schur function s_{mu/lam} at the alphabet t - 1, which factors over the
-ribbons of mu/lam (Macdonald, Symmetric Functions and Hall Polynomials,
-Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square, with
-r rows and c edge-connected components, and 0 otherwise.  ``broken_ribbons``
-walks these shapes on an explicit stack, once per (lam, j), and the kernel
-sums them as packed integers, one per mu, in slots proven wide enough.
+u^m.  ``_ribbon_sums`` is the one implementation of products with w_j, on
+packed integers: each polynomial is one int, its value at t = 2^slot.
+``sum_mul_w`` is its ``SchurPoly`` face, summing f * w_j over a list of
+(f, j) pairs in one pass (``SchurPoly.mul_w`` is its one-pair case, and
+``w_poly`` applies that to 1); the equivariant solver packs its rows for the
+kernel directly.  It works by the broken-ribbon rule: the coefficient of
+s[mu] in s[lam] * w_j is the skew Schur function s_{mu/lam} at the alphabet
+t - 1, which factors over the ribbons of mu/lam (Macdonald, Symmetric
+Functions and Hall Polynomials, Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c
+when mu/lam has no 2x2 square, with r rows and c edge-connected components,
+and 0 otherwise.  ``broken_ribbons`` walks these shapes on an explicit
+stack, once per (lam, j), and the kernel sums them into one int per mu, in
+slots proven wide enough by ``_ribbon_slot``.
 
 Every other skew shape is a filter on that walk: the Pieri products with h_a
 and e_b add horizontal strips (broken ribbons with no joined rows, r = c)
@@ -30,7 +33,10 @@ and vertical strips (one new box per row, r = size).  The second character
 comes from v(t,u) = s(tu)/s(u)^2 = w(t,u)/s(u) and 1/s(u) = sum_m (-1)^m
 e_m u^m, so v_l = sum_m (-1)^m e_m w_{l-m} is one ``sum_mul_w`` call.  A
 plethysm evaluation of v_l through the power-sum basis, in integers, is
-provided as an independent cross-check.
+provided as an independent cross-check; its characters chi^lam(mu) come
+from the Murnaghan-Nakayama rule on bead masks (``character_value``).
+
+Every ``SchurPoly`` index is checked to be a partition when it is built.
 """
 
 from __future__ import annotations
@@ -62,12 +68,23 @@ def _partitions_bounded(n: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def _as_partition(lam: Iterable[int]) -> Partition:
+    """lam as a tuple, checked to be a partition: positive ints, weakly decreasing."""
+    lam = tuple(lam)
+    for part in lam:
+        _check_index(part, "partition part", 1)
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"{lam} is not weakly decreasing")
+    return lam
+
+
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
+@functools.cache
 def hook_dim(lam: Partition) -> int:
     """Dimension of the irreducible S_n representation indexed by lam.
 
@@ -152,7 +169,9 @@ class SchurPoly:
 
     Zero coefficients are never stored.  ``degree`` is the common size of the
     index partitions (carried explicitly so that the zero expansion keeps its
-    grading through arithmetic).
+    grading through arithmetic).  Every index must be a partition, zero
+    coefficient or not: a part that is not an int raises ``TypeError``, and a
+    part below 1 or an increase ``ValueError``.
     """
 
     __slots__ = ("_terms", "degree")
@@ -164,10 +183,10 @@ class SchurPoly:
     ):
         clean: dict[Partition, IntPoly] = {}
         for lam, coeff in terms.items():
+            lam = _as_partition(lam)
             poly = _as_poly(coeff)
-            if poly.is_zero():
-                continue
-            clean[tuple(lam)] = poly
+            if not poly.is_zero():
+                clean[lam] = poly
         sizes = {sum(lam) for lam in clean}
         if len(sizes) > 1:
             raise ValueError(f"mixed partition sizes {sorted(sizes)}")
@@ -282,34 +301,73 @@ class SchurPoly:
 def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
     """The sum of f * w_j over the (f, j) pairs, each f of degree ``degree - j``.
 
-    By the broken-ribbon rule s[lam] * w_j is the sum of (-1)^(r-c) t^(j-r)
-    (t-1)^c s[mu] over ``broken_ribbons(lam, j)``.  Each polynomial is one
-    signed int with ``slot`` bits per power of t (its value at t = 2^slot):
-    the inputs of each (lam, j) are summed into one int and walked once, a
-    ribbon's weight is one int cached by (j - r, c, sign), and each mu keeps
-    one int, unpacked once into signed digits.
-
-    The slot is wide enough: mu/lam fixes the ribbon, so each (lam, j) meets
-    a given mu at most once, with a weight of 1-norm 2^c <= 2^top (top the
-    largest j).  So every output coefficient is below L1 * 2^top in absolute
-    value, L1 the sum of the inputs' coefficient 1-norms, and a slot of
-    ``(L1 << top).bit_length() + 1`` bits holds it as a signed digit.
+    The inputs of each (lam, j) are packed into one int by ``_pack`` and summed
+    there, ``_ribbon_sums`` multiplies them out, and each mu's int is unpacked
+    once into signed digits.  The slot is ``_ribbon_slot`` of the inputs'
+    coefficient 1-norms.
     """
     pairs = list(pairs)
-    norm = top = 0
+    norms = []
     for f, j in pairs:
         _check_index(j, "index")
         if f.degree + j != degree:
             raise ValueError(f"degree mismatch: {f.degree} + {j} != {degree}")
-        top = max(top, j)
-        norm += sum(sum(map(abs, coeff.coeffs)) for coeff in f._terms.values())
-    slot = (norm << top).bit_length() + 1
+        norms.append((sum(sum(map(abs, coeff.coeffs)) for coeff in f._terms.values()), j))
+    slot = _ribbon_slot(norms)
     packed: dict[tuple[Partition, int], int] = {}
     for f, j in pairs:
         for lam, coeff in f._terms.items():
-            value = sum(c << (slot * k) for k, c in enumerate(coeff.coeffs))
-            packed[lam, j] = packed.get((lam, j), 0) + value
-    t_minus_one = (1 << slot) - 1  # also the mask of one slot
+            packed[lam, j] = packed.get((lam, j), 0) + _pack(coeff.coeffs, slot)
+    return SchurPoly(
+        {mu: IntPoly(_unpack(value, slot)) for mu, value in _ribbon_sums(packed, slot).items()},
+        degree=degree,
+    )
+
+
+def _ribbon_slot(norms: Iterable[tuple[int, int]]) -> int:
+    """Bits per power of t that hold every digit of ``_ribbon_sums``.
+
+    ``norms`` lists (1-norm, j) for the inputs: the 1-norm of a polynomial
+    that is multiplied by the ribbon weights of (lam, j).  mu/lam fixes the
+    ribbon, so each (lam, j) meets a given mu at most once, with the weight
+    +-t^e (t-1)^c, c <= j, whose largest coefficient is C(c, c//2) <=
+    C(j, j//2).  So every output coefficient is at most the bound
+    sum 1-norm * C(j, j//2) in absolute value, and a slot of
+    ``bound.bit_length() + 1`` bits holds it as a signed digit.
+    """
+    bound = sum(
+        norm * (factorial(j) // (factorial(j // 2) * factorial(j - j // 2)))
+        for norm, j in norms
+    )
+    return bound.bit_length() + 1
+
+
+def _pack(coeffs: Iterable[int], slot: int) -> int:
+    """The polynomial with these coefficients at t = 2^slot, one signed int."""
+    return sum(c << (slot * k) for k, c in enumerate(coeffs))
+
+
+def _unpack(value: int, slot: int) -> list[int]:
+    """The signed digits of ``value`` in base 2^slot, lowest first, none on top zero."""
+    mask = (1 << slot) - 1
+    half = 1 << (slot - 1)
+    digits = []
+    while value:
+        digits.append(((value + half) & mask) - half)
+        value = (value - digits[-1]) >> slot
+    return digits
+
+
+def _ribbon_sums(packed: Mapping[tuple[Partition, int], int], slot: int) -> dict[Partition, int]:
+    """The row kernel: sum over (lam, j) of value * s[lam] * w_j, one int per mu.
+
+    Each value is a polynomial packed at t = 2^slot (``_pack``).  By the
+    broken-ribbon rule s[lam] * w_j is the sum of (-1)^(r-c) t^(j-r)
+    (t-1)^c s[mu] over ``broken_ribbons(lam, j)``, so each value is walked
+    once and multiplied by one weight int per ribbon, cached by (j - r, c,
+    sign).  The slot must hold every output digit (``_ribbon_slot``).
+    """
+    t_minus_one = (1 << slot) - 1
     weights: dict[tuple[int, int, int], int] = {}
     acc: dict[Partition, int] = {}
     for (lam, j), value in packed.items():
@@ -320,15 +378,7 @@ def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
                 weight = (-1) ** key[2] * t_minus_one**components
                 weight = weights[key] = weight << (slot * key[0])
             acc[mu] = acc.get(mu, 0) + value * weight
-    half = 1 << (slot - 1)
-    out: dict[Partition, IntPoly] = {}
-    for mu, value in acc.items():
-        coeffs = []
-        while value:
-            coeffs.append(((value + half) & t_minus_one) - half)
-            value = (value - coeffs[-1]) >> slot
-        out[mu] = IntPoly(coeffs)
-    return SchurPoly(out, degree=degree)
+    return acc
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -363,37 +413,43 @@ def cycle_type_order(mu: Partition) -> int:
     return z
 
 
-@functools.cache
 def character_value(lam: Partition, mu: Partition) -> int:
-    """Irreducible S_n character chi^lam on cycle type mu (border-strip rule).
+    """Irreducible S_n character chi^lam on cycle type mu (Murnaghan-Nakayama).
 
-    Implemented on beta-sets: removing a border strip of size r from lam is
-    removing r from one first-column hook length, with sign given by the
-    number of hook lengths jumped over.
+    lam is read as a bead mask: row i (from 0) of l rows puts a bead at bit
+    lam_i + l - 1 - i.  Removing a border strip of size r moves a bead from b
+    to an empty b - r, with the sign (-1)^(beads strictly between).
     """
     if sum(lam) != sum(mu):
         raise ValueError("partition sizes differ")
-    if not lam:
+    rows = len(lam)
+    beads = 0
+    for i, part in enumerate(lam):
+        beads |= 1 << (part + rows - 1 - i)
+    return _border_strips(beads >> _low_run(beads), tuple(mu))
+
+
+def _low_run(beads: int) -> int:
+    """Number of beads packed at the bottom, bits 0, 1, ...: the empty rows."""
+    return (beads ^ (beads + 1)).bit_length() - 1
+
+
+@functools.cache
+def _border_strips(beads: int, mu: Partition) -> int:
+    """chi at the shape with bead mask ``beads`` (no empty rows) on cycle type mu."""
+    if not mu:
         return 1
     r, rest = mu[0], mu[1:]
-    rows = len(lam)
-    beta = [lam[i] + (rows - 1 - i) for i in range(rows)]
-    present = set(beta)
     total = 0
-    for i, b in enumerate(beta):
-        nb = b - r
-        if nb < 0 or nb in present:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(
-            part
-            for j, x in enumerate(new_beta)
-            if (part := x - (rows - 1 - j)) > 0
-        )
-        total += (-1) ** height * character_value(new_lam, rest)
+    # beads at some b >= r whose b - r is empty
+    movable = beads & ~(beads << r) & -(1 << r)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        moved = beads ^ low ^ (low >> r)
+        value = _border_strips(moved >> _low_run(moved), rest)
+        # bits b - r .. b - 1; b - r is empty
+        total += -value if (beads & (low - (low >> r))).bit_count() & 1 else value
     return total
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,10 +326,16 @@ def test_dyck_output_bytes_pinned(capsys, argv, fmt):
 
 
 def test_module_entry_point():
+    # pytest's pythonpath setting reaches this process only, so the child
+    # gets the source tree on its PYTHONPATH (no install needed)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "thagkl", "poly", "--n", "5", "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coeffs"] == [1, 26, 15]
@@ -335,6 +343,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "thagkl", "table"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert bad.returncode == 2
 

@@ -349,6 +349,30 @@ def test_closed_form_values_pinned():
     assert hashlib.sha256(values.encode()).hexdigest() == CLOSED_FORM_120_SHA256
 
 
+def test_closed_form_rows_pinned_to_cli_bound():
+    # the Pascal-table rows through n = 300 have the digest of the DP rows
+    rows = repr([closed_form_row(n) for n in range(301)])
+    assert hashlib.sha256(rows.encode()).hexdigest() == DP_ROWS_300_SHA256
+
+
+def test_closed_form_row_matches_closed_form():
+    # the Pascal-table slices against the math.comb reference, entry by entry
+    for n in range(121):
+        expected = {k: value for k in range(n // 2 + 1) if (value := closed_form(n, k))}
+        assert closed_form_row(n) == expected
+
+
+def test_closed_form_row_rejects_a_doctored_pascal_table(monkeypatch):
+    # negative control: C(12, 1) read as 13 leaves 13 * 2036 at (n, k) = (11, 1),
+    # which 12 does not divide
+    rows, columns = dyck._pascal(12)
+    doctored = [list(row) for row in rows]
+    doctored[12][1] += 1
+    monkeypatch.setattr(dyck, "_pascal", lambda size: (doctored, columns))
+    with pytest.raises(ArithmeticError, match=r"\(n, k\) = \(11, 1\)"):
+        closed_form_row(11)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 120).flatmap(lambda m: st.tuples(st.integers(0, m), st.just(m))))
 def test_dp_row_does_not_depend_on_table_size(nm):

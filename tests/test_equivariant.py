@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from thagkl import equivariant
 from thagkl.equivariant import (
     EqKLTable,
     conjecture_poly,
@@ -72,6 +73,24 @@ def test_eq_kl_table_pinned_through_rank_twenty_two():
     assert digest == "9db52d9c003c213ec13f3ca99578d60dc42623497468a6fab00abbe7724c2e9c"
 
 
+def test_row_slots_stay_narrow(monkeypatch):
+    # the proven slot, sum of 1-norm * C(j, j//2) over the packed inputs, is
+    # 18 bits at row 15 and at most 26 through row 22 (the 2^j bound it
+    # replaced gave 28-37)
+    honest = equivariant._ribbon_sums
+    slots = []
+
+    def spy(packed, slot):
+        slots.append(slot)
+        return honest(packed, slot)
+
+    monkeypatch.setattr(equivariant, "_ribbon_sums", spy)
+    EqKLTable().poly(22)
+    assert len(slots) == 23
+    assert slots[15] == 18
+    assert max(slots[15:]) <= 26
+
+
 def test_eq_kl_graded_dimension_recovers_scalar():
     for n in range(11):
         assert eq_kl(n).graded_dimension() == kl_poly(n)
@@ -111,11 +130,18 @@ def _rhs_reference(n: int, table: EqKLTable) -> SchurPoly:
     return total
 
 
+def _as_schur(terms: dict, n: int) -> SchurPoly:
+    # the solver keeps each row as a dict from partition to coefficient tuple
+    assert all(coeffs and coeffs[-1] for coeffs in terms.values())
+    return SchurPoly({lam: IntPoly(coeffs) for lam, coeffs in terms.items()}, degree=n)
+
+
 def test_symmetrized_rhs_matches_ordered_reference():
     table = EqKLTable()
     for n in range(7):
         table.poly(n)
         rhs, below = table._recursion_rhs(n)
+        rhs, below = _as_schur(rhs, n), _as_schur(below, n)
         assert rhs == _rhs_reference(n, table)
         expected_below = SchurPoly({}, degree=n)
         for i in range(n):

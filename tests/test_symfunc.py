@@ -384,6 +384,20 @@ def test_sum_mul_w_matches_pieri_reference_on_wide_coefficients(degree, data, ca
         assert got.is_zero()
 
 
+def test_schur_poly_rejects_non_partitions():
+    # an index that is not a partition used to be carried through products:
+    # SchurPoly({(1, 2): 1}).mul_w(1) had a term at (1, 2, 1)
+    for bad in [(1, 2), (2, 0), (0,), (3, -1), (2, 1, 2)]:
+        with pytest.raises(ValueError):
+            SchurPoly({bad: 1})
+        with pytest.raises(ValueError):
+            SchurPoly({bad: 0})
+    for bad in [(2.0,), (True,), ("1",)]:
+        with pytest.raises(TypeError):
+            SchurPoly({bad: 1})
+    assert SchurPoly({(2, 2, 1): 1, (): 0}).partitions() == [(2, 2, 1)]
+
+
 def test_sum_mul_w_rejects_bad_pairs():
     f = SchurPoly({(2, 1): IntPoly((1, -1))})
     assert sum_mul_w([], 4) == SchurPoly({}, degree=4)
@@ -505,6 +519,87 @@ def test_character_values_column_orthogonality_small():
         identity = (1,) * n
         for lam in partitions_of(n):
             assert character_value(lam, identity) == hook_dim(lam)
+
+
+@functools.cache
+def beta_set_character(lam, mu):
+    """The border-strip rule on beta-sets: the former ``character_value``.
+
+    Removing a border strip of size r from lam is removing r from one
+    first-column hook length, with sign given by the number of hook lengths
+    jumped over.
+    """
+    if not lam:
+        return 1
+    r, rest = mu[0], mu[1:]
+    rows = len(lam)
+    beta = [lam[i] + (rows - 1 - i) for i in range(rows)]
+    present = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in present:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
+        new_lam = tuple(
+            part for j, x in enumerate(new_beta) if (part := x - (rows - 1 - j)) > 0
+        )
+        total += (-1) ** height * beta_set_character(new_lam, rest)
+    return total
+
+
+def orthogonality_faults(chi, n):
+    """The (kind, index, index) cells where chi's table breaks orthogonality.
+
+    Rows: sum_mu (n!/z_mu) chi^lam(mu) chi^nu(mu) = n! [lam = nu].
+    Columns: sum_lam chi^lam(mu) chi^lam(nu) = z_mu [mu = nu].
+    """
+    parts = partitions_of(n)
+    table = {(lam, mu): chi(lam, mu) for lam in parts for mu in parts}
+    size = {mu: factorial(n) // cycle_type_order(mu) for mu in parts}
+    faults = []
+    for a in parts:
+        for b in parts:
+            row = sum(size[mu] * table[a, mu] * table[b, mu] for mu in parts)
+            if row != (factorial(n) if a == b else 0):
+                faults.append(("row", a, b))
+            column = sum(table[lam, a] * table[lam, b] for lam in parts)
+            if column != (cycle_type_order(a) if a == b else 0):
+                faults.append(("column", a, b))
+    return faults
+
+
+def test_character_table_orthogonality():
+    for n in range(11):
+        assert orthogonality_faults(character_value, n) == [], n
+
+
+def test_character_table_orthogonality_rejects_a_flipped_sign():
+    # negative control: chi^(n-1,1) on an n-cycle is -1; read as +1 it makes
+    # row (n-1,1) meet row (n), and column (n) meet column 1^n
+    for n in range(2, 11):
+        hook = (n - 1, 1)
+
+        def flipped(lam, mu):
+            value = character_value(lam, mu)
+            return -value if (lam, mu) == (hook, (n,)) else value
+
+        faults = orthogonality_faults(flipped, n)
+        assert ("row", hook, (n,)) in faults
+        assert ("column", (n,), (1,) * n) in faults
+
+
+def test_character_value_matches_beta_sets():
+    for n in range(13):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert character_value(lam, mu) == beta_set_character(lam, mu), (lam, mu)
+
+
+def test_character_value_rejects_mixed_sizes():
+    with pytest.raises(ValueError):
+        character_value((2, 1), (2,))
 
 
 def test_character_sign_representation():
