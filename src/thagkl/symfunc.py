@@ -436,7 +436,11 @@ def _low_run(beads: int) -> int:
 
 @functools.cache
 def _border_strips(beads: int, mu: Partition) -> int:
-    """chi at the shape with bead mask ``beads`` (no empty rows) on cycle type mu."""
+    """chi at the shape with bead mask ``beads`` on cycle type mu.
+
+    Callers strip the beads of empty rows (``_low_run``) so that one shape
+    has one memo key, whatever rows the strips before it emptied.
+    """
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]

@@ -75,8 +75,8 @@ def test_eq_kl_table_pinned_through_rank_twenty_two():
 
 def test_row_slots_stay_narrow(monkeypatch):
     # the proven slot, sum of 1-norm * C(j, j//2) over the packed inputs, is
-    # 18 bits at row 15 and at most 26 through row 22 (the 2^j bound it
-    # replaced gave 28-37)
+    # 18 bits at row 15 and at most 26 through row 22; every packed product
+    # of a row is that many bits per power of t
     honest = equivariant._ribbon_sums
     slots = []
 

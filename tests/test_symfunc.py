@@ -385,8 +385,8 @@ def test_sum_mul_w_matches_pieri_reference_on_wide_coefficients(degree, data, ca
 
 
 def test_schur_poly_rejects_non_partitions():
-    # an index that is not a partition used to be carried through products:
-    # SchurPoly({(1, 2): 1}).mul_w(1) had a term at (1, 2, 1)
+    # an index that is not a partition would be carried through products:
+    # the ribbon walk from (1, 2) reaches the non-partition (1, 2, 1)
     for bad in [(1, 2), (2, 0), (0,), (3, -1), (2, 1, 2)]:
         with pytest.raises(ValueError):
             SchurPoly({bad: 1})
