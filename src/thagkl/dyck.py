@@ -14,10 +14,11 @@ up to a size fixed in advance, and a binomial closed form
 
 The program keeps each count vector (indexed by k) as one int, a slot of
 2*max_n + 1 bits per k: vectors add with ``+`` and move up one k with a
-shift, and no count of at most 2*max_n steps fills its slot.  The closed
-form sums only over 2k <= j <= n, where both binomials are nonzero;
-``closed_form`` takes each binomial from ``math.comb`` and is the reference,
-while ``closed_form_row`` reads them as slices of one cached Pascal table.
+shift, no count of at most 2*max_n steps fills its slot, and rows are read
+back by the codec of ``polynomials``.  The closed form sums only over 2k <=
+j <= n, where both binomials are nonzero; ``closed_form`` takes each
+binomial from ``math.comb`` and is the reference, while
+``closed_form_row`` reads them as slices of one cached Pascal table.
 
 The enumerator works on lane-packed integers.  A path of semilength n is an
 int of 2n bits, the first step in the top bit and U = 1, held in one 32-bit
@@ -46,7 +47,7 @@ from array import array
 from math import comb
 from typing import Iterator
 
-from .polynomials import _check_index
+from .polynomials import _check_index, _unpack
 
 MAX_ENUM_SEMILENGTH = 14
 
@@ -107,13 +108,13 @@ def _joined(a: int, b: int, lefts: array, rights: array) -> array:
         tail = int.from_bytes(rights, sys.byteorder)
         out = array("I")
         for left in lefts:
-            out.frombytes(_unpack(tail | (lead | left << (shift + 1)) * ones, k))
+            out.frombytes(_lane_bytes(tail | (lead | left << (shift + 1)) * ones, k))
         return out
     ones = _ones(m)
     heads = int.from_bytes(lefts, sys.byteorder) << (shift + 1) | lead * ones
     out = array("I", [0]) * (m * k)
     for j, right in enumerate(rights):
-        out[j::k] = array("I", _unpack(heads | right * ones, m))
+        out[j::k] = array("I", _lane_bytes(heads | right * ones, m))
     return out
 
 
@@ -122,7 +123,7 @@ def _ones(count: int) -> int:
     return int.from_bytes(_ONE * count, sys.byteorder)
 
 
-def _unpack(packed: int, count: int) -> bytes:
+def _lane_bytes(packed: int, count: int) -> bytes:
     """The ``count`` lanes of ``packed`` as the bytes of an ``array('I')``."""
     return packed.to_bytes(_LANE_BYTES * count, sys.byteorder)
 
@@ -303,29 +304,24 @@ class DyckTable:
     shift.  No slot carries into the next: after s <= 2*max_n steps every
     count is at most 2^s < 2^(2*max_n + 1).  Row n is read off the slots of
     the count of prefixes of length 2n that end at height 0 (they end with a
-    D step, so in run state 0).  After s steps a prefix above height
-    2*max_n - s can no longer return to 0 by step 2*max_n, so it is dropped;
-    every row n <= max_n stays exact.
+    D step, so in run state 0) by the signed reader ``polynomials._unpack``,
+    which returns them unchanged: for n >= 1 each is at most Catalan(n) <
+    4^n <= 2^(2*max_n), half a slot, so none reads as negative.  After s
+    steps a prefix above height 2*max_n - s can no longer return to 0 by
+    step 2*max_n, so it is dropped; every row n <= max_n stays exact.
     """
 
     def __init__(self, max_n: int) -> None:
         _check_index(max_n, "semilength")
         self.max_n = max_n
         slot = 2 * max_n + 1
-        mask = (1 << slot) - 1
         # states[run][height]: packed count vector
         states: tuple[list[int], ...] = ([1], [0], [0])
         self._rows: list[dict[int, int]] = [{0: 1}]
         for n in range(1, max_n + 1):
             states = _step(states, 2 * (max_n - n) + 1, slot)
             states = _step(states, 2 * (max_n - n), slot)
-            row, packed, k = {}, states[0][0], 0
-            while packed:
-                if count := packed & mask:
-                    row[k] = count
-                packed >>= slot
-                k += 1
-            self._rows.append(row)
+            self._rows.append({k: c for k, c in enumerate(_unpack(states[0][0], slot)) if c})
 
     def row(self, n: int) -> dict[int, int]:
         """Row n as a fresh dict k -> count, nonzero entries only."""

@@ -22,8 +22,8 @@ i + m = k are those of A_k), so
 Once p_n is solved, A_n = B_n + p_n is stored.  Row n is one call of the
 row kernel ``symfunc._ribbon_sums`` (the kernel of ``sum_mul_w``), which
 walks each (lam, n - k) once and feeds each ribbon to both B_n and rhs_n.
-The table keeps p_k and A_k as coefficient tuples and packs them into the
-kernel's ints itself, so the only ``SchurPoly`` of a row is the public p_n.
+The table keeps p_k and A_k as coefficient tuples and hands them to the
+kernel as they are, so the only ``SchurPoly`` of a row is the public p_n.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -38,22 +38,19 @@ import functools
 
 from .kl import kl_poly
 from .polynomials import IntPoly, ONE, T, ZERO, _check_index, solve_reflection_equation
-from .symfunc import Partition, SchurPoly, _pack, _ribbon_slot, _ribbon_sums, _unpack
+from .symfunc import Partition, SchurPoly, _ribbon_sums
 
 
 class EqKLTable:
     """Bottom-up table of p_0, p_1, ...; the entries handed out are SchurPoly values.
 
-    Row k keeps p_k and the partial sum A_k = sum_{i<=k} p_i w_(k-i) as dicts
-    from partition to coefficient tuple, and the total 1-norm of their
-    coefficients, which bounds the slot of every later row.
+    Row k maps each partition to the coefficient tuples of p_k and of the
+    partial sum A_k = sum_{i<=k} p_i w_(k-i), at least one of them nonzero.
     """
 
     def __init__(self) -> None:
         self._entries: list[SchurPoly] = []
-        self._solutions: list[dict[Partition, tuple[int, ...]]] = []
-        self._partials: list[dict[Partition, tuple[int, ...]]] = []
-        self._norms: list[int] = []
+        self._rows: list[dict[Partition, tuple[tuple[int, ...], tuple[int, ...]]]] = []
 
     def poly(self, n: int) -> SchurPoly:
         _check_index(n, "index")
@@ -66,29 +63,24 @@ class EqKLTable:
         """The right-hand side of row n and B_n, from p_k and A_k for k < n.
 
         Both are dicts from partition to coefficient tuple, without zeros.
-        The input for k is p_k + t^lift A_k and (t-1) w_n is t^lift (t-1)
-        s[] with j = n, packed straight from the stored tuples, so the row
-        kernel ``symfunc._ribbon_sums`` returns B_n + t^lift (rhs_n - B_n).
-        Neither part has degree above n + 1 (deg p_k <= k/2, deg A_k <= k,
-        deg w_j = j), so lift = n + 2 keeps them apart.
+        The input for k is p_k padded to ``lift`` coefficients followed by
+        A_k, that is p_k + t^lift A_k, and (t-1) w_n enters as t^lift (t-1)
+        s[] with j = n, so the row kernel ``symfunc._ribbon_sums`` returns
+        B_n + t^lift (rhs_n - B_n).  Neither part has degree above n + 1
+        (deg p_k <= k/2, deg A_k <= k, deg w_j = j), so lift = n + 2 keeps
+        them apart.
         """
         lift = n + 2
-        slot = _ribbon_slot([(2, n)] + [(norm, n - k) for k, norm in enumerate(self._norms)])
-        high = slot * lift
-        packed = {((), n): ((1 << slot) - 1) << high}
-        for k in range(n):
-            j = n - k
-            for lam, coeffs in self._partials[k].items():
-                packed[lam, j] = packed.get((lam, j), 0) + (_pack(coeffs, slot) << high)
-            for lam, coeffs in self._solutions[k].items():
-                packed[lam, j] = packed.get((lam, j), 0) + _pack(coeffs, slot)
+        inputs = [((), n, (0,) * lift + (-1, 1))]
+        for k, row in enumerate(self._rows[:n]):
+            inputs.extend((lam, n - k, p + (0,) * (lift - len(p)) + a)
+                          for lam, (p, a) in row.items())
         rhs: dict[Partition, tuple[int, ...]] = {}
         below: dict[Partition, tuple[int, ...]] = {}
-        for mu, value in _ribbon_sums(packed, slot).items():
-            digits = _unpack(value, slot)
-            if low := _trimmed(digits[:lift]):
+        for mu, digits in _ribbon_sums(inputs).items():
+            if low := _added(digits[:lift], ()):
                 below[mu] = low
-            if total := _trimmed(_added(low, digits[lift:])):
+            if total := _added(low, digits[lift:]):
                 rhs[mu] = total
         return rhs, below
 
@@ -103,32 +95,23 @@ class EqKLTable:
                 f"graded dimension {dimension} of the equivariant solution "
                 f"differs from the scalar polynomial at n={n}"
             )
-        solved = {lam: coeff.coeffs for lam, coeff in terms.items() if coeff}
-        partial = {}
-        for lam in below.keys() | solved.keys():
-            coeffs = _trimmed(_added(below.get(lam, ()), solved.get(lam, ())))
-            if coeffs:
-                partial[lam] = coeffs
+        # A_n = B_n + p_n
+        row = {lam: ((), low) for lam, low in below.items()}
+        for lam, coeff in terms.items():
+            if coeff:
+                row[lam] = (coeff.coeffs, _added(below.get(lam, ()), coeff.coeffs))
         self._entries.append(solution)
-        self._solutions.append(solved)
-        self._partials.append(partial)
-        self._norms.append(sum(sum(map(abs, coeffs))
-                               for row in (solved, partial) for coeffs in row.values()))
+        self._rows.append(row)
 
 
-def _added(a, b) -> list[int]:
-    """The coefficient lists a and b added, as long as the longer."""
+def _added(a, b) -> tuple[int, ...]:
+    """The coefficient lists a and b added, as a tuple without zeros on top."""
     if len(a) < len(b):
         a, b = b, a
-    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
-
-
-def _trimmed(coeffs) -> tuple[int, ...]:
-    """The coefficients as a tuple without zeros on top."""
-    top = len(coeffs)
-    while top and not coeffs[top - 1]:
-        top -= 1
-    return tuple(coeffs[:top])
+    out = [x + y for x, y in zip(a, b)] + list(a[len(b):])
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 _TABLE = EqKLTable()
@@ -254,6 +237,8 @@ def verify_conjecture(
         predicted = conjecture_poly(n)
         if candidates and n in candidates:
             predicted = candidates[n]
+            if not isinstance(predicted, SchurPoly):
+                raise TypeError(f"candidate {n} is a {type(predicted).__name__}, not a SchurPoly")
         lams = sorted(
             set(computed.partitions()) | set(predicted.partitions()), reverse=True
         )

@@ -50,14 +50,10 @@ index, and the rest of the orbit copy that flat's P and row.  A graph
 without twins has one flat per orbit and runs the same loop.
 
 Each flat's row, the coefficients of t^rk(g) P_g and of W_g, is one int
-with a signed slot per coefficient (the native format ``_SLOT_FORMAT``, 64
-bits), so the up-set sum of rhs_i is one C-level ``sum`` of ints.  Adding
-half a slot to every slot and then flipping each slot's top bit leaves
-every slot sum in two's complement, which ``memoryview.cast`` reads back;
-a row is packed the same way in reverse, from the slots' bytes in an
-``array``.  An up-set sum holds fewer than len(lattice) rows, so a guard
-raises ``ArithmeticError`` once the largest coefficient times len(lattice)
-could reach half a slot.
+packed by the shared codec of ``polynomials`` in signed slots of
+``_SLOT_BITS`` bits, so the up-set sum of rhs_i is one C-level ``sum`` of
+ints; a guard raises ``ArithmeticError`` once the largest coefficient times
+len(lattice), a bound on any up-set sum, could reach half a slot.
 
 Flats are sorted by rank, then by their sorted lists of edge indices.  No
 flat contains another of its rank, so the lowest edge at which two flats of
@@ -84,19 +80,17 @@ other members; for any other i it takes one sum per flat.
 from __future__ import annotations
 
 import dataclasses
-import sys
-from array import array
 from collections import Counter
 from itertools import compress, repeat
 from operator import rshift
 from typing import FrozenSet
 
-from .polynomials import IntPoly, ONE, _check_index, solve_reflection_equation
+from .polynomials import IntPoly, ONE, _check_index, _pack, _unpack, solve_reflection_equation
 
 MAX_LATTICE_RANK = 8
 
-# native signed integer format of one coefficient slot of a packed KL row
-_SLOT_FORMAT = "q"
+# bits of one signed coefficient slot of a packed KL row
+_SLOT_BITS = 64
 
 # maps the '0'/'1' digits of bin(mask) to 0/1 bytes
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -332,14 +326,11 @@ class FlatLattice:
         if self._kl_upper is None:
             top = self.ranks[-1]
             width = top + 1
-            size = array(_SLOT_FORMAT).itemsize
-            bits = 8 * size
-            half = 1 << (bits - 1)
-            # the top bit of each of the 2 * width slots of a row
-            bias = int.from_bytes(half.to_bytes(size, "little") * (2 * width), "little")
+            half = 1 << (_SLOT_BITS - 1)
             kl: list[IntPoly] = [ONE] * len(self)
             # per flat g: t^rk(g) P_g in slots 0..top and W_g in slots
-            # width..width+top, so one sum over an up-set gives both sums of rhs_i
+            # width..width+top, so one sum over an up-set gives both sums of rhs_i;
+            # the slots below rk(g) are zero, so sums and rows start at slot rank
             rows = [0] * len(self)
             starts = self._rank_start
             first_of: dict[int, int] = {}
@@ -354,30 +345,25 @@ class FlatLattice:
                 if rank == top:
                     p = w = ONE
                 else:
-                    # every flat of up(i) but i has rank above rk(i);
-                    # adding then flipping each slot's top bit leaves each
-                    # signed slot sum in two's complement in its own slot
+                    # every flat of up(i) but i has rank above rk(i)
                     lo = starts[rank + 1]
-                    total = sum(compress(rows[lo:], _selector(self.up_sets[i] >> lo)), bias)
-                    sums = memoryview((total ^ bias).to_bytes(2 * width * size, sys.byteorder)
-                                      ).cast(_SLOT_FORMAT).tolist()
-                    rhs = IntPoly([a - b for a, b in zip(sums[rank:width], sums[width:])])
+                    total = sum(compress(rows[lo:], _selector(self.up_sets[i] >> lo)))
+                    sums = _unpack(total >> (_SLOT_BITS * rank), _SLOT_BITS)
+                    sums += [0] * (2 * width - rank - len(sums))
+                    rhs = IntPoly([a - b for a, b in zip(sums[:width - rank], sums[width - rank:])])
                     p = solve_reflection_equation(top - rank, rhs)
                     w = rhs + p
-                slots = [0] * (2 * width)
-                slots[rank:rank + len(p.coeffs)] = p.coeffs
-                slots[width:width + len(w.coeffs)] = w.coeffs
+                slots = [0] * (2 * width - rank)
+                slots[:len(p.coeffs)] = p.coeffs
+                slots[width - rank:width - rank + len(w.coeffs)] = w.coeffs
                 peak = max(peak, max(map(abs, slots)))
                 if peak * len(self) >= half:
                     raise ArithmeticError(
                         f"coefficient {peak} times {len(self)} flats may overflow "
-                        f"a {bits}-bit slot"
+                        f"a {_SLOT_BITS}-bit slot"
                     )
-                # flipping each slot's top bit of the two's complement bytes
-                # adds half a slot to every slot, which the bias takes back
-                packed = int.from_bytes(array(_SLOT_FORMAT, slots).tobytes(), sys.byteorder)
                 kl[i] = p
-                rows[i] = (packed ^ bias) - bias
+                rows[i] = _pack(slots, _SLOT_BITS) << (_SLOT_BITS * rank)
             self._kl_upper = kl
         return self._kl_upper
 

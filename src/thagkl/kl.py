@@ -139,6 +139,8 @@ def verify_theorem(order: int, *, series: PolySeries | None = None) -> TheoremRe
     _check_index(order, "order", 1)
     if series is None:
         series = phi_series(order)
+    elif not isinstance(series, PolySeries):
+        raise TypeError(f"series must be a PolySeries, got {type(series).__name__}")
     elif series.order < order:
         raise ValueError("supplied series is shorter than the requested order")
     dyck = DyckTable(order - 1)

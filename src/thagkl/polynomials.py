@@ -11,8 +11,9 @@ Two layers, both over arbitrary-precision integers:
 Everything is immutable and exact; no floats anywhere.  Sums work on the
 coefficient lists directly; products use the schoolbook double loop.
 
-The module also houses the two solver primitives shared by the higher
-layers: the coefficient recurrence for the series root ``F`` of
+The module also houses what the higher layers share: the packed-polynomial
+codec ``_pack``/``_unpack`` (a polynomial as one int, its value at t =
+2^slot), the coefficient recurrence for the series root ``F`` of
 ``u*(1 - u + t*u)*F^2 - F + 1 = 0`` and the reflection trick that extracts a
 low-degree polynomial ``P`` from an identity ``t^r * P(1/t) - P(t) = q(t)``.
 F is algebraic, so its u-coefficients satisfy a linear recurrence whose
@@ -24,7 +25,7 @@ integer coefficient lists, one O(n) pass per coefficient.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -188,6 +189,36 @@ def _as_poly(value: Union[IntPoly, int]) -> IntPoly:
     return IntPoly((value,))
 
 
+def _pack(coeffs: Sequence[int], slot: int) -> int:
+    """The value at t = 2^slot of the polynomial with these coefficients, lowest first."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << slot) + c
+    return value
+
+
+def _unpack(value: int, slot: int) -> list[int]:
+    """The signed base-2^slot digits of ``value``, lowest first, no zero on top.
+
+    Digits are in [-2^(slot-1), 2^(slot-1)); a negative one borrowed one
+    from the digits above, which the carry returns.  A value of b bits has
+    at most b // slot + 1 digits, so the loop ends even without the carry.
+    """
+    mask = (1 << slot) - 1
+    half = 1 << (slot - 1)
+    digits = []
+    for _ in range(value.bit_length() // slot + 1):
+        digit = value & mask
+        value >>= slot
+        if digit >= half:
+            digit -= 1 << slot
+            value += 1
+        digits.append(digit)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 T = IntPoly((0, 1))
@@ -290,6 +321,8 @@ def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:
     the -P window one tuple comparison and the gap one slice test.
     """
     _check_index(rank, "rank", 1)
+    if not isinstance(rhs, IntPoly):
+        raise TypeError(f"right-hand side must be an IntPoly, got {type(rhs).__name__}")
     if rhs.degree() > rank:
         raise ArithmeticError(
             f"right-hand side has degree {rhs.degree()} > rank {rank}"

@@ -10,19 +10,21 @@ The solver's only products are against the tensor-power character
 
 so no general Littlewood-Richardson machinery is needed.  w_j = h_j[(t-1)X]
 comes from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m]
-u^m.  ``_ribbon_sums`` is the one implementation of products with w_j, on
-packed integers: each polynomial is one int, its value at t = 2^slot.
-``sum_mul_w`` is its ``SchurPoly`` face, summing f * w_j over a list of
-(f, j) pairs in one pass (``SchurPoly.mul_w`` is its one-pair case, and
-``w_poly`` applies that to 1); the equivariant solver packs its rows for the
-kernel directly.  It works by the broken-ribbon rule: the coefficient of
-s[mu] in s[lam] * w_j is the skew Schur function s_{mu/lam} at the alphabet
-t - 1, which factors over the ribbons of mu/lam (Macdonald, Symmetric
-Functions and Hall Polynomials, Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c
-when mu/lam has no 2x2 square, with r rows and c edge-connected components,
-and 0 otherwise.  ``broken_ribbons`` walks these shapes on an explicit
-stack, once per (lam, j), and the kernel sums them into one int per mu, in
-slots proven wide enough by ``_ribbon_slot``.
+u^m.  ``_ribbon_sums`` is the one implementation of products with w_j: it
+takes (lam, j, coefficient tuple) triples, packs each polynomial into one
+int, its value at t = 2^slot (the codec of ``polynomials``), and returns
+the coefficient digits of each mu.  ``sum_mul_w`` is its ``SchurPoly``
+face, summing f * w_j over a list of (f, j) pairs in one pass
+(``SchurPoly.mul_w`` is its one-pair case, and ``w_poly`` applies that to
+1); the equivariant solver hands it coefficient tuples directly.  It works
+by the broken-ribbon rule: the coefficient of s[mu] in s[lam] * w_j is the
+skew Schur function s_{mu/lam} at the alphabet t - 1, which factors over
+the ribbons of mu/lam (Macdonald, Symmetric Functions and Hall Polynomials,
+Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square,
+with r rows and c edge-connected components, and 0 otherwise.
+``broken_ribbons`` walks these shapes on an explicit stack, once per (lam,
+j), and the kernel sums them into one int per mu, in slots proven wide
+enough by ``_ribbon_slot``.
 
 Every other skew shape is a filter on that walk: the Pieri products with h_a
 and e_b add horizontal strips (broken ribbons with no joined rows, r = c)
@@ -36,16 +38,16 @@ plethysm evaluation of v_l through the power-sum basis, in integers, is
 provided as an independent cross-check; its characters chi^lam(mu) come
 from the Murnaghan-Nakayama rule on bead masks (``character_value``).
 
-Every ``SchurPoly`` index is checked to be a partition when it is built.
+Every partition argument and every ``SchurPoly`` index is checked to be one.
 """
 
 from __future__ import annotations
 
 import functools
-from math import factorial
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from math import comb, factorial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_index
+from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_index, _pack, _unpack
 
 Partition = tuple[int, ...]
 
@@ -78,19 +80,29 @@ def _as_partition(lam: Iterable[int]) -> Partition:
     return lam
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _checked_partition(*parts: int) -> Partition:
+    """``_as_partition`` memoised on the parts' values and types: a bool never hits its int."""
+    return _as_partition(parts)
+
+
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
-@functools.cache
 def hook_dim(lam: Partition) -> int:
     """Dimension of the irreducible S_n representation indexed by lam.
 
     Hook length formula: n! divided by the product of hook lengths; the
     division is checked to be exact.
     """
+    return _hook_dim(_checked_partition(*lam))
+
+
+@functools.cache
+def _hook_dim(lam: Partition) -> int:
     n = sum(lam)
     if n == 0:
         return 1
@@ -238,6 +250,8 @@ class SchurPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: SchurPoly) -> SchurPoly:
+        if not isinstance(other, SchurPoly):
+            return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
         if self.is_zero():
@@ -284,7 +298,7 @@ class SchurPoly:
         """Substitute each s[lambda] by its hook-length dimension."""
         total = ZERO
         for lam, coeff in self._terms.items():
-            total = total + hook_dim(lam) * coeff
+            total = total + _hook_dim(lam) * coeff
         return total
 
     def __str__(self) -> str:
@@ -301,26 +315,18 @@ class SchurPoly:
 def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
     """The sum of f * w_j over the (f, j) pairs, each f of degree ``degree - j``.
 
-    The inputs of each (lam, j) are packed into one int by ``_pack`` and summed
-    there, ``_ribbon_sums`` multiplies them out, and each mu's int is unpacked
-    once into signed digits.  The slot is ``_ribbon_slot`` of the inputs'
-    coefficient 1-norms.
+    One ``_ribbon_sums`` call on the coefficient tuples of every term.
     """
-    pairs = list(pairs)
-    norms = []
+    inputs = []
     for f, j in pairs:
+        if not isinstance(f, SchurPoly):
+            raise TypeError(f"expected a SchurPoly, got {type(f).__name__}")
         _check_index(j, "index")
         if f.degree + j != degree:
             raise ValueError(f"degree mismatch: {f.degree} + {j} != {degree}")
-        norms.append((sum(sum(map(abs, coeff.coeffs)) for coeff in f._terms.values()), j))
-    slot = _ribbon_slot(norms)
-    packed: dict[tuple[Partition, int], int] = {}
-    for f, j in pairs:
-        for lam, coeff in f._terms.items():
-            packed[lam, j] = packed.get((lam, j), 0) + _pack(coeff.coeffs, slot)
+        inputs.extend((lam, j, coeff.coeffs) for lam, coeff in f._terms.items())
     return SchurPoly(
-        {mu: IntPoly(_unpack(value, slot)) for mu, value in _ribbon_sums(packed, slot).items()},
-        degree=degree,
+        {mu: IntPoly(digits) for mu, digits in _ribbon_sums(inputs).items()}, degree=degree
     )
 
 
@@ -335,38 +341,26 @@ def _ribbon_slot(norms: Iterable[tuple[int, int]]) -> int:
     sum 1-norm * C(j, j//2) in absolute value, and a slot of
     ``bound.bit_length() + 1`` bits holds it as a signed digit.
     """
-    bound = sum(
-        norm * (factorial(j) // (factorial(j // 2) * factorial(j - j // 2)))
-        for norm, j in norms
-    )
+    bound = sum(norm * comb(j, j // 2) for norm, j in norms)
     return bound.bit_length() + 1
 
 
-def _pack(coeffs: Iterable[int], slot: int) -> int:
-    """The polynomial with these coefficients at t = 2^slot, one signed int."""
-    return sum(c << (slot * k) for k, c in enumerate(coeffs))
+def _ribbon_sums(inputs: Sequence[tuple[Partition, int, Sequence[int]]]
+                 ) -> dict[Partition, list[int]]:
+    """The row kernel: sum over (lam, j, coeffs) of coeffs(t) * s[lam] * w_j.
 
-
-def _unpack(value: int, slot: int) -> list[int]:
-    """The signed digits of ``value`` in base 2^slot, lowest first, none on top zero."""
-    mask = (1 << slot) - 1
-    half = 1 << (slot - 1)
-    digits = []
-    while value:
-        digits.append(((value + half) & mask) - half)
-        value = (value - digits[-1]) >> slot
-    return digits
-
-
-def _ribbon_sums(packed: Mapping[tuple[Partition, int], int], slot: int) -> dict[Partition, int]:
-    """The row kernel: sum over (lam, j) of value * s[lam] * w_j, one int per mu.
-
-    Each value is a polynomial packed at t = 2^slot (``_pack``).  By the
-    broken-ribbon rule s[lam] * w_j is the sum of (-1)^(r-c) t^(j-r)
-    (t-1)^c s[mu] over ``broken_ribbons(lam, j)``, so each value is walked
-    once and multiplied by one weight int per ribbon, cached by (j - r, c,
-    sign).  The slot must hold every output digit (``_ribbon_slot``).
+    Each coefficient tuple is packed at t = 2^slot (``polynomials._pack``),
+    the slot being ``_ribbon_slot`` of the inputs' 1-norms, and the inputs
+    of one (lam, j) are summed there.  By the broken-ribbon rule s[lam] *
+    w_j is the sum of (-1)^(r-c) t^(j-r) (t-1)^c s[mu] over
+    ``broken_ribbons(lam, j)``, so each (lam, j) is walked once and its sum
+    multiplied by one weight int per ribbon, cached by (j - r, c, sign).
+    Returns each mu's sum unpacked once into signed coefficient digits.
     """
+    slot = _ribbon_slot((sum(map(abs, coeffs)), j) for _, j, coeffs in inputs)
+    packed: dict[tuple[Partition, int], int] = {}
+    for lam, j, coeffs in inputs:
+        packed[lam, j] = packed.get((lam, j), 0) + _pack(coeffs, slot)
     t_minus_one = (1 << slot) - 1
     weights: dict[tuple[int, int, int], int] = {}
     acc: dict[Partition, int] = {}
@@ -378,7 +372,7 @@ def _ribbon_sums(packed: Mapping[tuple[Partition, int], int], slot: int) -> dict
                 weight = (-1) ** key[2] * t_minus_one**components
                 weight = weights[key] = weight << (slot * key[0])
             acc[mu] = acc.get(mu, 0) + value * weight
-    return acc
+    return {mu: _unpack(value, slot) for mu, value in acc.items()}
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -404,6 +398,7 @@ def v_poly(ell: int) -> SchurPoly:
 
 def cycle_type_order(mu: Partition) -> int:
     """Size of the centralizer of a permutation of cycle type mu (z_mu)."""
+    mu = _checked_partition(*mu)
     z = 1
     multiplicity: dict[int, int] = {}
     for part in mu:
@@ -420,13 +415,14 @@ def character_value(lam: Partition, mu: Partition) -> int:
     lam_i + l - 1 - i.  Removing a border strip of size r moves a bead from b
     to an empty b - r, with the sign (-1)^(beads strictly between).
     """
+    lam, mu = _checked_partition(*lam), _checked_partition(*mu)
     if sum(lam) != sum(mu):
         raise ValueError("partition sizes differ")
     rows = len(lam)
     beads = 0
     for i, part in enumerate(lam):
         beads |= 1 << (part + rows - 1 - i)
-    return _border_strips(beads >> _low_run(beads), tuple(mu))
+    return _border_strips(beads >> _low_run(beads), mu)
 
 
 def _low_run(beads: int) -> int:

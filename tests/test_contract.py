@@ -79,3 +79,43 @@ def test_index_contract(entry, low):
     with pytest.raises(ValueError, match="must be positive" if low else "must be nonnegative"):
         entry(low - 1)
 
+
+
+# (id, call) of public entries handed a value of the wrong type: each must
+# raise TypeError, not the AttributeError of reading that value's fields
+WRONG_TYPES = [
+    ("solve_reflection_equation-rhs", lambda: polynomials.solve_reflection_equation(3, 1)),
+    ("verify_theorem-series", lambda: kl.verify_theorem(3, series=[1, 2, 3])),
+    ("verify_conjecture-candidates", lambda: equivariant.verify_conjecture(3, candidates={2: 5})),
+    ("sum_mul_w-pairs", lambda: symfunc.sum_mul_w([(5, 1)], 1)),
+    ("SchurPoly.__add__", lambda: SchurPoly.one() + 1),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in WRONG_TYPES])
+def test_wrong_type_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+# (id, entry) of every public entry that takes a partition; the bad values
+# below all have size 4, so a size check cannot stand in for the partition check
+PARTITION_ENTRIES = [
+    ("SchurPoly", lambda lam: SchurPoly({lam: 1})),
+    ("hook_dim", symfunc.hook_dim),
+    ("cycle_type_order", symfunc.cycle_type_order),
+    ("character_value-lam", lambda lam: symfunc.character_value(lam, (2, 1, 1))),
+    ("character_value-mu", lambda mu: symfunc.character_value((2, 2), mu)),
+]
+
+
+@pytest.mark.parametrize("entry", [pytest.param(f, id=name) for name, f in PARTITION_ENTRIES])
+def test_partition_contract(entry):
+    entry((3, 1))
+    entry((2, 1, 1))  # fills any cache entry that (2, True, 1) would hit
+    for bad in [(1, 3), (2, 0, 2), (4, 0), (3, 2, -1), (1, 2, 1)]:
+        with pytest.raises(ValueError, match="weakly decreasing|must be positive"):
+            entry(bad)
+    for bad in [(2.0, 2), (2, True, 1), ("4",)]:
+        with pytest.raises(TypeError, match="must be an int"):
+            entry(bad)

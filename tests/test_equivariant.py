@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from thagkl import equivariant
+from thagkl import symfunc
 from thagkl.equivariant import (
     EqKLTable,
     conjecture_poly,
@@ -77,14 +77,14 @@ def test_row_slots_stay_narrow(monkeypatch):
     # the proven slot, sum of 1-norm * C(j, j//2) over the packed inputs, is
     # 18 bits at row 15 and at most 26 through row 22; every packed product
     # of a row is that many bits per power of t
-    honest = equivariant._ribbon_sums
+    honest = symfunc._ribbon_slot
     slots = []
 
-    def spy(packed, slot):
-        slots.append(slot)
-        return honest(packed, slot)
+    def spy(norms):
+        slots.append(honest(norms))
+        return slots[-1]
 
-    monkeypatch.setattr(equivariant, "_ribbon_sums", spy)
+    monkeypatch.setattr(symfunc, "_ribbon_slot", spy)
     EqKLTable().poly(22)
     assert len(slots) == 23
     assert slots[15] == 18

@@ -1,8 +1,11 @@
-"""The intra-package import graph and the one index check, pinned.
+"""The intra-package import graph, its private names and the one index check, pinned.
 
 Pipelines do not read one another's results: each module may import only the
 package modules listed here, so a new edge is a deliberate edit of this table.
-``dyck`` imports ``polynomials`` for the index check alone.
+``dyck`` imports ``polynomials`` for the index check and the packed-row
+reader ``_unpack``.  The private names that cross a module boundary are the
+kernel's index check, coercion and packed-polynomial codec, and the ribbon
+row kernel, which only the equivariant solver shares with ``symfunc``.
 """
 
 import ast
@@ -50,6 +53,44 @@ def package_imports(path: Path) -> set[str]:
 def test_import_graph_is_pinned():
     graph = {path.stem: package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert graph == ALLOWED
+
+
+# per importing module, the private names it imports from package modules
+PRIVATE_IMPORTS = {
+    "dyck": {"polynomials._check_index", "polynomials._unpack"},
+    "symfunc": {"polynomials._as_poly", "polynomials._check_index", "polynomials._pack",
+                "polynomials._unpack"},
+    "flats": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
+    "kl": {"polynomials._check_index"},
+    "equivariant": {"polynomials._check_index", "symfunc._ribbon_sums"},
+    "verify": {"polynomials._check_index"},
+}
+
+
+def private_imports(path: Path) -> set[str]:
+    """``module._name`` for each private name the module at ``path`` imports from the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if node.level == 0 and parts[0] != "thagkl":
+                continue
+            module = parts[-1]
+            found.update(f"{module}.{alias.name}" for alias in node.names
+                         if alias.name.startswith("_"))
+    return found
+
+
+def test_private_imports_are_pinned():
+    found = {path.stem: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: names for stem, names in found.items() if names} == PRIVATE_IMPORTS
+
+
+def test_private_import_scan_sees_both_import_forms(tmp_path):
+    # negative control: an absolute and a relative import of a private name
+    source = tmp_path / "probe.py"
+    source.write_text("from thagkl.symfunc import _ribbon_sums\nfrom .flats import Graph, _selector\n")
+    assert private_imports(source) == {"symfunc._ribbon_sums", "flats._selector"}
 
 
 def _bool_checks(path: Path) -> list[tuple[str, str | None]]:

@@ -204,9 +204,9 @@ def test_orbit_key_merging_non_twins_is_caught(monkeypatch):
     assert build_lattice(graph)._kl_of_uppers() != expected
 
 
-@pytest.mark.parametrize("graph, slot", [(complete_graph(6), "b"), (complete_graph(7), "h")])
-def test_narrow_slot_raises(monkeypatch, graph, slot):
-    monkeypatch.setattr(flats, "_SLOT_FORMAT", slot)
+@pytest.mark.parametrize("graph, bits", [(complete_graph(6), 8), (complete_graph(7), 16)])
+def test_narrow_slot_raises(monkeypatch, graph, bits):
+    monkeypatch.setattr(flats, "_SLOT_BITS", bits)
     with pytest.raises(ArithmeticError, match="slot"):
         build_lattice(graph).kl_poly()
 

@@ -14,6 +14,8 @@ from thagkl.polynomials import (
     PolySeries,
     T,
     ZERO,
+    _pack,
+    _unpack,
     expand_F,
     poly_reverse,
     solve_reflection_equation,
@@ -346,3 +348,33 @@ def test_solve_reflection_matches_reference_loop(case):
     rank, rhs = case
     assert outcome(solve_reflection_equation, rank, rhs) == outcome(
         reference_solve_reflection, rank, rhs)
+
+
+@st.composite
+def slot_and_digits(draw):
+    """A slot of 2..70 bits and a digit list in its signed range, no zero on top."""
+    slot = draw(st.integers(2, 70))
+    half = 1 << (slot - 1)
+    digits = draw(st.lists(st.integers(-half, half - 1), max_size=12))
+    while digits and not digits[-1]:
+        digits.pop()
+    return slot, digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_and_digits())
+def test_pack_round_trip(case):
+    slot, digits = case
+    assert _unpack(_pack(digits, slot), slot) == digits
+    # packed sums and products are the polynomial's, evaluated at t = 2^slot
+    assert _pack(digits, slot) == IntPoly(digits).evaluate(1 << slot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_and_digits(), st.integers(0, 12))
+def test_pack_digit_out_of_range_does_not_round_trip(case, where):
+    # negative control: a digit of +2^(slot-1) is one past the signed range,
+    # so it reads back as -2^(slot-1) with a carry into the digit above it
+    slot, digits = case
+    digits = digits[:where] + [1 << (slot - 1)] + digits[where:]
+    assert _unpack(_pack(digits, slot), slot) != digits
