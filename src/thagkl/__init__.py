@@ -41,7 +41,6 @@ from .kl import (
 )
 from .polynomials import (
     IntPoly,
-    PolySeries,
     expand_F,
     solve_reflection_equation,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Graph",
     "IntPoly",
     "KLTable",
-    "PolySeries",
     "SchurPoly",
     "TheoremReport",
     "build_lattice",

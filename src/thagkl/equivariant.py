@@ -1,6 +1,8 @@
 """Symmetric-group-equivariant refinement of the thagomizer KL polynomials.
 
-p_n(t) is a degree-n Schur expansion whose graded dimension is P_n(t).  It is
+p_n(t) is a degree-n Schur expansion whose graded dimension is P_n(t); that
+comparison with the scalar recursion is a check of ``thagkl.verify``
+(``equivariant-dimension``), so this solver reads no other pipeline.  It is
 solved bottom-up from
 
     t^(n+1) p_n(1/t) = (t-1) * sum_{l=0}^{n} v_l(t) s[n-l]
@@ -36,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from .kl import kl_poly
 from .polynomials import IntPoly, ONE, T, ZERO, _check_index, solve_reflection_equation
 from .symfunc import Partition, SchurPoly, _ribbon_sums
 
@@ -88,19 +89,12 @@ class EqKLTable:
         n = len(self._entries)
         rhs, below = self._recursion_rhs(n)
         terms = {lam: solve_reflection_equation(n + 1, IntPoly(q)) for lam, q in rhs.items()}
-        solution = SchurPoly(terms, degree=n)
-        dimension = solution.graded_dimension()
-        if dimension != kl_poly(n):
-            raise ArithmeticError(
-                f"graded dimension {dimension} of the equivariant solution "
-                f"differs from the scalar polynomial at n={n}"
-            )
         # A_n = B_n + p_n
         row = {lam: ((), low) for lam, low in below.items()}
         for lam, coeff in terms.items():
             if coeff:
                 row[lam] = (coeff.coeffs, _added(below.get(lam, ()), coeff.coeffs))
-        self._entries.append(solution)
+        self._entries.append(SchurPoly(terms, degree=n))
         self._rows.append(row)
 
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 from math import comb
+from typing import Sequence
 
 from .dyck import DyckTable
 from .polynomials import (
     ONE,
     T,
     IntPoly,
-    PolySeries,
     ZERO,
     _check_index,
     expand_F,
@@ -95,17 +95,16 @@ def kl_poly(n: int) -> IntPoly:
     return _TABLE.poly(n)
 
 
-def phi_series(order: int) -> PolySeries:
+def phi_series(order: int) -> tuple[IntPoly, ...]:
     """The generating function sum_n P_n(t) u^(n+1), truncated at ``order``.
 
-    Equal to u * F(t, u); the u^0 coefficient is zero and the u^(n+1)
-    coefficient is P_n.
+    Equal to u * F(t, u), as the tuple of its ``order + 1`` u-coefficients:
+    entry 0 is zero and entry n + 1 is P_n.
     """
     _check_index(order, "truncation order")
     if order == 0:
-        return PolySeries(0, (ZERO,))
-    f = expand_F(order - 1)
-    return PolySeries(order, (ZERO,) + f.coeffs)
+        return (ZERO,)
+    return (ZERO,) + expand_F(order - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,26 +127,29 @@ class TheoremReport:
     mismatches: tuple[CoefficientMismatch, ...]
 
 
-def verify_theorem(order: int, *, series: PolySeries | None = None) -> TheoremReport:
+def verify_theorem(order: int, *, series: Sequence[IntPoly] | None = None) -> TheoremReport:
     """Compare recursion, series, and DP values of every c[n][k] with n < order.
 
     Disagreements are returned as data, not raised.  ``series`` may be
     supplied explicitly (normally a deliberately corrupted copy, for negative
-    controls); by default the honest expansion is used.  The DP rows all come
-    from one ``DyckTable`` sweep of its own.
+    controls): a sequence of ``IntPoly`` u-coefficients, like ``phi_series``,
+    with at least ``order + 1`` entries.  By default the honest expansion is
+    used.  The DP rows all come from one ``DyckTable`` sweep of its own.
     """
     _check_index(order, "order", 1)
     if series is None:
         series = phi_series(order)
-    elif not isinstance(series, PolySeries):
-        raise TypeError(f"series must be a PolySeries, got {type(series).__name__}")
-    elif series.order < order:
-        raise ValueError("supplied series is shorter than the requested order")
+    else:
+        for entry in series:
+            if not isinstance(entry, IntPoly):
+                raise TypeError(f"series entries must be IntPolys, got {type(entry).__name__}")
+        if len(series) <= order:
+            raise ValueError("supplied series is shorter than the requested order")
     dyck = DyckTable(order - 1)
     mismatches: list[CoefficientMismatch] = []
     for n in range(order):
         from_recursion = kl_poly(n)
-        from_series = series.coefficient(n + 1)
+        from_series = series[n + 1]
         dp_row = dyck.row(n)
         span = max(from_recursion.degree(), from_series.degree(), max(dp_row) if dp_row else 0)
         for k in range(span + 1):

@@ -1,12 +1,9 @@
-"""Exact polynomial arithmetic and a truncated power-series record.
+"""Exact polynomial arithmetic over arbitrary-precision integers.
 
-Two layers, both over arbitrary-precision integers:
-
-* ``IntPoly`` -- a dense univariate polynomial in ``t``, coefficients indexed
-  by exponent starting with the constant term.
-* ``PolySeries`` -- a record of a power series in a second variable ``u``
-  truncated at a fixed order (inclusive), whose coefficients are ``IntPoly``
-  values; it holds the coefficients and does no series arithmetic.
+``IntPoly`` is a dense univariate polynomial in ``t``, coefficients indexed
+by exponent starting with the constant term.  A power series in a second
+variable ``u``, truncated at order N inclusive, is a plain tuple of N + 1
+``IntPoly`` values, the coefficient of ``u^m`` at index m.
 
 Everything is immutable and exact; no floats anywhere.  Sums work on the
 coefficient lists directly; products use the schoolbook double loop.
@@ -33,9 +30,11 @@ class IntPoly:
     """Polynomial in t with integer coefficients, stored densely.
 
     ``coeffs[k]`` is the coefficient of ``t^k``; the top stored coefficient is
-    always nonzero, and the zero polynomial stores the empty tuple.  Sums,
-    differences and products accept an ``IntPoly`` or an ``int``; any other
-    operand gives ``NotImplemented``, so Python raises ``TypeError``.
+    always nonzero, and the zero polynomial stores the empty tuple.  A
+    coefficient whose type is not ``int`` itself (a bool, a float) raises
+    ``TypeError``.  Sums, differences and products accept an ``IntPoly`` or
+    an ``int``; any other operand, a bool included, gives ``NotImplemented``,
+    so Python raises ``TypeError``.
 
     >>> IntPoly((1, 0, 2)) * IntPoly((0, 1))
     IntPoly((0, 1, 0, 2))
@@ -45,6 +44,9 @@ class IntPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = tuple(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
         top = len(cs)
         while top and cs[top - 1] == 0:
             top -= 1
@@ -69,7 +71,7 @@ class IntPoly:
     def __add__(self, other: Union[IntPoly, int]) -> IntPoly:
         if isinstance(other, IntPoly):
             b = other.coeffs
-        elif isinstance(other, int):
+        elif type(other) is int:
             b = (other,)
         else:
             return NotImplemented
@@ -83,7 +85,7 @@ class IntPoly:
     def __sub__(self, other: Union[IntPoly, int]) -> IntPoly:
         if isinstance(other, IntPoly):
             b = other.coeffs
-        elif isinstance(other, int):
+        elif type(other) is int:
             b = (other,)
         else:
             return NotImplemented
@@ -96,7 +98,7 @@ class IntPoly:
         return IntPoly(out)
 
     def __rsub__(self, other: Union[IntPoly, int]) -> IntPoly:
-        if not isinstance(other, int):
+        if type(other) is not int:
             return NotImplemented
         return -self + other
 
@@ -104,7 +106,7 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __mul__(self, other: Union[IntPoly, int]) -> IntPoly:
-        if isinstance(other, int):
+        if type(other) is int:
             return IntPoly([c * other for c in self.coeffs]) if other else ZERO
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -202,7 +204,10 @@ def _unpack(value: int, slot: int) -> list[int]:
 
     Digits are in [-2^(slot-1), 2^(slot-1)); a negative one borrowed one
     from the digits above, which the carry returns.  A value of b bits has
-    at most b // slot + 1 digits, so the loop ends even without the carry.
+    at most b // slot + 1 digits, except when its top digit is 1 above a
+    digit of -2^(slot-1): then it has one more, the carry 1.  So the loop
+    makes b // slot + 1 steps, ending even without the carry, and appends
+    what is left, 0 or that 1.
     """
     mask = (1 << slot) - 1
     half = 1 << (slot - 1)
@@ -214,6 +219,8 @@ def _unpack(value: int, slot: int) -> list[int]:
             digit -= 1 << slot
             value += 1
         digits.append(digit)
+    if value:
+        digits.append(value)
     while digits and not digits[-1]:
         digits.pop()
     return digits
@@ -235,35 +242,13 @@ def poly_reverse(r: int, p: IntPoly) -> IntPoly:
     return IntPoly(p[r - k] for k in range(r + 1))
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class PolySeries:
-    """Record of a power series in u, truncated at ``order`` inclusive.
+def expand_F(order: int) -> tuple[IntPoly, ...]:
+    """The u-coefficients F_0 .. F_order of the root F of u*(1-u+t*u)*F^2 - F + 1 = 0.
 
-    ``coeffs[m]`` is the IntPoly coefficient of ``u^m``; there are always
-    exactly ``order + 1`` entries.
-    """
-
-    order: int
-    coeffs: tuple[IntPoly, ...]
-
-    def __init__(self, order: int, coeffs: Iterable[Union[IntPoly, int]] = ()):
-        _check_index(order, "truncation order")
-        cs = [_as_poly(c) for c in coeffs]
-        if len(cs) > order + 1:
-            raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend([ZERO] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def coefficient(self, m: int) -> IntPoly:
-        return self.coeffs[m]
-
-
-def expand_F(order: int) -> PolySeries:
-    """Expand the unique power-series root F of u*(1-u+t*u)*F^2 - F + 1 = 0.
-
-    With a = u*(1 + (t-1)*u) the equation reads a*F^2 - F + 1 = 0, and
-    implicit differentiation in u turns it into the linear equation
+    F is the unique power-series root; it comes back as a tuple of
+    ``order + 1`` ``IntPoly`` values.  With a = u*(1 + (t-1)*u) the
+    equation reads a*F^2 - F + 1 = 0, and implicit differentiation in u
+    turns it into the linear equation
 
         a*(1 - 4a) * F' + a'*(1 - 2a) * F = a'.
 
@@ -296,7 +281,7 @@ def expand_F(order: int) -> PolySeries:
                 raise ArithmeticError(f"(n+1) F_n is not divisible by n + 1 at n = {n}")
             quotients.append(q)
         fs.append(IntPoly(quotients))
-    return PolySeries(order, fs[1 : order + 2])
+    return tuple(fs[1 : order + 2])
 
 
 def _weighted_sum(*terms: tuple[int, list[int]]) -> list[int]:

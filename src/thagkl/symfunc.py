@@ -183,7 +183,8 @@ class SchurPoly:
     index partitions (carried explicitly so that the zero expansion keeps its
     grading through arithmetic).  Every index must be a partition, zero
     coefficient or not: a part that is not an int raises ``TypeError``, and a
-    part below 1 or an increase ``ValueError``.
+    part below 1 or an increase ``ValueError``.  A declared ``degree`` must
+    be a nonnegative int, by the package's index check.
     """
 
     __slots__ = ("_terms", "degree")
@@ -204,8 +205,10 @@ class SchurPoly:
             raise ValueError(f"mixed partition sizes {sorted(sizes)}")
         if degree is None:
             degree = sizes.pop() if sizes else 0
-        elif sizes and sizes.pop() != degree:
-            raise ValueError("declared degree disagrees with the terms")
+        else:
+            _check_index(degree, "degree")
+            if sizes and sizes.pop() != degree:
+                raise ValueError("declared degree disagrees with the terms")
         self._terms = clean
         self.degree = degree
 
@@ -226,7 +229,8 @@ class SchurPoly:
         return cls({(1,) * b: ONE}, degree=b)
 
     def coefficient(self, lam: Partition) -> IntPoly:
-        return self._terms.get(tuple(lam), ZERO)
+        """The coefficient of s[lam], zero if absent; lam must be a partition."""
+        return self._terms.get(_checked_partition(*lam), ZERO)
 
     def terms(self) -> list[tuple[Partition, IntPoly]]:
         """Terms in canonical order (reverse-lexicographic on partitions)."""

@@ -5,20 +5,24 @@ pipelines, in this order: recursion = series = Dyck DP (``theorem-agreement``),
 recursion = binomial closed form, lattice-of-flats engine = recursion and
 (t-1)(t-2)^n for n <= ``LATTICE_CHECK_MAX``, equivariant solver = conjectured
 closed form for 1 <= n <= ``CONJECTURE_CHECK_MAX`` (left out when max_n is 0),
-and the Catalan values of P_n(1) and of the leading coefficient of P_{2m}.
-A disagreement is data: its check has ``ok`` false and names the first few
-disagreements in ``detail``.
+graded dimension of the equivariant solver = recursion for 0 <= n <=
+``CONJECTURE_CHECK_MAX`` (``equivariant-dimension``), and the Catalan values
+of P_n(1) and of the leading coefficient of P_{2m}.  Apart from
+``kl.verify_theorem``, which builds its own Dyck DP rows, this module is the
+one place where pipelines meet.  A disagreement is data: its check has
+``ok`` false and names the first few disagreements in ``detail``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 from .dyck import catalan, closed_form_row
-from .equivariant import verify_conjecture
+from .equivariant import eq_kl, verify_conjecture
 from .flats import build_lattice, thagomizer_graph
 from .kl import char_poly_thag, kl_poly, phi_series, verify_theorem
-from .polynomials import IntPoly, PolySeries, _check_index
+from .polynomials import ONE, IntPoly, _check_index
 
 LATTICE_CHECK_MAX = 5
 CONJECTURE_CHECK_MAX = 10
@@ -33,7 +37,7 @@ class Check:
     detail: str
 
 
-def corrupted_series(order: int, n: int, k: int) -> PolySeries:
+def corrupted_series(order: int, n: int, k: int) -> tuple[IntPoly, ...]:
     """``phi_series(order)`` with the coefficient of t^k in P_n bumped by one.
 
     The negative control of ``theorem-agreement``: passed as ``series`` to
@@ -43,21 +47,17 @@ def corrupted_series(order: int, n: int, k: int) -> PolySeries:
     _check_index(k, "corruption index k")
     if n + 1 > order:
         raise ValueError(f"corruption index n={n} outside series order {order}")
-    series = phi_series(order)
-    coeffs = list(series.coeffs)
-    target = list(coeffs[n + 1].coeffs)
-    while len(target) <= k:
-        target.append(0)
-    target[k] += 1
-    coeffs[n + 1] = IntPoly(target)
-    return PolySeries(order, coeffs)
+    series = list(phi_series(order))
+    series[n + 1] += ONE.shifted(k)
+    return tuple(series)
 
 
-def run_checks(max_n: int, *, series: PolySeries | None = None) -> tuple[Check, ...]:
+def run_checks(max_n: int, *, series: Sequence[IntPoly] | None = None) -> tuple[Check, ...]:
     """Run the battery for the indices 0..max_n.
 
-    ``series`` replaces the honest series root in ``theorem-agreement``; it
-    must reach order ``max_n + 1`` (see ``corrupted_series``).
+    ``series`` replaces the honest series root in ``theorem-agreement``: a
+    sequence of ``IntPoly`` values with at least ``max_n + 2`` entries (see
+    ``corrupted_series``).
     """
     _check_index(max_n, "max_n")
     checks = [
@@ -67,11 +67,12 @@ def run_checks(max_n: int, *, series: PolySeries | None = None) -> tuple[Check, 
     ]
     if max_n >= 1:
         checks.append(_conjecture_agreement(min(max_n, CONJECTURE_CHECK_MAX)))
+    checks.append(_equivariant_dimension(min(max_n, CONJECTURE_CHECK_MAX)))
     checks.append(_catalan_checks(max_n))
     return tuple(checks)
 
 
-def _theorem_agreement(max_n: int, series: PolySeries | None) -> Check:
+def _theorem_agreement(max_n: int, series: Sequence[IntPoly] | None) -> Check:
     report = verify_theorem(max_n + 1, series=series)
     detail = "; ".join(
         f"(n={m.n}, k={m.k}): recursion={m.recursion} series={m.series} dp={m.dyck_dp}"
@@ -113,6 +114,17 @@ def _conjecture_agreement(max_n: int) -> Check:
     detail = "; ".join(f"(n={m.n}, partition={list(m.partition)})" for m in report.mismatches[:5])
     return Check(
         "conjecture-agreement", report.ok, detail or f"closed form matches the solver for n <= {max_n}"
+    )
+
+
+def _equivariant_dimension(max_n: int) -> Check:
+    bad = [n for n in range(max_n + 1) if eq_kl(n).graded_dimension() != kl_poly(n)]
+    return Check(
+        "equivariant-dimension",
+        not bad,
+        f"graded dimension differs from P_n at {bad[:5]}"
+        if bad
+        else f"graded dimension of the solver is P_n for n <= {max_n}",
     )
 
 

@@ -43,7 +43,7 @@ def test_criterion_1_four_way_agreement():
     phi = phi_series(15)
     for n in range(15):
         recursion_row = _row_of(kl_poly(n))
-        series_row = _row_of(phi.coefficient(n + 1))
+        series_row = _row_of(phi[n + 1])
         enum_row = count_by_ascents_enum(n)
         closed_row = closed_form_row(n)
         if not (recursion_row == series_row == enum_row == closed_row):
@@ -63,7 +63,7 @@ def test_criterion_2_extended_agreement():
     phi = phi_series(21)
     for n in range(15, 21):
         recursion_row = _row_of(kl_poly(n))
-        series_row = _row_of(phi.coefficient(n + 1))
+        series_row = _row_of(phi[n + 1])
         dp_row = count_by_ascents_dp(n)
         closed_row = closed_form_row(n)
         if not (recursion_row == series_row == dp_row == closed_row):

@@ -20,7 +20,6 @@ ENTRIES = [
     ("IntPoly.__pow__", lambda n: T**n, 0),
     ("IntPoly.shifted", lambda k: T.shifted(k), 0),
     ("poly_reverse", lambda r: polynomials.poly_reverse(r, ONE), 0),
-    ("PolySeries", lambda order: polynomials.PolySeries(order, ()), 0),
     ("expand_F", polynomials.expand_F, 0),
     # t^r P(1/t) - P(t) = 1 - t has the solution P = -1 at rank 1
     ("solve_reflection_equation",
@@ -49,6 +48,7 @@ ENTRIES = [
     ("index_of", lambda e: LATTICE.index_of({e}), 0),
     ("mu_row", LATTICE.mu_row, 0),
     ("partitions_of", symfunc.partitions_of, 0),
+    ("SchurPoly-degree", lambda d: SchurPoly({}, degree=d), 0),
     ("SchurPoly.h", SchurPoly.h, 0),
     ("SchurPoly.e", SchurPoly.e, 0),
     ("SchurPoly.mul_h", lambda a: SchurPoly.one().mul_h(a), 0),
@@ -89,6 +89,13 @@ WRONG_TYPES = [
     ("verify_conjecture-candidates", lambda: equivariant.verify_conjecture(3, candidates={2: 5})),
     ("sum_mul_w-pairs", lambda: symfunc.sum_mul_w([(5, 1)], 1)),
     ("SchurPoly.__add__", lambda: SchurPoly.one() + 1),
+    ("IntPoly-float-and-str", lambda: IntPoly((0.5, "x"))),
+    ("IntPoly-bool", lambda: IntPoly((True, 2))),
+    ("IntPoly-float-on-top", lambda: IntPoly((1, 2.0))),
+    # a bool operand fails whether or not it would land in a coefficient as is
+    ("IntPoly.__add__-bool", lambda: ONE + True),
+    ("IntPoly.__mul__-bool", lambda: T * True),
+    ("IntPoly.__rsub__-bool", lambda: True - T),
 ]
 
 
@@ -102,6 +109,7 @@ def test_wrong_type_raises_type_error(call):
 # below all have size 4, so a size check cannot stand in for the partition check
 PARTITION_ENTRIES = [
     ("SchurPoly", lambda lam: SchurPoly({lam: 1})),
+    ("SchurPoly.coefficient", lambda lam: SchurPoly.h(4).coefficient(lam)),
     ("hook_dim", symfunc.hook_dim),
     ("cycle_type_order", symfunc.cycle_type_order),
     ("character_value-lam", lambda lam: symfunc.character_value(lam, (2, 1, 1))),

@@ -11,7 +11,7 @@ from thagkl.kl import (
     phi_series,
     verify_theorem,
 )
-from thagkl.polynomials import IntPoly, ONE, PolySeries, ZERO, poly_reverse
+from thagkl.polynomials import IntPoly, ONE, ZERO, poly_reverse
 
 
 def test_char_poly_boolean():
@@ -102,9 +102,10 @@ def test_kl_table_entries():
 
 
 def test_phi_series_low_orders():
-    assert phi_series(1) == PolySeries(1, (ZERO, ONE))
+    assert phi_series(0) == (ZERO,)
+    assert phi_series(1) == (ZERO, ONE)
     phi = phi_series(3)
-    assert [c.coeffs for c in phi.coeffs] == [(), (1,), (1,), (1, 1)]
+    assert [c.coeffs for c in phi] == [(), (1,), (1,), (1, 1)]
 
 
 def test_phi_series_rejects_bad_orders():
@@ -117,14 +118,14 @@ def test_phi_series_rejects_bad_orders():
 def test_phi_series_coefficients_are_kl_polys():
     phi = phi_series(15)
     for n in range(14):
-        assert phi.coefficient(n + 1) == kl_poly(n)
+        assert phi[n + 1] == kl_poly(n)
 
 
 def test_phi_series_catalan_column():
     phi = phi_series(21)
-    assert phi.coefficient(0).is_zero()
+    assert phi[0].is_zero()
     for n in range(21):
-        assert phi.coefficient(n).evaluate(1) == (catalan(n - 1) if n else 0)
+        assert phi[n].evaluate(1) == (catalan(n - 1) if n else 0)
 
 
 def test_verify_theorem_passes():
@@ -138,14 +139,10 @@ def test_verify_theorem_rejects_zero_order():
         verify_theorem(0)
 
 
-def _corrupt(series: PolySeries, n: int, k: int) -> PolySeries:
-    coeffs = list(series.coeffs)
-    target = list(coeffs[n + 1].coeffs)
-    while len(target) <= k:
-        target.append(0)
-    target[k] += 1
-    coeffs[n + 1] = IntPoly(target)
-    return PolySeries(series.order, coeffs)
+def _corrupt(series: tuple, n: int, k: int) -> list:
+    coeffs = list(series)
+    coeffs[n + 1] += ONE.shifted(k)
+    return coeffs
 
 
 def test_verify_theorem_corrupted_fixture_names_cell():
@@ -158,3 +155,13 @@ def test_verify_theorem_corrupted_fixture_names_cell():
     assert (bad.n, bad.k) == (9, 2)
     assert bad.series == bad.recursion + 1
     assert bad.dyck_dp == bad.recursion == count_by_ascents_dp(9)[2]
+
+
+def test_verify_theorem_checks_a_supplied_series():
+    # any sequence of at least order + 1 IntPoly values
+    honest = phi_series(6)
+    assert verify_theorem(6, series=list(honest)).ok
+    with pytest.raises(ValueError, match="shorter"):
+        verify_theorem(7, series=honest)
+    with pytest.raises(TypeError, match="IntPoly"):
+        verify_theorem(6, series=honest[:3] + (1,) + honest[4:])

@@ -10,6 +10,7 @@ from thagkl import equivariant, verify
 from thagkl.cli import main
 from thagkl.flats import FlatLattice
 from thagkl.polynomials import ONE, T
+from thagkl.symfunc import SchurPoly
 from thagkl.verify import Check, corrupted_series, run_checks
 
 NAMES = [
@@ -17,6 +18,7 @@ NAMES = [
     "closed-form-agreement",
     "lattice-cross-check",
     "conjecture-agreement",
+    "equivariant-dimension",
     "catalan-checks",
 ]
 
@@ -31,6 +33,7 @@ def test_honest_battery_passes_in_order():
     assert all(check.ok is True for check in checks)
     assert checks[2].detail == "lattice engine matches for n <= 5"
     assert checks[3].detail == "closed form matches the solver for n <= 8"
+    assert checks[4].detail == "graded dimension of the solver is P_n for n <= 8"
 
 
 def test_check_record_is_frozen_with_three_fields():
@@ -50,9 +53,10 @@ def test_records_equal_cli_json_checks(capsys):
 
 def test_max_zero_leaves_out_the_conjecture_check():
     checks = run_checks(0)
-    assert len(checks) == 4
-    assert "conjecture-agreement" not in [check.name for check in checks]
+    assert len(checks) == 5
+    assert [check.name for check in checks] == [n for n in NAMES if n != "conjecture-agreement"]
     assert all(check.ok for check in checks)
+    assert checks[3].detail == "graded dimension of the solver is P_n for n <= 0"
 
 
 @pytest.mark.parametrize(
@@ -108,6 +112,13 @@ def _doctored_conjecture(monkeypatch):
     )
 
 
+def _wrong_dimension(monkeypatch):
+    honest = SchurPoly.graded_dimension
+    monkeypatch.setattr(
+        SchurPoly, "graded_dimension", lambda self: honest(self) + (T if self.degree == 6 else 0)
+    )
+
+
 def _wrong_catalan(monkeypatch):
     honest = verify.catalan
     monkeypatch.setattr(verify, "catalan", lambda n: honest(n) + (n == 3))
@@ -120,6 +131,7 @@ def _wrong_catalan(monkeypatch):
         (_wrong_lattice_kl, "lattice-cross-check", "failures: [('kl', 0), ('kl', 1),"),
         (_wrong_chi, "lattice-cross-check", "failures: [('chi', 3)]"),
         (_doctored_conjecture, "conjecture-agreement", "(n=4, partition=[4]);"),
+        (_wrong_dimension, "equivariant-dimension", "graded dimension differs from P_n at [6]"),
         (_wrong_catalan, "catalan-checks", "P(1) failures at [3]; leading failures at [3]"),
     ],
 )
