@@ -45,6 +45,7 @@ import functools
 import sys
 from array import array
 from math import comb
+from operator import mul
 from typing import Iterator
 
 from .polynomials import _check_index, _unpack
@@ -393,7 +394,7 @@ def closed_form_row(n: int) -> dict[int, int]:
         width = n - 2 * k + 1
         inner = columns[k - 1][:width]
         outer = reversed(rows[n + 1 - k][:width])
-        total = sum(a * b for a, b in zip(inner, outer))
+        total = sum(map(mul, inner, outer))
         q, r = divmod(top[k] * total, n + 1)
         if r:
             raise ArithmeticError(f"inexact division by {n + 1} at (n, k) = ({n}, {k})")

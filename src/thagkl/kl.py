@@ -14,8 +14,18 @@ is P_n itself) to the left and read the coefficients off the reflection.
     acc <- 1;  acc <- acc * (t-1) + C(n,i) * 2^(n-i) * P_i  for i < n;
     rhs = acc * (t-1),
 
-so a row costs one pass over the earlier rows with no powers of (t - 1) and
-no general polynomial product.
+on packed integers: every entry is also kept as its value at t = X = 2^slot
+(``polynomials._pack``), so a Horner step is one big-int step,
+``acc = (acc << slot) - acc + C(n,i) * packed_i << (n - i)``, and the row
+makes one ``_unpack`` of ``(acc << slot) - acc``.  The packed arithmetic is
+exact at any slot; only that read needs every coefficient of rhs inside the
+signed range of a slot.  Since ||(t-1) f||_1 <= 2 ||f||_1, the same Horner
+pass over the 1-norms of the entries, doubled at each (t - 1), bounds every
+coefficient of rhs.  When that bound outgrows the table's slot, the slot
+grows to a quarter more than the bound needs, rounded up to a multiple of 8
+bits, and the stored entries are repacked; a row whose bound still does not
+fit raises ``ArithmeticError``.  ``solve_reflection_equation`` still checks
+every right-hand side it is given.
 
 The same family is the coefficient sequence of u * F(t, u) for the series F of
 :func:`thagkl.polynomials.expand_F`; ``verify_theorem`` cross-checks the
@@ -26,7 +36,6 @@ each other.
 from __future__ import annotations
 
 import dataclasses
-from math import comb
 from typing import Sequence
 
 from .dyck import DyckTable
@@ -36,6 +45,8 @@ from .polynomials import (
     IntPoly,
     ZERO,
     _check_index,
+    _pack,
+    _unpack,
     expand_F,
     solve_reflection_equation,
 )
@@ -54,10 +65,18 @@ def char_poly_thag(i: int) -> IntPoly:
 
 
 class KLTable:
-    """Bottom-up table of P_0, P_1, ...; entries are immutable IntPoly values."""
+    """Bottom-up table of P_0, P_1, ...; entries are immutable IntPoly values.
+
+    Next to each entry it keeps the entry packed at the table's slot and its
+    1-norm; ``_binomials`` is row n of Pascal's triangle for the next n.
+    """
 
     def __init__(self) -> None:
         self._entries: list[IntPoly] = []
+        self._packed: list[int] = []
+        self._norms: list[int] = []
+        self._binomials = [1]
+        self._slot = 64
 
     def poly(self, n: int) -> IntPoly:
         _check_index(n, "index")
@@ -72,19 +91,41 @@ class KLTable:
 
     def _append_next(self) -> None:
         n = len(self._entries)
-        acc = [1]
-        for i, p in enumerate(self._entries):
-            weight = comb(n, i) << (n - i)
-            acc = _times_t_minus_1(acc)
-            for k, c in enumerate(p.coeffs):
-                acc[k] += weight * c
-        rhs = IntPoly(_times_t_minus_1(acc))
-        self._entries.append(solve_reflection_equation(n + 1, rhs))
+        binomials = self._binomials
+        bound = 1
+        for i, norm in enumerate(self._norms):
+            bound = 2 * bound + (binomials[i] * norm << (n - i))
+        bound *= 2
+        slot = _slot_bits(bound, self._slot)
+        if slot != self._slot:
+            self._slot = slot
+            self._packed = [_pack(p.coeffs, slot) for p in self._entries]
+        if bound >> (slot - 1):
+            raise ArithmeticError(
+                f"coefficients of row {n} up to {bound} may overflow a {slot}-bit slot"
+            )
+        acc = 1
+        for i, packed in enumerate(self._packed):
+            acc = (acc << slot) - acc + (binomials[i] * packed << (n - i))
+        rhs = IntPoly(_unpack((acc << slot) - acc, slot))
+        p = solve_reflection_equation(n + 1, rhs)
+        self._entries.append(p)
+        self._packed.append(_pack(p.coeffs, slot))
+        self._norms.append(sum(map(abs, p.coeffs)))
+        self._binomials = [1] + [a + b for a, b in zip(binomials, binomials[1:])] + [1]
 
 
-def _times_t_minus_1(coeffs: list[int]) -> list[int]:
-    """Coefficients of (t - 1) * sum_k coeffs[k] t^k."""
-    return [hi - lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+def _slot_bits(bound: int, slot: int) -> int:
+    """The slot for a row whose coefficients are at most ``bound`` in absolute value.
+
+    ``slot`` itself if a signed digit of that many bits holds them; else a
+    quarter more than the bits they need, rounded up to a multiple of 8, so
+    every growth multiplies the slot by more than 5/4.
+    """
+    bits = bound.bit_length() + 1
+    if bits <= slot:
+        return slot
+    return -(-(bits * 5 // 4) // 8) * 8
 
 
 _TABLE = KLTable()

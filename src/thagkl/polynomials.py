@@ -17,11 +17,20 @@ F is algebraic, so its u-coefficients satisfy a linear recurrence whose
 coefficients are polynomials in n and t (Stanley, "Differentiably finite
 power series", 1980); ``expand_F`` runs that order-3 recurrence on plain
 integer coefficient lists, one O(n) pass per coefficient.
+
+The codec reads a packed value back as signed digits in one of two ways,
+with one result.  A slot that is a multiple of 8 bits and at least 64 wide
+(the lattice rows of ``flats`` and the KL table of ``kl``) is read in
+linear time: one ``to_bytes`` call, then 64-bit words or byte slices.
+Narrower or unaligned slots (the Dyck DP, the ribbon kernel of
+``symfunc``) are read by a loop of one shift per digit, which is quicker
+for their few short digits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Iterable, Sequence, Union
 
 
@@ -37,7 +46,7 @@ class IntPoly:
     so Python raises ``TypeError``.
 
     >>> IntPoly((1, 0, 2)) * IntPoly((0, 1))
-    IntPoly((0, 1, 0, 2))
+    IntPoly(coeffs=(0, 1, 0, 2))
     """
 
     coeffs: tuple[int, ...]
@@ -205,22 +214,42 @@ def _unpack(value: int, slot: int) -> list[int]:
     Digits are in [-2^(slot-1), 2^(slot-1)); a negative one borrowed one
     from the digits above, which the carry returns.  A value of b bits has
     at most b // slot + 1 digits, except when its top digit is 1 above a
-    digit of -2^(slot-1): then it has one more, the carry 1.  So the loop
-    makes b // slot + 1 steps, ending even without the carry, and appends
-    what is left, 0 or that 1.
+    digit of -2^(slot-1): then it has one more, the carry 1.
+
+    A slot of 64 bits or more that is a multiple of 8 is read in linear
+    time.  Adding half = 2^(slot-1) to each of the b // slot + 2 digits,
+    that is half * (1 + X + X^2 + ...) at X = 2^slot, makes every digit
+    read unsigned, with no borrow.  One ``to_bytes`` call then lays the
+    digits out, read as native 64-bit words or as ``int.from_bytes`` slices,
+    and half is taken off each again.  Any other slot is read by a loop of
+    b // slot + 1 steps, each a mask, a shift and at most one borrow,
+    ending even without the carry; what is left, 0 or the carry 1, is
+    appended.
     """
-    mask = (1 << slot) - 1
     half = 1 << (slot - 1)
-    digits = []
-    for _ in range(value.bit_length() // slot + 1):
-        digit = value & mask
-        value >>= slot
-        if digit >= half:
-            digit -= 1 << slot
-            value += 1
-        digits.append(digit)
-    if value:
-        digits.append(value)
+    if slot >= 64 and not slot % 8:
+        width = slot // 8
+        count = value.bit_length() // slot + 2
+        offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+        raw = (value + offset).to_bytes(count * width, "little")
+        if width == 8 and sys.byteorder == "little":
+            words = memoryview(raw).cast("Q")
+        else:
+            words = (int.from_bytes(raw[k:k + width], "little")
+                     for k in range(0, count * width, width))
+        digits = [word - half for word in words]
+    else:
+        mask = (1 << slot) - 1
+        digits = []
+        for _ in range(value.bit_length() // slot + 1):
+            digit = value & mask
+            value >>= slot
+            if digit >= half:
+                digit -= 1 << slot
+                value += 1
+            digits.append(digit)
+        if value:
+            digits.append(value)
     while digits and not digits[-1]:
         digits.pop()
     return digits

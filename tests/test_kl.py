@@ -1,8 +1,10 @@
+import hashlib
 from math import comb
 
 import pytest
 
 from thagkl.dyck import catalan, closed_form, count_by_ascents_dp
+from thagkl import kl
 from thagkl.kl import (
     KLTable,
     char_poly_boolean,
@@ -99,6 +101,67 @@ def test_kl_table_entries():
     assert entries[4] == IntPoly((1, 11, 2))
     # shared module-level table agrees with a fresh one
     assert all(entries[n] == kl_poly(n) for n in range(7))
+
+
+def list_horner_table(n_max: int) -> list[IntPoly]:
+    """P_0 .. P_n_max by the recursion run on coefficient lists, one Horner
+    step in (t - 1) per earlier row: the table's computation before packing."""
+    from thagkl.polynomials import solve_reflection_equation
+
+    def times_t_minus_1(coeffs):
+        return [hi - lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+
+    entries = []
+    for n in range(n_max + 1):
+        acc = [1]
+        for i, p in enumerate(entries):
+            weight = comb(n, i) << (n - i)
+            acc = times_t_minus_1(acc)
+            for k, c in enumerate(p.coeffs):
+                acc[k] += weight * c
+        entries.append(solve_reflection_equation(n + 1, IntPoly(times_t_minus_1(acc))))
+    return entries
+
+
+def test_packed_table_matches_list_horner_to_120():
+    assert list(KLTable().entries(120)) == list_horner_table(120)
+
+
+def test_kl_table_pinned_through_three_hundred():
+    # sha256 of repr([P_n.coeffs for n <= 300]), as the list Horner computed it
+    digest = hashlib.sha256(repr([p.coeffs for p in KLTable().entries(300)]).encode())
+    assert digest.hexdigest() == (
+        "c35808ad9713b88e008db7dc380f6d5f89a2312b2ff3e2b946fe7b22a77cffba")
+
+
+def test_slot_grows_past_the_bound_in_whole_bytes():
+    table = KLTable()
+    table.entries(80)
+    slot = table._slot
+    assert slot % 8 == 0 and slot > 64
+    # the slot is what the growth rule makes of the bound, and the stored
+    # entries are packed at it
+    assert all(packed == p.evaluate(1 << slot)
+               for p, packed in zip(table._entries, table._packed))
+    assert table._norms == [sum(map(abs, p.coeffs)) for p in table._entries]
+    assert kl._slot_bits(1, 64) == 64
+    assert kl._slot_bits((1 << 63) - 1, 64) == 64
+    assert kl._slot_bits(1 << 63, 64) == 88  # 65 bits needed, a quarter more is 81
+
+
+def test_slot_below_the_bound_raises(monkeypatch):
+    # negative control: a slot that never grows is soon narrower than the
+    # bound; the row must raise instead of reading wrapped digits
+    monkeypatch.setattr(kl, "_slot_bits", lambda bound, slot: slot)
+    table = KLTable()
+    with pytest.raises(ArithmeticError, match="may overflow a 64-bit slot"):
+        table.entries(60)
+    built = len(table._entries)
+    assert 10 < built < 60
+    assert table._entries == list_horner_table(built - 1)
+    with pytest.raises(ArithmeticError):
+        table.poly(built)
+    assert len(table._entries) == built
 
 
 def test_phi_series_low_orders():

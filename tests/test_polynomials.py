@@ -341,15 +341,43 @@ def test_solve_reflection_matches_reference_loop(case):
         reference_solve_reflection, rank, rhs)
 
 
+def reference_unpack(value: int, slot: int) -> list[int]:
+    """The codec's read as one loop step per digit, for every slot."""
+    mask, half = (1 << slot) - 1, 1 << (slot - 1)
+    digits = []
+    for _ in range(value.bit_length() // slot + 1):
+        digit = value & mask
+        value >>= slot
+        if digit >= half:
+            digit -= 1 << slot
+            value += 1
+        digits.append(digit)
+    if value:
+        digits.append(value)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
 @st.composite
-def slot_and_digits(draw):
-    """A slot of 2..70 bits and a digit list in its signed range, no zero on top."""
-    slot = draw(st.integers(2, 70))
+def slot_and_digits(draw, slots=st.integers(2, 70), max_size=12):
+    """A slot and a digit list in its signed range, no zero on top."""
+    slot = draw(slots)
     half = 1 << (slot - 1)
-    digits = draw(st.lists(st.integers(-half, half - 1), max_size=12))
+    digit = st.one_of(st.integers(-half, half - 1), st.sampled_from([-half, half - 1, 0]))
+    digits = draw(st.lists(digit, max_size=max_size))
     while digits and not digits[-1]:
         digits.pop()
     return slot, digits
+
+
+def check_round_trip(slot, digits):
+    value = _pack(digits, slot)
+    assert _unpack(value, slot) == digits
+    assert _unpack(value, slot) == reference_unpack(value, slot)
+    assert _unpack(-value, slot) == reference_unpack(-value, slot)
+    # packed sums and products are the polynomial's, evaluated at t = 2^slot
+    assert value == IntPoly(digits).evaluate(1 << slot)
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,14 +386,23 @@ def slot_and_digits(draw):
 @example((2, [-1, -2, 1]))
 @example((5, [0, 5, -16, -16, 1]))
 def test_pack_round_trip(case):
-    slot, digits = case
-    assert _unpack(_pack(digits, slot), slot) == digits
-    # packed sums and products are the polynomial's, evaluated at t = 2^slot
-    assert _pack(digits, slot) == IntPoly(digits).evaluate(1 << slot)
+    check_round_trip(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_and_digits(st.sampled_from([64, 72, 128, 256, 1024]), max_size=300))
+# the carry case on the byte-aligned read: a top 1 above -2^(slot-1)
+@example((64, [3, -(1 << 63), 1]))
+@example((64, [-(1 << 63)] * 5 + [1]))
+@example((1024, [0, -(1 << 1023), 1]))
+@example((72, [(1 << 71) - 1, -(1 << 71), 1]))
+def test_pack_round_trip_byte_aligned(case):
+    check_round_trip(*case)
 
 
 @settings(max_examples=100, deadline=None)
-@given(slot_and_digits(), st.integers(0, 12))
+@given(st.one_of(slot_and_digits(), slot_and_digits(st.sampled_from([64, 128]))),
+       st.integers(0, 12))
 def test_pack_digit_out_of_range_does_not_round_trip(case, where):
     # negative control: a digit of +2^(slot-1) is one past the signed range,
     # so it reads back as -2^(slot-1) with a carry into the digit above it
