@@ -208,6 +208,12 @@ def _pack(coeffs: Sequence[int], slot: int) -> int:
     return value
 
 
+# Values of at most this many slots are read by the loop of ``_unpack``: up
+# to about 8 slots of 64 bits, and 16 of wider ones, the loop was as quick as
+# one ``to_bytes`` read (the lattice rows of ``flats`` are mostly that short).
+_LOOP_DIGITS = 16
+
+
 def _unpack(value: int, slot: int) -> list[int]:
     """The signed base-2^slot digits of ``value``, lowest first, no zero on top.
 
@@ -216,32 +222,32 @@ def _unpack(value: int, slot: int) -> list[int]:
     at most b // slot + 1 digits, except when its top digit is 1 above a
     digit of -2^(slot-1): then it has one more, the carry 1.
 
-    A slot of 64 bits or more that is a multiple of 8 is read in linear
-    time.  Adding half = 2^(slot-1) to each of the b // slot + 2 digits,
-    that is half * (1 + X + X^2 + ...) at X = 2^slot, makes every digit
-    read unsigned, with no borrow.  One ``to_bytes`` call then lays the
-    digits out, read as native 64-bit words or as ``int.from_bytes`` slices,
-    and half is taken off each again.  Any other slot is read by a loop of
-    b // slot + 1 steps, each a mask, a shift and at most one borrow,
-    ending even without the carry; what is left, 0 or the carry 1, is
-    appended.
+    A value of more than ``_LOOP_DIGITS`` slots, each of 64 bits or more and
+    a multiple of 8, is read in linear time.  Adding half = 2^(slot-1) to
+    each of the b // slot + 2 digits, that is offset = half * (1 + X + X^2 + ...) at X = 2^slot, makes every
+    digit read unsigned, with no borrow; XOR with the offset then flips the
+    top bit of each slot back, which leaves each digit in two's complement
+    in its own slot.  One ``to_bytes`` call lays the slots out, read as
+    native signed 64-bit words or as signed ``int.from_bytes`` slices.
+    Any other value is read by a loop of b // slot + 1 steps, each a mask, a
+    shift and at most one borrow, ending even without the carry; what is
+    left, 0 or the carry 1, is appended.
     """
-    half = 1 << (slot - 1)
-    if slot >= 64 and not slot % 8:
+    count = value.bit_length() // slot + 2
+    if count > _LOOP_DIGITS and slot >= 64 and not slot % 8:
         width = slot // 8
-        count = value.bit_length() // slot + 2
         offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-        raw = (value + offset).to_bytes(count * width, "little")
+        raw = ((value + offset) ^ offset).to_bytes(count * width, "little")
         if width == 8 and sys.byteorder == "little":
-            words = memoryview(raw).cast("Q")
+            digits = memoryview(raw).cast("q").tolist()
         else:
-            words = (int.from_bytes(raw[k:k + width], "little")
-                     for k in range(0, count * width, width))
-        digits = [word - half for word in words]
+            digits = [int.from_bytes(raw[k:k + width], "little", signed=True)
+                      for k in range(0, count * width, width)]
     else:
         mask = (1 << slot) - 1
+        half = 1 << (slot - 1)
         digits = []
-        for _ in range(value.bit_length() // slot + 1):
+        for _ in range(count - 1):
             digit = value & mask
             value >>= slot
             if digit >= half:

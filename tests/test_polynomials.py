@@ -391,11 +391,13 @@ def test_pack_round_trip(case):
 
 @settings(max_examples=300, deadline=None)
 @given(slot_and_digits(st.sampled_from([64, 72, 128, 256, 1024]), max_size=300))
-# the carry case on the byte-aligned read: a top 1 above -2^(slot-1)
+# the carry case: a top 1 above -2^(slot-1), read by the loop when short and
+# by the byte-aligned read when longer than _LOOP_DIGITS slots
 @example((64, [3, -(1 << 63), 1]))
-@example((64, [-(1 << 63)] * 5 + [1]))
-@example((1024, [0, -(1 << 1023), 1]))
-@example((72, [(1 << 71) - 1, -(1 << 71), 1]))
+@example((64, [3] * 20 + [-(1 << 63), 1]))
+@example((64, [-(1 << 63)] * 30 + [1]))
+@example((1024, [0] * 20 + [-(1 << 1023), 1]))
+@example((72, [(1 << 71) - 1] * 17 + [-(1 << 71), 1]))
 def test_pack_round_trip_byte_aligned(case):
     check_round_trip(*case)
 
