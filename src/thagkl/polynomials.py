@@ -19,12 +19,12 @@ power series", 1980); ``expand_F`` runs that order-3 recurrence on plain
 integer coefficient lists, one O(n) pass per coefficient.
 
 The codec reads a packed value back as signed digits in one of two ways,
-with one result.  A slot that is a multiple of 8 bits and at least 64 wide
-(the lattice rows of ``flats`` and the KL table of ``kl``) is read in
+with one result.  A value of more than 16 slots, each a multiple of 8 bits
+and at least 64 wide (the rows of the KL table in ``kl``), is read in
 linear time: one ``to_bytes`` call, then 64-bit words or byte slices.
-Narrower or unaligned slots (the Dyck DP, the ribbon kernel of
-``symfunc``) are read by a loop of one shift per digit, which is quicker
-for their few short digits.
+Shorter values (most lattice rows of ``flats``) and narrower or unaligned
+slots (the Dyck DP, the ribbon kernel of ``symfunc``) are read by a loop of
+one shift per digit, which is as quick for a few digits.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from thagkl.kl import (
     phi_series,
     verify_theorem,
 )
-from thagkl.polynomials import IntPoly, ONE, ZERO, poly_reverse
+from thagkl.polynomials import IntPoly, ONE, ZERO, poly_reverse, solve_reflection_equation
 
 
 def test_char_poly_boolean():
@@ -106,7 +106,6 @@ def test_kl_table_entries():
 def list_horner_table(n_max: int) -> list[IntPoly]:
     """P_0 .. P_n_max by the recursion run on coefficient lists, one Horner
     step in (t - 1) per earlier row: the table's computation before packing."""
-    from thagkl.polynomials import solve_reflection_equation
 
     def times_t_minus_1(coeffs):
         return [hi - lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
