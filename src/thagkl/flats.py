@@ -19,41 +19,59 @@ subgraph, and holds every edge inside a block.  Its covers are found by
 merging two blocks that an edge joins, so the lattice is grown rank by rank
 as edge bitmasks, with its cover relation, and no closure is ever taken.
 
-The KL polynomial of every upper interval [i, 1] is found without Moebius
-values or interval characteristic polynomials.  Write P_g for the KL
-polynomial of [g, 1] and put
-
-    Q_h = sum_{g >= h} t^(rk g - rk h) P_g,    W_i = sum_{h >= i} mu(i, h) Q_h.
-
+The KL and characteristic polynomials of every upper interval [i, 1] come
+from one top-down pass, without Moebius values.  Write P_g for the KL
+polynomial of [g, 1], r_g = rk(1) - rk(g) for its rank, and rhs_i for the
+terms g > i of the recursion for [i, 1], so t^r_i P_i(1/t) - P_i = rhs_i.
 Expanding chi of [i, g] as sum_{i <= h <= g} mu(i, h) t^(rk g - rk h) and
-swapping the sums shows that W_i is the whole right-hand side of the
-recursion for [i, 1], so W_i = rhs_i + P_i, where rhs_i collects the terms
-g > i.  Zeta inversion of W = mu * Q gives Q_i = sum_{h >= i} W_h; taking the
-h = i terms out of both expressions of Q_i,
+swapping the sums shows that the whole right-hand side W_i = rhs_i + P_i is
+sum_{h >= i} mu(i, h) Q_h with Q_h = sum_{g >= h} t^(rk g - rk h) P_g, so
+zeta inversion gives Q_i = sum_{h >= i} W_h.  The recursion itself says
+that W_g = t^r_g P_g(1/t), the reversal of P_g, so with
 
-    rhs_i = sum_{g > i} (t^(rk g - rk i) P_g - W_g),
+    S_i = sum_{g > i} t^rk(g) P_g,
 
-one sum over the up-set of i.  The reflection solver checks every rhs_i, so
-an error here raises instead of returning a wrong polynomial.
+taking the h = i terms out of both expressions of Q_i leaves
+
+    rhs_i = t^(-rk i) S_i(t) - t^rk(1) S_i(1/t),
+
+read off one sum over the up-set of i.  Every rhs_i goes through the
+reflection solver shared with ``polynomials``; built this way it is
+antisymmetric in t^k <-> t^(r_i - k), so the solver's window checks hold by
+construction, and a wrong row is caught by the overflow guard below and by
+the reference engine of the tests.
+
+The same sum gives chi.  Summing chi([F, 1]) = sum_{h >= F} mu(F, h)
+t^(rk 1 - rk h) over the flats F >= i leaves only h = i, so
+
+    sum_{F >= i} chi([F, 1]) = t^r_i,
+    chi([i, 1]) = t^r_i - sum_{g > i} chi([g, 1]).
+
+``char_poly(F)`` runs the pass on [0, F], the flats below F with rk(F) in
+place of rk(1); for F = 1 it reads the cached full pass.
 
 Two vertices u != v are twins when N(u) - {v} = N(v) - {u}.  False twins
 share N(v), true twins share N(v) + {v}, and no vertex has both kinds, so
 twinship is an equivalence.  Neighbour sets are used, not edge counts:
 parallel edges do not change the lattice, which is that of the underlying
 simple graph.  Permuting twins is an automorphism of that graph and maps
-flats to flats, so P_g and W_g are constant on each orbit of flats under
-those permutations.  Two flats lie in one orbit exactly when their blocks
-have the same multiset of per-twin-class vertex counts, which
+flats to flats, so P_g and chi([g, 1]) are constant on each orbit of flats
+under those permutations.  Two flats lie in one orbit exactly when their
+blocks have the same multiset of per-twin-class vertex counts, which
 ``build_lattice`` records as each flat's orbit key.  The recursion is solved
 at the first flat of each orbit that the top-down pass meets, its highest
-index, and the rest of the orbit copy that flat's P and row.  A graph
-without twins has one flat per orbit and runs the same loop.
+index, and the rest of the orbit copy that flat's P, chi and row.  A twin
+permutation that moves F maps [g, F] onto an interval with another top, so
+the pass on [0, F] copies by orbit only when F is alone in its orbit, as
+``mu_row`` does below; otherwise it solves every flat.  A graph without twins has
+one flat per orbit and runs the same loop.
 
-Each flat's row, the coefficients of t^rk(g) P_g and of W_g, is one int
-packed by the shared codec of ``polynomials`` in signed slots of
-``_SLOT_BITS`` bits, so the up-set sum of rhs_i is one C-level ``sum`` of
-ints; a guard raises ``ArithmeticError`` once the largest coefficient times
-len(lattice), a bound on any up-set sum, could reach half a slot.
+Each flat's row, the coefficients of t^rk(g) P_g and of chi([g, 1]), is one
+int packed by the shared codec of ``polynomials`` in signed slots of
+``_SLOT_BITS`` bits, so the up-set sum of i, which holds S_i and the chi sum
+in its two halves, is one C-level ``sum`` of ints; a guard raises
+``ArithmeticError`` once the largest coefficient times len(lattice), a bound
+on any up-set sum, could reach half a slot.
 
 Flats are sorted by rank, then by their sorted lists of edge indices.  No
 flat contains another of its rank, so the lowest edge at which two flats of
@@ -65,27 +83,32 @@ without building the lists.
 Bitsets are scanned by ``itertools.compress`` over a 0/1 selector read from
 ``bin(mask)``, one step per bit up to the highest, so each scan covers only
 the flats that can be in the set it sums.  A flat strictly above i has a
-larger rank, so the up-set sum of rhs_i starts at the first flat of rank
+larger rank, so the up-set sum of i starts at the first flat of rank
 rk(i) + 1.  A flat strictly below j has a smaller rank, so the down-set of j
 without j itself ends before the first flat of rank rk(j).
 
-Moebius rows use the twin symmetry too.  If every twin permutation fixes
-flat i, then mu(i, h) = mu(i, sigma h) for every such sigma, so mu(i, .) is
-constant on orbits.  A flat is fixed exactly when its orbit has one member,
-which always holds for the bottom flat.  For such an i, ``mu_row`` takes one
-down-set sum per orbit of the flats above i and copies it to the orbit's
-other members; for any other i it takes one sum per flat.
+Moebius rows now serve only ``mu_row``, and the down-sets, which only it
+reads, are built on first read.  The rows use the twin symmetry too.  If
+every twin permutation fixes flat i, then mu(i, h) = mu(i, sigma h) for
+every such sigma, so mu(i, .) is constant on orbits.  A flat is fixed
+exactly when its orbit has one member, which always holds for the bottom
+flat.  For such an i, ``mu_row`` takes one down-set sum per orbit of the
+flats above i and copies it to the orbit's other members; for any other i
+it takes one sum per flat.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 from itertools import compress, repeat
 from operator import rshift
 from typing import FrozenSet
 
-from .polynomials import IntPoly, ONE, _check_index, _pack, _unpack, solve_reflection_equation
+from .polynomials import IntPoly, ONE, _check_index, _pack, _solve_reflection, _unpack
+# the public solver stays bound here, as before, for code that wraps it by module
+from .polynomials import solve_reflection_equation  # noqa: F401
 
 MAX_LATTICE_RANK = 8
 
@@ -199,16 +222,18 @@ class FlatLattice:
 
     ``ranked_covers[r]`` maps each flat of rank r, as an edge bitmask, to the
     bitmasks of the flats that cover it, and ``orbit_of`` maps each flat's
-    bitmask to the number of its orbit under twin permutations.  Flats are
-    sorted by (rank, sorted edge indices), so index 0 is the empty flat and
-    the last index is the full edge set; ``flats`` holds them as frozensets,
-    and ``index_of`` finds one by its bitmask.  The flats of rank r have the
-    indices ``_rank_start[r]`` up to ``_rank_start[r + 1]``.  ``up_sets[i]``
-    and ``down_sets[i]`` are bitsets over flat indices: bit j of
-    ``up_sets[i]`` is set iff flats[i] <= flats[j], and of ``down_sets[i]``
-    iff flats[j] <= flats[i].  Moebius rows, each shared across the orbits
-    above a flat that twin permutations fix, and the KL polynomials are
-    computed lazily and cached.
+    bitmask to the number of its orbit under twin permutations; neither is
+    kept.  Flats are sorted by (rank, sorted edge indices), so index 0 is the
+    empty flat and the last index is the full edge set; ``flats`` holds them
+    as frozensets, and ``index_of`` finds one by its bitmask.  The flats of
+    rank r have the indices ``_rank_start[r]`` up to ``_rank_start[r + 1]``.
+    ``up_sets[i]`` and ``down_sets[i]`` are bitsets over flat indices: bit j
+    of ``up_sets[i]`` is set iff flats[i] <= flats[j], and of
+    ``down_sets[i]`` iff flats[j] <= flats[i].  The up-sets are built with
+    the lattice; the down-sets, which only ``mu_row`` reads, are built on
+    demand.  The KL and characteristic polynomials of the upper intervals
+    come from one cached pass; Moebius rows, each shared across the orbits
+    above a flat that twin permutations fix, are computed lazily and cached.
     """
 
     def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]],
@@ -229,24 +254,27 @@ class FlatLattice:
         self.ranks: tuple[int, ...] = tuple(ranks)
         self._orbits: list[int] = [orbit_of[m] for m in masks]
         self._at = at = {m: i for i, m in enumerate(masks)}
-        covers = [[at[m] for m in ranked_covers[r][mask]]
-                  for mask, r in zip(masks, self.ranks)]
         # a cover has a larger index, so one pass from the top finds every
-        # up-set and one from the bottom every down-set
+        # up-set; the cover lists are not kept
         up = [0] * len(masks)
         for i in reversed(range(len(masks))):
             u = 1 << i
-            for j in covers[i]:
-                u |= up[j]
+            for m in ranked_covers[ranks[i]][masks[i]]:
+                u |= up[at[m]]
             up[i] = u
-        down = [1 << j for j in range(len(masks))]
-        for i, above in enumerate(covers):
-            for j in above:
-                down[j] |= down[i]
         self.up_sets: tuple[int, ...] = tuple(up)
-        self.down_sets: tuple[int, ...] = tuple(down)
         self._mu_rows: dict[int, dict[int, int]] = {}
-        self._kl_upper: list[IntPoly] | None = None
+        self._uppers: tuple[list[IntPoly], list[IntPoly]] | None = None
+
+    @functools.cached_property
+    def down_sets(self) -> tuple[int, ...]:
+        """Bit j of ``down_sets[i]`` is set iff flats[j] <= flats[i]; built on first read."""
+        down = [1 << j for j in range(len(self))]
+        for i, u in enumerate(self.up_sets):
+            bit = 1 << i
+            for j in compress(range(i + 1, len(self)), _selector(u >> (i + 1))):
+                down[j] |= bit
+        return tuple(down)
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -298,13 +326,10 @@ class FlatLattice:
 
     def char_poly(self, flat: Flat) -> IntPoly:
         """Characteristic polynomial of the localization at ``flat``."""
-        top = self.index_of(flat)
-        mu = self.mu_row(0)
-        rank = self.ranks[top]
-        coeffs = [0] * (rank + 1)
-        for h in compress(range(len(self)), _selector(self.down_sets[top])):
-            coeffs[rank - self.ranks[h]] += mu[h]
-        return IntPoly(coeffs)
+        f = self.index_of(flat)
+        if f == len(self) - 1:
+            return self._upper_pass()[1][0]
+        return self._interval_pass(f)[1][0]
 
     def kl_poly(self) -> IntPoly:
         """KL polynomial of the whole lattice via the defining recursion."""
@@ -323,49 +348,74 @@ class FlatLattice:
 
     def _kl_of_uppers(self) -> list[IntPoly]:
         """KL polynomial of every upper interval [i, 1], by index i."""
-        if self._kl_upper is None:
-            top = self.ranks[-1]
-            width = top + 1
-            half = 1 << (_SLOT_BITS - 1)
-            kl: list[IntPoly] = [ONE] * len(self)
-            # per flat g: t^rk(g) P_g in slots 0..top and W_g in slots
-            # width..width+top, so one sum over an up-set gives both sums of rhs_i;
-            # the slots below rk(g) are zero, so sums and rows start at slot rank
-            rows = [0] * len(self)
-            starts = self._rank_start
-            first_of: dict[int, int] = {}
-            peak = 0
-            for i in reversed(range(len(self))):
-                first = first_of.setdefault(self._orbits[i], i)
-                if first != i:
-                    kl[i] = kl[first]
-                    rows[i] = rows[first]
-                    continue
-                rank = self.ranks[i]
-                if rank == top:
-                    p = w = ONE
-                else:
-                    # every flat of up(i) but i has rank above rk(i)
-                    lo = starts[rank + 1]
-                    total = sum(compress(rows[lo:], _selector(self.up_sets[i] >> lo)))
-                    sums = _unpack(total >> (_SLOT_BITS * rank), _SLOT_BITS)
-                    sums += [0] * (2 * width - rank - len(sums))
-                    rhs = IntPoly([a - b for a, b in zip(sums[:width - rank], sums[width - rank:])])
-                    p = solve_reflection_equation(top - rank, rhs)
-                    w = rhs + p
-                slots = [0] * (2 * width - rank)
-                slots[:len(p.coeffs)] = p.coeffs
-                slots[width - rank:width - rank + len(w.coeffs)] = w.coeffs
-                peak = max(peak, max(map(abs, slots)))
-                if peak * len(self) >= half:
-                    raise ArithmeticError(
-                        f"coefficient {peak} times {len(self)} flats may overflow "
-                        f"a {_SLOT_BITS}-bit slot"
-                    )
-                kl[i] = p
-                rows[i] = _pack(slots, _SLOT_BITS) << (_SLOT_BITS * rank)
-            self._kl_upper = kl
-        return self._kl_upper
+        return self._upper_pass()[0]
+
+    def _upper_pass(self) -> tuple[list[IntPoly], list[IntPoly]]:
+        """P and chi of every upper interval [i, 1], by index i; cached."""
+        if self._uppers is None:
+            self._uppers = self._interval_pass(len(self) - 1)
+        return self._uppers
+
+    def _interval_pass(self, f: int) -> tuple[list[IntPoly], list[IntPoly]]:
+        """P and chi of [g, flats[f]] for every flat g <= flats[f], by index g.
+
+        The entries of the other flats are ``ONE``.  One top-down pass over
+        the down-set of flats[f]: the up-set sum of flat i, taken inside that
+        down-set, gives rhs_i and chi of [i, flats[f]] at once.
+        """
+        top = self.ranks[f]
+        half = 1 << (_SLOT_BITS - 1)
+        kl: list[IntPoly] = [ONE] * len(self)
+        chi: list[IntPoly] = [ONE] * len(self)
+        # the bitset of the flats below flats[f]: g is in it iff f is in up(g)
+        if f == len(self) - 1:
+            inside = (1 << len(self)) - 1
+        else:
+            inside = int("".join("01"[u >> f & 1] for u in reversed(self.up_sets[:f + 1])), 2)
+        # per flat g: t^rk(g) P_g in slots 0..top and chi([g, f]) in slots
+        # top+1..2*top+1, so one sum over an up-set gives S_i and the chi
+        # sum of i; a row is zero below slot rk(g), so it is packed from there
+        rows = [0] * (f + 1)
+        starts = self._rank_start
+        # a flat that twin permutations fix has P and chi constant on orbits
+        fixed = self._orbits.count(self._orbits[f]) == 1
+        first_of: dict[int, int] = {}
+        peak = 0
+        for i in reversed(list(compress(range(f + 1), _selector(inside)))):
+            first = first_of.setdefault(self._orbits[i] if fixed else i, i)
+            if first != i:
+                kl[i] = kl[first]
+                chi[i] = chi[first]
+                rows[i] = rows[first]
+                continue
+            rank = self.ranks[i]
+            r = top - rank
+            if r:
+                # every flat of up(i) but i has rank above rk(i)
+                lo = starts[rank + 1]
+                total = sum(compress(rows[lo:], _selector((self.up_sets[i] & inside) >> lo)))
+                digits = _unpack(total >> (_SLOT_BITS * rank), _SLOT_BITS)
+                digits += [0] * (2 * r + 2 - len(digits))
+                s = digits[:r + 1]
+                # rhs_i = t^(-rk i) S_i(t) - t^top S_i(1/t)
+                p = _solve_reflection(r, [a - b for a, b in zip(s, reversed(s))])
+                p += [0] * (r + 1 - len(p))
+                # chi([i, f]) = t^r minus the chi sum over the flats above i
+                c = [-d for d in digits[r + 1:]]
+                c[r] += 1
+                slots = p + c
+            else:
+                slots = [1, 1]
+            peak = max(peak, max(map(abs, slots)))
+            if peak * len(self) >= half:
+                raise ArithmeticError(
+                    f"coefficient {peak} times {len(self)} flats may overflow "
+                    f"a {_SLOT_BITS}-bit slot"
+                )
+            kl[i] = IntPoly(slots[:r + 1])
+            chi[i] = IntPoly(slots[r + 1:])
+            rows[i] = _pack(slots, _SLOT_BITS) << (_SLOT_BITS * rank)
+        return kl, chi
 
 
 def build_lattice(graph: Graph) -> FlatLattice:

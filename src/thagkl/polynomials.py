@@ -336,9 +336,8 @@ def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:
     P[k] = rhs[rank - k] for k <= (rank-1)//2.  The low-order window of rhs
     must then replicate -P and the gap between the two windows must vanish;
     either failing indicates a corrupted right-hand side, and the error
-    names the lowest coefficient at fault.  All of this works on the
-    coefficient tuple padded to length rank + 1: P is one reversed slice,
-    the -P window one tuple comparison and the gap one slice test.
+    names the lowest coefficient at fault.  This checks the arguments and
+    pads the coefficients to length rank + 1 for ``_solve_reflection``.
     """
     _check_index(rank, "rank", 1)
     if not isinstance(rhs, IntPoly):
@@ -347,11 +346,22 @@ def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:
         raise ArithmeticError(
             f"right-hand side has degree {rhs.degree()} > rank {rank}"
         )
+    return IntPoly(_solve_reflection(rank, list(rhs.coeffs) + [0] * (rank - rhs.degree())))
+
+
+def _solve_reflection(rank: int, cs: list[int]) -> list[int]:
+    """The reflection solve on a list of exactly rank + 1 coefficients, rank >= 1.
+
+    Returns P[0..(rank-1)//2], zeros on top included.  P is one reversed
+    slice, the -P window one list comparison and the gap one slice test;
+    an inconsistent ``cs`` raises ``ArithmeticError`` naming the lowest
+    coefficient at fault.  ``solve_reflection_equation`` and the lattice
+    engine of ``flats`` both solve through here.
+    """
     dmax = (rank - 1) // 2
-    cs = rhs.coeffs + (0,) * (rank + 1 - len(rhs.coeffs))
     # P[k] = cs[rank - k] for k = 0..dmax; rank - dmax - 1 >= 0 ends the slice
     solution = cs[rank:rank - dmax - 1:-1]
-    expected = tuple(-c for c in solution)
+    expected = [-c for c in solution]
     if cs[:dmax + 1] != expected:
         j = next(j for j, (c, e) in enumerate(zip(cs, expected)) if c != e)
         raise ArithmeticError(
@@ -364,4 +374,4 @@ def solve_reflection_equation(rank: int, rhs: IntPoly) -> IntPoly:
             f"inconsistent reflection: coefficient of t^{j} is {cs[j]}, "
             "expected 0 in the window between -P and its reflection"
         )
-    return IntPoly(solution)
+    return solution

@@ -7,7 +7,8 @@ package modules listed here, so a new edge is a deliberate edit of this table.
 ``dyck`` imports ``polynomials`` for the index check and the packed-row
 reader ``_unpack``; ``kl`` also imports both halves of the codec, for its
 packed recursion.  The private names that cross a module boundary are the
-kernel's index check, coercion and packed-polynomial codec, and the ribbon
+kernel's index check, coercion and packed-polynomial codec, the reflection
+core, which the lattice engine calls on coefficient lists, and the ribbon
 row kernel, which only the equivariant solver shares with ``symfunc``.
 """
 
@@ -66,7 +67,8 @@ PRIVATE_IMPORTS = {
     "dyck": {"polynomials._check_index", "polynomials._unpack"},
     "symfunc": {"polynomials._as_poly", "polynomials._check_index", "polynomials._pack",
                 "polynomials._unpack"},
-    "flats": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
+    "flats": {"polynomials._check_index", "polynomials._pack", "polynomials._solve_reflection",
+              "polynomials._unpack"},
     "kl": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
     "equivariant": {"polynomials._check_index", "symfunc._ribbon_sums"},
     "verify": {"polynomials._check_index"},

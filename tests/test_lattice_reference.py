@@ -255,13 +255,16 @@ def orbits_of(graph: Graph, classes, flat_list) -> set:
 
 @pytest.mark.parametrize("graph, classes", ORBIT_CASES)
 def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
+    # the lattice engine solves through the reflection core it shares with
+    # solve_reflection_equation
     solves = []
 
-    def counting(rank, rhs):
+    def counting(rank, cs):
         solves.append(rank)
-        return solve_reflection_equation(rank, rhs)
+        return honest(rank, cs)
 
-    monkeypatch.setattr(flats, "solve_reflection_equation", counting)
+    honest = flats._solve_reflection
+    monkeypatch.setattr(flats, "_solve_reflection", counting)
     lattice = build_lattice(graph)
     lattice.kl_poly()
     # one solve per orbit of the non-top flats
@@ -282,6 +285,8 @@ def test_one_down_set_sum_per_orbit_in_the_bottom_mu_row(monkeypatch, graph, cla
 
     honest = flats._selector
     lattice = build_lattice(graph)
+    # the down-sets are built on first read, by selectors of their own
+    assert lattice.down_sets
     monkeypatch.setattr(flats, "_selector", counting)
     row = lattice.mu_row(0)
     monkeypatch.undo()
@@ -312,6 +317,57 @@ def test_mu_row_of_a_flat_moved_by_twin_permutations():
     row = lattice.mu_row(i)
     assert (row[j], row[k]) == (1, 2)
     assert row == ref.mu_row(i)
+
+
+def moved_by_a_twin_swap(graph: Graph, flat_list) -> list[int]:
+    """Indices of the flats that swapping two twin vertices moves, with twins
+    found here from neighbour sets: N(u) - {v} = N(v) - {u}."""
+    neighbours = [set() for _ in range(graph.num_vertices)]
+    for u, v in graph.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    swaps = [(u, v) for u, v in itertools.combinations(range(graph.num_vertices), 2)
+             if neighbours[u] - {v} == neighbours[v] - {u}]
+
+    def blocks(flat, swap=None):
+        image = {swap[0]: swap[1], swap[1]: swap[0]} if swap else {}
+        return sorted(sorted(image.get(v, v) for v in b) for b in vertex_partition(graph, flat))
+
+    return [i for i, flat in enumerate(flat_list)
+            if any(blocks(flat, swap) != blocks(flat) for swap in swaps)]
+
+
+def assert_chi_matches_reference(graph):
+    # chi([g, 1]) from the one top-down pass for every flat g, and char_poly
+    # of every flat that a twin swap moves, whose pass must not copy by orbit
+    lattice = build_lattice(graph)
+    ref = ReferenceLattice(graph)
+    top = len(ref.flats) - 1
+    assert lattice._upper_pass()[1] == [ref.interval_char_poly(g, top) for g in range(top + 1)]
+    for f in moved_by_a_twin_swap(graph, lattice.flats):
+        assert lattice.char_poly(lattice.flats[f]) == ref.interval_char_poly(0, f)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_chi_of_the_thagomizer_matches_reference(n):
+    graph = thagomizer_graph(n)
+    lattice = build_lattice(graph)
+    # a swap of hubs or of spikes moves every flat but the bottom, the top
+    # and, from n = 2 on, the hub edge {0}
+    fixed = {0, len(lattice) - 1} | ({lattice.index_of({0})} if n >= 2 else set())
+    assert set(moved_by_a_twin_swap(graph, lattice.flats)) == set(range(len(lattice))) - fixed
+    assert_chi_matches_reference(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_twins())
+@example(TRUE_AND_FALSE_TWINS)
+@example(complete_graph(5))
+# 1 and 6 are twins, and so are 2 and 3; copying by orbit in the pass on
+# [0, F] for a flat F that a swap moves gave a wrong chi here
+@example(Graph(7, ((1, 2), (1, 3), (5, 2), (5, 3), (1, 5), (6, 2), (6, 3), (6, 5))))
+def test_chi_with_planted_twins_matches_reference(graph):
+    assert_chi_matches_reference(graph)
 
 
 def assert_matches_reference(graph):

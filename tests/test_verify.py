@@ -100,6 +100,19 @@ def _wrong_lattice_kl(monkeypatch):
     monkeypatch.setattr(FlatLattice, "kl_poly", lambda self: honest(self) + T * T)
 
 
+def _wrong_lattice_chi(monkeypatch):
+    # the lattice pass itself, with t added to chi([0, 1])
+    honest = FlatLattice._interval_pass
+
+    def doctored(self, f):
+        kl, chi = honest(self, f)
+        if f == len(self) - 1:
+            chi[0] = chi[0] + T
+        return kl, chi
+
+    monkeypatch.setattr(FlatLattice, "_interval_pass", doctored)
+
+
 def _wrong_chi(monkeypatch):
     honest = verify.char_poly_thag
     monkeypatch.setattr(verify, "char_poly_thag", lambda i: honest(i) + (ONE if i == 3 else 0))
@@ -129,6 +142,8 @@ def _wrong_catalan(monkeypatch):
     [
         (_bump_closed_form, "closed-form-agreement", "mismatches at [(6, 2)]"),
         (_wrong_lattice_kl, "lattice-cross-check", "failures: [('kl', 0), ('kl', 1),"),
+        (_wrong_lattice_chi, "lattice-cross-check",
+         "failures: [('chi', 0), ('chi', 1), ('chi', 2), ('chi', 3), ('chi', 4), ('chi', 5)]"),
         (_wrong_chi, "lattice-cross-check", "failures: [('chi', 3)]"),
         (_doctored_conjecture, "conjecture-agreement", "(n=4, partition=[4]);"),
         (_wrong_dimension, "equivariant-dimension", "graded dimension differs from P_n at [6]"),
