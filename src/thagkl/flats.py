@@ -63,8 +63,8 @@ at the first flat of each orbit that the top-down pass meets, its highest
 index, and the rest of the orbit copy that flat's P, chi and row.  A twin
 permutation that moves F maps [g, F] onto an interval with another top, so
 the pass on [0, F] copies by orbit only when F is alone in its orbit, as
-``mu_row`` does below; otherwise it solves every flat.  A graph without twins has
-one flat per orbit and runs the same loop.
+``mu_row`` does below; otherwise it solves every flat.  A graph without
+twins has one flat per orbit and runs the same loop.
 
 Each flat's row, the coefficients of t^rk(g) P_g and of chi([g, 1]), is one
 int packed by the shared codec of ``polynomials`` in signed slots of
@@ -222,8 +222,8 @@ class FlatLattice:
 
     ``ranked_covers[r]`` maps each flat of rank r, as an edge bitmask, to the
     bitmasks of the flats that cover it, and ``orbit_of`` maps each flat's
-    bitmask to the number of its orbit under twin permutations; neither is
-    kept.  Flats are sorted by (rank, sorted edge indices), so index 0 is the
+    bitmask to the number of its orbit under twin permutations; neither dict
+    is kept.  Flats are sorted by (rank, sorted edge indices), so index 0 is the
     empty flat and the last index is the full edge set; ``flats`` holds them
     as frozensets, and ``index_of`` finds one by its bitmask.  The flats of
     rank r have the indices ``_rank_start[r]`` up to ``_rank_start[r + 1]``.
@@ -264,7 +264,6 @@ class FlatLattice:
             up[i] = u
         self.up_sets: tuple[int, ...] = tuple(up)
         self._mu_rows: dict[int, dict[int, int]] = {}
-        self._uppers: tuple[list[IntPoly], list[IntPoly]] | None = None
 
     @functools.cached_property
     def down_sets(self) -> tuple[int, ...]:
@@ -328,7 +327,7 @@ class FlatLattice:
         """Characteristic polynomial of the localization at ``flat``."""
         f = self.index_of(flat)
         if f == len(self) - 1:
-            return self._upper_pass()[1][0]
+            return self._uppers[1][0]
         return self._interval_pass(f)[1][0]
 
     def kl_poly(self) -> IntPoly:
@@ -348,13 +347,12 @@ class FlatLattice:
 
     def _kl_of_uppers(self) -> list[IntPoly]:
         """KL polynomial of every upper interval [i, 1], by index i."""
-        return self._upper_pass()[0]
+        return self._uppers[0]
 
-    def _upper_pass(self) -> tuple[list[IntPoly], list[IntPoly]]:
-        """P and chi of every upper interval [i, 1], by index i; cached."""
-        if self._uppers is None:
-            self._uppers = self._interval_pass(len(self) - 1)
-        return self._uppers
+    @functools.cached_property
+    def _uppers(self) -> tuple[list[IntPoly], list[IntPoly]]:
+        """P and chi of every upper interval [i, 1], by index i."""
+        return self._interval_pass(len(self) - 1)
 
     def _interval_pass(self, f: int) -> tuple[list[IntPoly], list[IntPoly]]:
         """P and chi of [g, flats[f]] for every flat g <= flats[f], by index g.
@@ -377,7 +375,7 @@ class FlatLattice:
         # sum of i; a row is zero below slot rk(g), so it is packed from there
         rows = [0] * (f + 1)
         starts = self._rank_start
-        # a flat that twin permutations fix has P and chi constant on orbits
+        # when twin permutations fix flats[f], P and chi of [g, f] are constant on orbits
         fixed = self._orbits.count(self._orbits[f]) == 1
         first_of: dict[int, int] = {}
         peak = 0
