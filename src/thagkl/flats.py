@@ -47,8 +47,10 @@ t^(rk 1 - rk h) over the flats F >= i leaves only h = i, so
     sum_{F >= i} chi([F, 1]) = t^r_i,
     chi([i, 1]) = t^r_i - sum_{g > i} chi([g, 1]).
 
-``char_poly(F)`` runs the pass on [0, F], the flats below F with rk(F) in
-place of rk(1); for F = 1 it reads the cached full pass.
+``char_poly(F)`` needs chi([0, F]), the characteristic polynomial of the
+localization M|_F.  Closing a set of edges inside F never leaves F, so M|_F
+is the cycle matroid of the graph on F's edges, and its chi is read from the
+top of that graph's own lattice; for F = 1 it is the cached full pass.
 
 Two vertices u != v are twins when N(u) - {v} = N(v) - {u}.  False twins
 share N(v), true twins share N(v) + {v}, and no vertex has both kinds, so
@@ -60,11 +62,8 @@ under those permutations.  Two flats lie in one orbit exactly when their
 blocks have the same multiset of per-twin-class vertex counts, which
 ``build_lattice`` records as each flat's orbit key.  The recursion is solved
 at the first flat of each orbit that the top-down pass meets, its highest
-index, and the rest of the orbit copy that flat's P, chi and row.  A twin
-permutation that moves F maps [g, F] onto an interval with another top, so
-the pass on [0, F] copies by orbit only when F is alone in its orbit, as
-``mu_row`` does below; otherwise it solves every flat.  A graph without
-twins has one flat per orbit and runs the same loop.
+index, and the rest of the orbit copy that flat's P, chi and row.  A graph
+without twins has one flat per orbit and runs the same loop.
 
 Each flat's row, the coefficients of t^rk(g) P_g and of chi([g, 1]), is one
 int packed by the shared codec of ``polynomials`` in signed slots of
@@ -84,17 +83,12 @@ Bitsets are scanned by ``itertools.compress`` over a 0/1 selector read from
 ``bin(mask)``, one step per bit up to the highest, so each scan covers only
 the flats that can be in the set it sums.  A flat strictly above i has a
 larger rank, so the up-set sum of i starts at the first flat of rank
-rk(i) + 1.  A flat strictly below j has a smaller rank, so the down-set of j
-without j itself ends before the first flat of rank rk(j).
+rk(i) + 1.
 
-Moebius rows now serve only ``mu_row``, and the down-sets, which only it
-reads, are built on first read.  The rows use the twin symmetry too.  If
-every twin permutation fixes flat i, then mu(i, h) = mu(i, sigma h) for
-every such sigma, so mu(i, .) is constant on orbits.  A flat is fixed
-exactly when its orbit has one member, which always holds for the bottom
-flat.  For such an i, ``mu_row`` takes one down-set sum per orbit of the
-flats above i and copies it to the orbit's other members; for any other i
-it takes one sum per flat.
+``mu_row(i)`` reads only up-sets: mu(i, j) = -sum_{i <= h < j} mu(i, h)
+over the flats h <= j, so it visits up(i) in ascending index order, where
+every such h comes before j, and pushes each mu(i, h) to the flats of up(h)
+above h.
 """
 
 from __future__ import annotations
@@ -227,13 +221,10 @@ class FlatLattice:
     empty flat and the last index is the full edge set; ``flats`` holds them
     as frozensets, and ``index_of`` finds one by its bitmask.  The flats of
     rank r have the indices ``_rank_start[r]`` up to ``_rank_start[r + 1]``.
-    ``up_sets[i]`` and ``down_sets[i]`` are bitsets over flat indices: bit j
-    of ``up_sets[i]`` is set iff flats[i] <= flats[j], and of
-    ``down_sets[i]`` iff flats[j] <= flats[i].  The up-sets are built with
-    the lattice; the down-sets, which only ``mu_row`` reads, are built on
-    demand.  The KL and characteristic polynomials of the upper intervals
-    come from one cached pass; Moebius rows, each shared across the orbits
-    above a flat that twin permutations fix, are computed lazily and cached.
+    ``up_sets[i]`` is a bitset over flat indices: bit j is set iff
+    flats[i] <= flats[j].  The KL and characteristic polynomials of the
+    upper intervals come from one cached pass; Moebius rows are computed
+    from the up-sets on each call.
     """
 
     def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]],
@@ -263,17 +254,6 @@ class FlatLattice:
                 u |= up[at[m]]
             up[i] = u
         self.up_sets: tuple[int, ...] = tuple(up)
-        self._mu_rows: dict[int, dict[int, int]] = {}
-
-    @functools.cached_property
-    def down_sets(self) -> tuple[int, ...]:
-        """Bit j of ``down_sets[i]`` is set iff flats[j] <= flats[i]; built on first read."""
-        down = [1 << j for j in range(len(self))]
-        for i, u in enumerate(self.up_sets):
-            bit = 1 << i
-            for j in compress(range(i + 1, len(self)), _selector(u >> (i + 1))):
-                down[j] |= bit
-        return tuple(down)
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -294,45 +274,33 @@ class FlatLattice:
         return [b - a for a, b in zip(starts, starts[1:])]
 
     def mu_row(self, i: int) -> dict[int, int]:
-        """Moebius function mu(flats[i], flats[j]) for all j above i.
-
-        Returns a fresh dict; the cached row stays private to the lattice.
-        """
+        """Moebius function mu(flats[i], flats[j]) for all j above i, as a fresh dict."""
         _check_index(i, "flat index")
         if i >= len(self):
             raise ValueError(f"flat index {i} out of range 0..{len(self) - 1}")
-        row = self._mu_rows.get(i)
-        if row is None:
-            # mu[h - i] = mu(i, h), and stays 0 for h not above i until it is
-            # set; ascending j, so every h in [i, j) is known
-            above = list(compress(range(i, len(self)), _selector(self.up_sets[i] >> i)))
-            mu = [0] * (len(self) - i)
-            mu[0] = 1
-            # a flat alone in its orbit is fixed by every twin permutation,
-            # so mu(i, .) is constant on orbits: one sum per orbit
-            fixed = self._orbits.count(self._orbits[i]) == 1
-            solved: dict[int, int] = {}
-            for j in above[1:]:
-                key = self._orbits[j] if fixed else j
-                value = solved.get(key)
-                if value is None:
-                    # without bit j the down-set ends below rank rk(j)
-                    below = (self.down_sets[j] ^ (1 << j)) >> i
-                    value = solved[key] = -sum(compress(mu, _selector(below)))
-                mu[j - i] = value
-            row = self._mu_rows[i] = {j: mu[j - i] for j in above}
-        return dict(row)
+        # pending[j - i] sums mu(i, h) over the flats h of [i, j) below j met
+        # so far; ascending h, so it is complete when j is reached
+        pending = [0] * (len(self) - i)
+        pending[0] = -1
+        row: dict[int, int] = {}
+        for h in compress(range(i, len(self)), _selector(self.up_sets[i] >> i)):
+            value = row[h] = -pending[h - i]
+            for j in compress(range(h + 1, len(self)), _selector(self.up_sets[h] >> (h + 1))):
+                pending[j - i] += value
+        return row
 
     def char_poly(self, flat: Flat) -> IntPoly:
         """Characteristic polynomial of the localization at ``flat``."""
         f = self.index_of(flat)
         if f == len(self) - 1:
             return self._uppers[1][0]
-        return self._interval_pass(f)[1][0]
+        edges = self.graph.edges
+        restricted = Graph(self.graph.num_vertices, tuple(edges[e] for e in sorted(self.flats[f])))
+        return build_lattice(restricted)._uppers[1][0]
 
     def kl_poly(self) -> IntPoly:
         """KL polynomial of the whole lattice via the defining recursion."""
-        return self._kl_of_uppers()[0]
+        return self._uppers[0][0]
 
     def z_poly(self) -> IntPoly:
         """Z(t) = sum_F t^rk(F) P(M/F)(t), palindromic of degree rk(M).
@@ -340,47 +308,31 @@ class FlatLattice:
         Proudfoot-Xu-Young, arXiv:1706.05575.
         """
         coeffs = [0] * (self.ranks[-1] + 1)
-        for rank, p in zip(self.ranks, self._kl_of_uppers()):
+        for rank, p in zip(self.ranks, self._uppers[0]):
             for k, c in enumerate(p.coeffs):
                 coeffs[rank + k] += c
         return IntPoly(coeffs)
 
-    def _kl_of_uppers(self) -> list[IntPoly]:
-        """KL polynomial of every upper interval [i, 1], by index i."""
-        return self._uppers[0]
-
     @functools.cached_property
     def _uppers(self) -> tuple[list[IntPoly], list[IntPoly]]:
-        """P and chi of every upper interval [i, 1], by index i."""
-        return self._interval_pass(len(self) - 1)
+        """P and chi of every upper interval [i, 1], by index i.
 
-    def _interval_pass(self, f: int) -> tuple[list[IntPoly], list[IntPoly]]:
-        """P and chi of [g, flats[f]] for every flat g <= flats[f], by index g.
-
-        The entries of the other flats are ``ONE``.  One top-down pass over
-        the down-set of flats[f]: the up-set sum of flat i, taken inside that
-        down-set, gives rhs_i and chi of [i, flats[f]] at once.
+        One top-down pass: the up-set sum of flat i gives rhs_i and chi of
+        [i, 1] at once.
         """
-        top = self.ranks[f]
+        top = self.ranks[-1]
         half = 1 << (_SLOT_BITS - 1)
         kl: list[IntPoly] = [ONE] * len(self)
         chi: list[IntPoly] = [ONE] * len(self)
-        # the bitset of the flats below flats[f]: g is in it iff f is in up(g)
-        if f == len(self) - 1:
-            inside = (1 << len(self)) - 1
-        else:
-            inside = int("".join("01"[u >> f & 1] for u in reversed(self.up_sets[:f + 1])), 2)
-        # per flat g: t^rk(g) P_g in slots 0..top and chi([g, f]) in slots
+        # per flat g: t^rk(g) P_g in slots 0..top and chi([g, 1]) in slots
         # top+1..2*top+1, so one sum over an up-set gives S_i and the chi
         # sum of i; a row is zero below slot rk(g), so it is packed from there
-        rows = [0] * (f + 1)
+        rows = [0] * len(self)
         starts = self._rank_start
-        # when twin permutations fix flats[f], P and chi of [g, f] are constant on orbits
-        fixed = self._orbits.count(self._orbits[f]) == 1
         first_of: dict[int, int] = {}
         peak = 0
-        for i in reversed(list(compress(range(f + 1), _selector(inside)))):
-            first = first_of.setdefault(self._orbits[i] if fixed else i, i)
+        for i in reversed(range(len(self))):
+            first = first_of.setdefault(self._orbits[i], i)
             if first != i:
                 kl[i] = kl[first]
                 chi[i] = chi[first]
@@ -391,14 +343,14 @@ class FlatLattice:
             if r:
                 # every flat of up(i) but i has rank above rk(i)
                 lo = starts[rank + 1]
-                total = sum(compress(rows[lo:], _selector((self.up_sets[i] & inside) >> lo)))
+                total = sum(compress(rows[lo:], _selector(self.up_sets[i] >> lo)))
                 digits = _unpack(total >> (_SLOT_BITS * rank), _SLOT_BITS)
                 digits += [0] * (2 * r + 2 - len(digits))
                 s = digits[:r + 1]
                 # rhs_i = t^(-rk i) S_i(t) - t^top S_i(1/t)
                 p = _solve_reflection(r, [a - b for a, b in zip(s, reversed(s))])
                 p += [0] * (r + 1 - len(p))
-                # chi([i, f]) = t^r minus the chi sum over the flats above i
+                # chi([i, 1]) = t^r minus the chi sum over the flats above i
                 c = [-d for d in digits[r + 1:]]
                 c[r] += 1
                 slots = p + c

@@ -193,7 +193,7 @@ def test_orbit_key_merging_non_twins_is_caught(monkeypatch):
     graph = thagomizer_graph(3)
     ref = ReferenceLattice(graph)
     expected = [ref.kl_of_upper(i) for i in range(len(ref.flats))]
-    assert build_lattice(graph)._kl_of_uppers() == expected
+    assert build_lattice(graph)._uppers[0] == expected
     honest = flats._twin_classes
 
     def merged(g):
@@ -201,7 +201,7 @@ def test_orbit_key_merging_non_twins_is_caught(monkeypatch):
         return [classes[0] if c == classes[2] else c for c in classes]
 
     monkeypatch.setattr(flats, "_twin_classes", merged)
-    assert build_lattice(graph)._kl_of_uppers() != expected
+    assert build_lattice(graph)._uppers[0] != expected
 
 
 @pytest.mark.parametrize("graph, bits", [(complete_graph(6), 8), (complete_graph(7), 16)])
@@ -274,28 +274,32 @@ def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
 
 
 @pytest.mark.parametrize("graph, classes", ORBIT_CASES)
-def test_one_down_set_sum_per_orbit_in_the_bottom_mu_row(monkeypatch, graph, classes):
-    # the row reads one selector for the up-set of the bottom flat, then
-    # one per down-set it sums
-    selectors = []
-
-    def counting(mask):
-        selectors.append(mask)
-        return honest(mask)
-
-    honest = flats._selector
+def test_one_solve_per_orbit_in_the_char_poly_of_a_moved_flat(monkeypatch, graph, classes):
+    # char_poly(F) below the top runs the pass of the graph on F's edges,
+    # which keys by that graph's own twin orbits, even when a twin swap of
+    # the whole graph moves F
     lattice = build_lattice(graph)
-    # the down-sets are built on first read, by selectors of their own
-    assert lattice.down_sets
-    monkeypatch.setattr(flats, "_selector", counting)
-    row = lattice.mu_row(0)
+    moved = moved_by_a_twin_swap(graph, lattice.flats)
+    assert bool(moved) == bool(classes)
+    # the highest flat that a swap moves, else the highest below the top
+    f = max(moved, default=len(lattice) - 2)
+    restricted = Graph(graph.num_vertices,
+                       tuple(graph.edges[e] for e in sorted(lattice.flats[f])))
+    solves = []
+
+    def counting(rank, cs):
+        solves.append(rank)
+        return honest(rank, cs)
+
+    honest = flats._solve_reflection
+    monkeypatch.setattr(flats, "_solve_reflection", counting)
+    chi = lattice.char_poly(lattice.flats[f])
     monkeypatch.undo()
-    sums = len(selectors) - 1
-    # the bottom flat is alone in its orbit, so mu(0, .) is shared by each
-    # orbit of the flats above it
-    assert sums == len(orbits_of(graph, classes, lattice.flats[1:]))
-    assert (sums < len(lattice) - 1) == bool(classes)
-    assert row == ReferenceLattice(graph).mu_row(0)
+    local = build_lattice(restricted)
+    restricted_classes = twin_classes(restricted)
+    assert len(solves) == len(orbits_of(restricted, restricted_classes, local.flats[:-1]))
+    assert (len(solves) < len(local) - 1) == bool(restricted_classes)
+    assert chi == ReferenceLattice(graph).interval_char_poly(0, f)
 
 
 def test_mu_row_of_a_flat_moved_by_twin_permutations():
@@ -319,15 +323,30 @@ def test_mu_row_of_a_flat_moved_by_twin_permutations():
     assert row == ref.mu_row(i)
 
 
-def moved_by_a_twin_swap(graph: Graph, flat_list) -> list[int]:
-    """Indices of the flats that swapping two twin vertices moves, with twins
-    found here from neighbour sets: N(u) - {v} = N(v) - {u}."""
+def twin_swaps(graph: Graph) -> list[tuple[int, int]]:
+    """Pairs of twins with edges, found here from neighbour sets:
+    N(u) - {v} = N(v) - {u}.  Swapping two isolated vertices moves no flat."""
     neighbours = [set() for _ in range(graph.num_vertices)]
     for u, v in graph.edges:
         neighbours[u].add(v)
         neighbours[v].add(u)
-    swaps = [(u, v) for u, v in itertools.combinations(range(graph.num_vertices), 2)
-             if neighbours[u] - {v} == neighbours[v] - {u}]
+    return [(u, v) for u, v in itertools.combinations(range(graph.num_vertices), 2)
+            if neighbours[u] and neighbours[u] - {v} == neighbours[v] - {u}]
+
+
+def twin_classes(graph: Graph) -> list[tuple[int, ...]]:
+    """The twin classes of more than one vertex with edges."""
+    # twinship is an equivalence, so a vertex's class is it and its partners
+    partners: dict[int, set[int]] = {}
+    for u, v in twin_swaps(graph):
+        partners.setdefault(u, {u}).add(v)
+        partners.setdefault(v, {v}).add(u)
+    return sorted({tuple(sorted(c)) for c in partners.values()})
+
+
+def moved_by_a_twin_swap(graph: Graph, flat_list) -> list[int]:
+    """Indices of the flats that swapping two twin vertices moves."""
+    swaps = twin_swaps(graph)
 
     def blocks(flat, swap=None):
         image = {swap[0]: swap[1], swap[1]: swap[0]} if swap else {}
@@ -339,7 +358,8 @@ def moved_by_a_twin_swap(graph: Graph, flat_list) -> list[int]:
 
 def assert_chi_matches_reference(graph):
     # chi([g, 1]) from the one top-down pass for every flat g, and char_poly
-    # of every flat that a twin swap moves, whose pass must not copy by orbit
+    # of every flat that a twin swap moves, whose orbits in the whole graph
+    # are not those of its own lattice
     lattice = build_lattice(graph)
     ref = ReferenceLattice(graph)
     top = len(ref.flats) - 1
@@ -363,8 +383,8 @@ def test_chi_of_the_thagomizer_matches_reference(n):
 @given(graphs_with_twins())
 @example(TRUE_AND_FALSE_TWINS)
 @example(complete_graph(5))
-# 1 and 6 are twins, and so are 2 and 3; copying by orbit in the pass on
-# [0, F] for a flat F that a swap moves gave a wrong chi here
+# 1 and 6 are twins, and so are 2 and 3; copying by the orbits of the whole
+# graph in a pass on [0, F], for a flat F that a swap moves, gave a wrong chi here
 @example(Graph(7, ((1, 2), (1, 3), (5, 2), (5, 3), (1, 5), (6, 2), (6, 3), (6, 5))))
 def test_chi_with_planted_twins_matches_reference(graph):
     assert_chi_matches_reference(graph)
@@ -382,15 +402,14 @@ def assert_matches_reference(graph):
     for i, f in enumerate(lattice.flats):
         for j, g in enumerate(lattice.flats):
             assert (lattice.up_sets[i] >> j & 1) == (f <= g)
-            assert (lattice.down_sets[i] >> j & 1) == (g <= f)
     for i, flat in enumerate(lattice.flats):
         assert lattice.mu_row(i) == ref.mu_row(i)
         assert lattice.char_poly(flat) == ref.interval_char_poly(0, i)
-    assert lattice._kl_of_uppers() == [ref.kl_of_upper(i) for i in range(len(ref.flats))]
+    assert lattice._uppers[0] == [ref.kl_of_upper(i) for i in range(len(ref.flats))]
     assert lattice.kl_poly() == ref.kl_of_upper(0)
     # Braden-Huh-Matherne-Proudfoot-Wang (arXiv:2010.06088): nonnegative,
     # constant term 1, and deg < rank / 2 for every upper interval
-    for rank, p in zip(lattice.ranks, lattice._kl_of_uppers()):
+    for rank, p in zip(lattice.ranks, lattice._uppers[0]):
         assert p.constant_term() == 1
         assert 2 * p.degree() < top - rank or (rank == top and p == ONE)
         assert all(c >= 0 for c in p.coeffs)

@@ -1,6 +1,7 @@
 """The verification battery as a library call, with a negative control per check."""
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -101,16 +102,18 @@ def _wrong_lattice_kl(monkeypatch):
 
 
 def _wrong_lattice_chi(monkeypatch):
-    # the lattice pass itself, with t added to chi([0, 1])
-    honest = FlatLattice._interval_pass
+    # the cached lattice pass itself, with t added to chi([0, 1])
+    honest = FlatLattice._uppers.func
 
-    def doctored(self, f):
-        kl, chi = honest(self, f)
-        if f == len(self) - 1:
-            chi[0] = chi[0] + T
+    def doctored(self):
+        kl, chi = honest(self)
+        chi[0] = chi[0] + T
         return kl, chi
 
-    monkeypatch.setattr(FlatLattice, "_interval_pass", doctored)
+    # a cached_property learns its attribute name only when a class body binds it
+    uppers = functools.cached_property(doctored)
+    uppers.__set_name__(FlatLattice, "_uppers")
+    monkeypatch.setattr(FlatLattice, "_uppers", uppers)
 
 
 def _wrong_chi(monkeypatch):
