@@ -14,18 +14,28 @@ coefficient is extracted by the same reflection trick as the scalar case
 (deg < (n+1)/2).  Since v(t,u) s(u) = w(t,u) and s[n-l] = h_{n-l}, the
 first sum is sum_l v_l h_{n-l} = w_n, so the first term is (t-1) * w_n.
 
-The rest of the triple sum (i < n) is regrouped by associativity.  With
-the partial sums A_k = sum_{i<=k} p_i w_{k-i} and B_n = sum_{k<n} p_k
-w_{n-k}, it is B_n + sum_{k<n} A_k w_{n-k} (the pairs (i, m) with
-i + m = k are those of A_k), so
+The rest of the triple sum (i < n) is read off two running products.  With
+A = p w and D = A w = p w w, coefficient by coefficient in u, the triple
+sum is D_n, so rhs_n = (t-1) w_n + D_n - p_n.  Products with w need no
+skew shapes: w(u) s(u) = s(tu), where w = s(tu)/s(u) and s(u) = sum_m h_m
+u^m, so for any series X = Y w the coefficient of u^n of X s = Y s(tu) gives
 
-    rhs_n = (t-1) w_n + sum_{k<n} (p_k + A_k) w_{n-k}.
+    X_n = Y_n + sum_{a>=1} h_a (t^a Y_(n-a) - X_(n-a)).
 
-Once p_n is solved, A_n = B_n + p_n is stored.  Row n is one call of the
-row kernel ``symfunc._ribbon_sums`` (the kernel of ``sum_mul_w``), which
-walks each (lam, n - k) once and feeds each ribbon to both B_n and rhs_n.
-The table keeps p_k and A_k as coefficient tuples and hands them to the
-kernel as they are, so the only ``SchurPoly`` of a row is the public p_n.
+With Y = p and X = A, and with Y = A and X = D, that is
+
+    B_n = A_n - p_n = sum_{a>=1} h_a (t^a p_(n-a) - A_(n-a)),
+    rhs_n = (t-1) w_n + B_n + sum_{a>=1} h_a (t^a A_(n-a) - D_(n-a)),
+
+and once p_n is solved, A_n = p_n + B_n and D_n = p_n + rhs_n - (t-1) w_n
+are stored.  Multiplying by h_a is the Pieri rule: every (lam, a) adds its
+polynomial, with weight 1, to each mu of ``symfunc.horizontal_strips(lam,
+a)`` (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I).  Both
+halves of a row ride in one packed int per (lam, a) (the codec of
+``polynomials``), and (t-1) w_n comes from its hook form
+sum_{a=1}^{n} (-1)^(n-a) t^(a-1) (t-1)^2 s[a, 1^(n-a)].  The table keeps
+p_k, A_k and D_k as coefficient tuples, so the only ``SchurPoly`` of a row
+is the public p_n.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -37,21 +47,24 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Iterable
 
-from .polynomials import IntPoly, ONE, T, ZERO, _check_index, solve_reflection_equation
-from .symfunc import Partition, SchurPoly, _ribbon_sums
+from .polynomials import (IntPoly, ONE, T, ZERO, _check_index, _pack, _unpack,
+                          solve_reflection_equation)
+from .symfunc import Partition, SchurPoly, horizontal_strips
 
 
 class EqKLTable:
     """Bottom-up table of p_0, p_1, ...; the entries handed out are SchurPoly values.
 
-    Row k maps each partition to the coefficient tuples of p_k and of the
-    partial sum A_k = sum_{i<=k} p_i w_(k-i), at least one of them nonzero.
+    Row k maps each partition to the coefficient tuples of p_k, of A_k =
+    (p w)_k and of D_k = (p w w)_k, at least one of them nonzero.
     """
 
     def __init__(self) -> None:
         self._entries: list[SchurPoly] = []
-        self._rows: list[dict[Partition, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        self._rows: list[dict[Partition, tuple[tuple[int, ...], tuple[int, ...],
+                                               tuple[int, ...]]]] = []
 
     def poly(self, n: int) -> SchurPoly:
         _check_index(n, "index")
@@ -61,41 +74,85 @@ class EqKLTable:
 
     def _recursion_rhs(self, n: int) -> tuple[dict[Partition, tuple[int, ...]],
                                               dict[Partition, tuple[int, ...]]]:
-        """The right-hand side of row n and B_n, from p_k and A_k for k < n.
+        """The right-hand side of row n and B_n, from p_k, A_k and D_k for k < n.
 
         Both are dicts from partition to coefficient tuple, without zeros.
-        The input for k is p_k padded to ``lift`` coefficients followed by
-        A_k, that is p_k + t^lift A_k, and (t-1) w_n enters as t^lift (t-1)
-        s[] with j = n, so the row kernel ``symfunc._ribbon_sums`` returns
-        B_n + t^lift (rhs_n - B_n).  Neither part has degree above n + 1
-        (deg p_k <= k/2, deg A_k <= k, deg w_j = j), so lift = n + 2 keeps
-        them apart.
+        Each (lam, a = n - k) packs t^a p_k - A_k, the term of B_n, plus
+        t^lift (t^a A_k - D_k), the rest of rhs_n - (t-1) w_n, and the sum
+        goes to every mu of ``horizontal_strips(lam, a)`` with weight 1.
+        Neither half has degree above n (deg p_k <= k/2, deg A_k, D_k <=
+        k), so lift = n + 2 keeps them apart; (t-1) w_n is added from its
+        hook form.
         """
         lift = n + 2
-        inputs = [((), n, (0,) * lift + (-1, 1))]
-        for k, row in enumerate(self._rows[:n]):
-            inputs.extend((lam, n - k, p + (0,) * (lift - len(p)) + a)
-                          for lam, (p, a) in row.items())
+        rows = self._rows[:n]
+        slot = _strip_slot(sum(map(abs, p)) + 2 * sum(map(abs, a)) + sum(map(abs, d))
+                           for row in rows for p, a, d in row.values())
+        high = slot * lift
+        acc: dict[Partition, int] = {}
+        for k, row in enumerate(rows):
+            size = n - k
+            shift = slot * size
+            for lam, (p, a, d) in row.items():
+                packed_a = _pack(a, slot)
+                value = ((_pack(p, slot) << shift) - packed_a
+                         + (((packed_a << shift) - _pack(d, slot)) << high))
+                for mu in horizontal_strips(lam, size):
+                    acc[mu] = acc.get(mu, 0) + value
+        hooks = _t_minus_one_w(n)
         rhs: dict[Partition, tuple[int, ...]] = {}
         below: dict[Partition, tuple[int, ...]] = {}
-        for mu, digits in _ribbon_sums(inputs).items():
+        for mu in acc.keys() | hooks.keys():
+            digits = _unpack(acc.get(mu, 0), slot)
             if low := _added(digits[:lift], ()):
                 below[mu] = low
-            if total := _added(low, digits[lift:]):
+            if total := _added(_added(low, digits[lift:]), hooks.get(mu, ())):
                 rhs[mu] = total
         return rhs, below
 
     def _append_next(self) -> None:
         n = len(self._entries)
         rhs, below = self._recursion_rhs(n)
-        terms = {lam: solve_reflection_equation(n + 1, IntPoly(q)) for lam, q in rhs.items()}
-        # A_n = B_n + p_n
-        row = {lam: ((), low) for lam, low in below.items()}
-        for lam, coeff in terms.items():
-            if coeff:
-                row[lam] = (coeff.coeffs, _added(below.get(lam, ()), coeff.coeffs))
+        hooks = _t_minus_one_w(n)
+        terms: dict[Partition, IntPoly] = {}
+        row = {}
+        for lam in rhs.keys() | below.keys() | hooks.keys():
+            q = rhs.get(lam, ())
+            coeff = solve_reflection_equation(n + 1, IntPoly(q)) if q else ZERO
+            if p := coeff.coeffs:
+                terms[lam] = coeff
+            # A_n = p_n + B_n and D_n = p_n + rhs_n - (t-1) w_n
+            rest = _added(q, [-c for c in hooks.get(lam, ())])
+            if entry := (p, _added(p, below.get(lam, ())), _added(p, rest)):
+                row[lam] = entry
         self._entries.append(SchurPoly(terms, degree=n))
         self._rows.append(row)
+
+
+def _strip_slot(norms: Iterable[int]) -> int:
+    """Bits per power of t that hold every digit of a row's strip sums.
+
+    ``norms`` bounds the 1-norm of each packed input.  Each (lam, a) meets a
+    given mu at most once, with weight 1, so no output coefficient exceeds
+    the sum of the norms in absolute value, and a slot of
+    ``bound.bit_length() + 1`` bits holds it as a signed digit.
+    """
+    return sum(norms).bit_length() + 1
+
+
+def _t_minus_one_w(n: int) -> dict[Partition, tuple[int, ...]]:
+    """(t-1) w_n by its hook form, as a dict from partition to coefficient tuple.
+
+    The coefficient of s[a, 1^(n-a)] in w_n is (-1)^(n-a) t^(a-1) (t-1), from
+    h_a e_(n-a) and h_(a-1) e_(n-a+1), and w_n has no other terms; w_0 = 1.
+    """
+    if not n:
+        return {(): (-1, 1)}
+    out = {}
+    for a in range(1, n + 1):
+        sign = -1 if (n - a) & 1 else 1
+        out[(a,) + (1,) * (n - a)] = (0,) * (a - 1) + (sign, -2 * sign, sign)
+    return out
 
 
 def _added(a, b) -> tuple[int, ...]:

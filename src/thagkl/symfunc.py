@@ -4,31 +4,32 @@ A partition is a tuple of weakly decreasing positive integers; a ``SchurPoly``
 is a finite expansion sum_lambda c_lambda(t) * s[lambda] in which every index
 partition has one common size and every coefficient is a nonzero ``IntPoly``.
 
-The solver's only products are against the tensor-power character
+The products with the tensor-power character
 
     w_j(t) = sum_{a+b=j}   (-1)^b     t^a h_a e_b        (graded dim (t-1)^j)
 
-so no general Littlewood-Richardson machinery is needed.  w_j = h_j[(t-1)X]
-comes from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m]
-u^m.  ``_ribbon_sums`` is the one implementation of products with w_j: it
-takes (lam, j, coefficient tuple) triples, packs each polynomial into one
-int, its value at t = 2^slot (the codec of ``polynomials``), and returns
-the coefficient digits of each mu.  ``sum_mul_w`` is its ``SchurPoly``
-face, summing f * w_j over a list of (f, j) pairs in one pass
+need no general Littlewood-Richardson machinery.  w_j = h_j[(t-1)X] comes
+from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m] u^m.
+``_ribbon_sums`` is the one implementation of products with w_j: it takes
+(lam, j, coefficient tuple) triples, packs each polynomial into one int,
+its value at t = 2^slot (the codec of ``polynomials``), and returns the
+coefficient digits of each mu.  ``sum_mul_w`` is its ``SchurPoly`` face and
+its only caller, summing f * w_j over a list of (f, j) pairs in one pass
 (``SchurPoly.mul_w`` is its one-pair case, and ``w_poly`` applies that to
-1); the equivariant solver hands it coefficient tuples directly.  It works
-by the broken-ribbon rule: the coefficient of s[mu] in s[lam] * w_j is the
-skew Schur function s_{mu/lam} at the alphabet t - 1, which factors over
-the ribbons of mu/lam (Macdonald, Symmetric Functions and Hall Polynomials,
-Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no 2x2 square,
-with r rows and c edge-connected components, and 0 otherwise.
+1).  It works by the broken-ribbon rule: the coefficient of s[mu] in s[lam]
+* w_j is the skew Schur function s_{mu/lam} at the alphabet t - 1, which
+factors over the ribbons of mu/lam (Macdonald, Symmetric Functions and Hall
+Polynomials, Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no
+2x2 square, with r rows and c edge-connected components, and 0 otherwise.
 ``broken_ribbons`` walks these shapes on an explicit stack, once per (lam,
 j), and the kernel sums them into one int per mu, in slots proven wide
-enough by ``_ribbon_slot``.
+enough by ``_ribbon_slot``.  The equivariant solver multiplies by w_j
+through h_a alone (see ``thagkl.equivariant``), so it does not use this
+kernel.
 
-Every other skew shape is a filter on that walk: the Pieri products with h_a
-and e_b add horizontal strips (broken ribbons with no joined rows, r = c)
-and vertical strips (one new box per row, r = size).  The second character
+The Pieri products with h_a and e_b add horizontal strips, walked on their
+own by ``horizontal_strips``, and vertical strips (one new box per row), a
+filter on the ribbon walk (r = size).  The second character
 
     v_l(t) = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c    (graded dim (t-2)^l)
 
@@ -44,6 +45,7 @@ Every partition argument and every ``SchurPoly`` index is checked to be one.
 from __future__ import annotations
 
 import functools
+import operator
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -120,10 +122,48 @@ def _hook_dim(lam: Partition) -> int:
 def horizontal_strips(lam: Partition, size: int) -> Iterator[Partition]:
     """All mu obtained from lam by adding a horizontal strip of ``size`` boxes.
 
-    These are the broken ribbons with no joined rows (r = c): a join puts two
-    new boxes in one column, and a strip has at most one per column.
+    A horizontal strip has at most one new box per column, so mu interlaces
+    lam: lam_i <= mu_i <= lam_(i-1) for every row i >= 1, one new row
+    included.  The walk fills those rows from the bottom up on an explicit
+    stack, and row 0 takes whatever is left, so every branch ends in a strip.
+    A negative size has no strips.
     """
-    return (mu for mu, rows, components in broken_ribbons(lam, size) if rows == components)
+    lam = _checked_partition(*lam)
+    size = operator.index(size)
+    if size <= 0 or not lam:
+        if size >= 0:
+            yield (size,) if size else lam
+        return
+    first = lam[0]
+    # (row i to fill next, rows of mu below it, boxes left > 0); the new row
+    # below lam takes x boxes
+    stack = []
+    for x in range((lam[-1] if lam[-1] < size else size) + 1):
+        tail = (x,) if x else ()
+        if x < size:
+            stack.append((len(lam) - 1, tail, size - x))
+        else:
+            yield lam + tail
+    while stack:
+        i, tail, remaining = stack.pop()
+        if not i:
+            yield (first + remaining,) + tail
+            continue
+        low = lam[i]
+        top = lam[i - 1] - low
+        if top > remaining:
+            top = remaining
+        if i == 1:
+            # row 0 takes the rest, so rows 0 and 1 are yielded, not pushed
+            head = first + remaining
+            for x in range(top + 1):
+                yield (head - x, low + x) + tail
+            continue
+        for x in range(top + 1):
+            if x < remaining:
+                stack.append((i - 1, (low + x,) + tail, remaining - x))
+            else:
+                yield lam[:i] + (low + x,) + tail
 
 
 def vertical_strips(lam: Partition, size: int) -> Iterator[Partition]:
@@ -149,6 +189,7 @@ def broken_ribbons(lam: Partition, size: int) -> Iterator[tuple[Partition, int, 
     Row i may reach lam_{i-1} + 1 after a row that grew and lam_{i-1} after
     one that did not, so that flag is all a state keeps of its last row.
     """
+    lam = _checked_partition(*lam)
     rows = len(lam)
     # above[i] is lam_{i-1}; above[0] is too large to cap or join anything
     above = (lam[0] + size if lam else size,) + lam

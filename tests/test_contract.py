@@ -114,6 +114,9 @@ PARTITION_ENTRIES = [
     ("cycle_type_order", symfunc.cycle_type_order),
     ("character_value-lam", lambda lam: symfunc.character_value(lam, (2, 1, 1))),
     ("character_value-mu", lambda mu: symfunc.character_value((2, 2), mu)),
+    ("horizontal_strips", lambda lam: list(symfunc.horizontal_strips(lam, 1))),
+    ("vertical_strips", lambda lam: list(symfunc.vertical_strips(lam, 1))),
+    ("broken_ribbons", lambda lam: list(symfunc.broken_ribbons(lam, 1))),
 ]
 
 

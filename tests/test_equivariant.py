@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from thagkl import symfunc
+from thagkl import equivariant
 from thagkl.equivariant import (
     EqKLTable,
     conjecture_poly,
@@ -15,7 +15,7 @@ from thagkl.equivariant import (
 )
 from thagkl.kl import kl_poly
 from thagkl.polynomials import IntPoly, ONE, T
-from thagkl.symfunc import SchurPoly, v_poly
+from thagkl.symfunc import SchurPoly, v_poly, w_poly
 
 
 def test_eq_kl_base_entry_is_trivial_class():
@@ -74,21 +74,61 @@ def test_eq_kl_table_pinned_through_rank_twenty_two():
 
 
 def test_row_slots_stay_narrow(monkeypatch):
-    # the proven slot, sum of 1-norm * C(j, j//2) over the packed inputs, is
-    # 18 bits at row 15 and at most 26 through row 22; every packed product
-    # of a row is that many bits per power of t
-    honest = symfunc._ribbon_slot
+    # the proven slot, the sum of the packed inputs' 1-norms, is 14 bits at
+    # row 15 and at most 16 through row 22; every strip sum of a row is that
+    # many bits per power of t
+    honest = equivariant._strip_slot
     slots = []
 
     def spy(norms):
         slots.append(honest(norms))
         return slots[-1]
 
-    monkeypatch.setattr(symfunc, "_ribbon_slot", spy)
+    monkeypatch.setattr(equivariant, "_strip_slot", spy)
     EqKLTable().poly(22)
     assert len(slots) == 23
-    assert slots[15] == 18
-    assert max(slots[15:]) <= 26
+    assert slots[15] == 14
+    assert max(slots[15:]) <= 16
+
+
+def test_hook_form_of_t_minus_one_times_w():
+    for n in range(13):
+        hooks = equivariant._t_minus_one_w(n)
+        assert _as_schur(hooks, n) == w_poly(n).scaled(T - ONE)
+
+
+def test_stored_partial_sums_match_products_with_w():
+    # A_n = sum_i p_i w_(n-i) and D_n = sum_(i+j+m=n) p_i w_j w_m, by the
+    # ribbon route of mul_w
+    table = EqKLTable()
+    table.poly(6)
+    for n in range(7):
+        row = table._rows[n]
+        p, a, d = ({lam: entry[k] for lam, entry in row.items() if entry[k]} for k in range(3))
+        assert _as_schur(p, n) == table.poly(n)
+        expected_a = SchurPoly({}, degree=n)
+        expected_d = SchurPoly({}, degree=n)
+        for i in range(n + 1):
+            expected_a = expected_a + table.poly(i).mul_w(n - i)
+            for j in range(n - i + 1):
+                expected_d = expected_d + table.poly(i).mul_w(j).mul_w(n - i - j)
+        assert _as_schur(a, n) == expected_a
+        assert _as_schur(d, n) == expected_d
+
+
+def test_dropped_strip_is_caught(monkeypatch):
+    # negative control: a strip walk that loses one strip of each (lam, a)
+    # leaves a right-hand side that the reflection window check refuses
+    honest = equivariant.horizontal_strips
+
+    def dropping(lam, size):
+        strips = honest(lam, size)
+        next(strips, None)
+        yield from strips
+
+    monkeypatch.setattr(equivariant, "horizontal_strips", dropping)
+    with pytest.raises(ArithmeticError, match="inconsistent reflection"):
+        EqKLTable().poly(8)
 
 
 def test_eq_kl_graded_dimension_recovers_scalar():

@@ -5,11 +5,10 @@ package modules listed here, so a new edge is a deliberate edit of this table.
 ``verify`` is where pipelines are compared, so only it (and the front ends
 ``cli`` and ``__init__``) imports several of them.
 ``dyck`` imports ``polynomials`` for the index check and the packed-row
-reader ``_unpack``; ``kl`` also imports both halves of the codec, for its
-packed recursion.  The private names that cross a module boundary are the
-kernel's index check, coercion and packed-polynomial codec, the reflection
-core, which the lattice engine calls on coefficient lists, and the ribbon
-row kernel, which only the equivariant solver shares with ``symfunc``.
+reader ``_unpack``; ``kl`` and ``equivariant`` also import both halves of
+the codec, for their packed rows.  The private names that cross a module
+boundary are the kernel's index check, coercion and packed-polynomial codec,
+and the reflection core, which the lattice engine calls on coefficient lists.
 """
 
 import ast
@@ -70,7 +69,7 @@ PRIVATE_IMPORTS = {
     "flats": {"polynomials._check_index", "polynomials._pack", "polynomials._solve_reflection",
               "polynomials._unpack"},
     "kl": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
-    "equivariant": {"polynomials._check_index", "symfunc._ribbon_sums"},
+    "equivariant": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
     "verify": {"polynomials._check_index"},
 }
 

@@ -95,6 +95,12 @@ def test_horizontal_strips_examples():
     assert set(horizontal_strips((2, 1), 2)) == {(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}
     assert set(horizontal_strips((), 3)) == {(3,)}
     assert set(horizontal_strips((2,), 0)) == {(2,)}
+    # a negative size has no strips and a non-int size is refused, as for
+    # broken_ribbons
+    for lam in [(), (2, 1)]:
+        assert list(horizontal_strips(lam, -1)) == []
+        with pytest.raises(TypeError):
+            list(horizontal_strips(lam, 1.5))
 
 
 def test_vertical_strips_examples():
