@@ -10,7 +10,7 @@ The products with the tensor-power character
 
 need no general Littlewood-Richardson machinery.  w_j = h_j[(t-1)X] comes
 from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m] u^m.
-``_ribbon_sums`` is the one implementation of products with w_j: it takes
+``_ribbon_sums`` implements products with w_j on Schur terms: it takes
 (lam, j, coefficient tuple) triples, packs each polynomial into one int,
 its value at t = 2^slot (the codec of ``polynomials``), and returns the
 coefficient digits of each mu.  ``sum_mul_w`` is its ``SchurPoly`` face and
