@@ -14,28 +14,31 @@ coefficient is extracted by the same reflection trick as the scalar case
 (deg < (n+1)/2).  Since v(t,u) s(u) = w(t,u) and s[n-l] = h_{n-l}, the
 first sum is sum_l v_l h_{n-l} = w_n, so the first term is (t-1) * w_n.
 
-The rest of the triple sum (i < n) is read off two running products.  With
-A = p w and D = A w = p w w, coefficient by coefficient in u, the triple
-sum is D_n, so rhs_n = (t-1) w_n + D_n - p_n.  Products with w need no
-skew shapes: w(u) s(u) = s(tu), where w = s(tu)/s(u) and s(u) = sum_m h_m
-u^m, so for any series X = Y w the coefficient of u^n of X s = Y s(tu) gives
+The rest of the triple sum (i < n) is read off running products.  Products
+with w need no skew shapes: w(u) s(u) = s(tu), where w = s(tu)/s(u) and
+s(u) = sum_m h_m u^m, so for any series X = Y w the coefficient of u^n of
+X s = Y s(tu) gives
 
     X_n = Y_n + sum_{a>=1} h_a (t^a Y_(n-a) - X_(n-a)).
 
-With Y = p and X = A, and with Y = A and X = D, that is
+With A = p w, Y = p and X = A, that is
 
-    B_n = A_n - p_n = sum_{a>=1} h_a (t^a p_(n-a) - A_(n-a)),
-    rhs_n = (t-1) w_n + B_n + sum_{a>=1} h_a (t^a A_(n-a) - D_(n-a)),
+    B_n = A_n - p_n = sum_{a>=1} h_a (t^a p_(n-a) - A_(n-a)).
 
-and once p_n is solved, A_n = p_n + B_n and D_n = p_n + rhs_n - (t-1) w_n
-are stored.  Multiplying by h_a is the Pieri rule: every (lam, a) adds its
-polynomial, with weight 1, to each mu of ``symfunc.horizontal_strips(lam,
-a)`` (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I).  Both
-halves of a row ride in one packed int per (lam, a) (the codec of
-``polynomials``), and (t-1) w_n comes from its hook form
-sum_{a=1}^{n} (-1)^(n-a) t^(a-1) (t-1)^2 s[a, 1^(n-a)].  The table keeps
-p_k, A_k and D_k as coefficient tuples, so the only ``SchurPoly`` of a row
-is the public p_n.
+The left side R_n = t^(n+1) p_n(1/t) is p_n's coefficients reversed, and the
+recursion reads R = (t-1) w + A w as series in u.  Times s(u) it is R s =
+(t-1) s(tu) + A s(tu), whose coefficient of u^n, with R_n = p_n + rhs_n and
+A_n = p_n + B_n, gives
+
+    rhs_n = B_n + (t-1) t^n s[n] + sum_{a>=1} h_a (t^a A_(n-a) - R_(n-a)).
+
+So neither (t-1) w_n nor A w is ever formed, and once p_n is solved only
+A_n = p_n + B_n is stored beside it.  Multiplying by h_a is the Pieri rule:
+every (lam, a) adds its polynomial, with weight 1, to each mu of
+``symfunc.horizontal_strips(lam, a)`` (Macdonald, Symmetric Functions and
+Hall Polynomials, Ch. I).  Both halves of a row ride in one packed int per
+(lam, a) (the codec of ``polynomials``).  The table keeps p_k and A_k as
+coefficient tuples, so the only ``SchurPoly`` of a row is the public p_n.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -47,8 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterable
-
 from .polynomials import (IntPoly, ONE, T, ZERO, _check_index, _pack, _unpack,
                           solve_reflection_equation)
 from .symfunc import Partition, SchurPoly, horizontal_strips
@@ -57,14 +58,13 @@ from .symfunc import Partition, SchurPoly, horizontal_strips
 class EqKLTable:
     """Bottom-up table of p_0, p_1, ...; the entries handed out are SchurPoly values.
 
-    Row k maps each partition to the coefficient tuples of p_k, of A_k =
-    (p w)_k and of D_k = (p w w)_k, at least one of them nonzero.
+    Row k maps each partition to the coefficient tuples of p_k and of A_k =
+    (p w)_k, at least one of them nonzero.
     """
 
     def __init__(self) -> None:
         self._entries: list[SchurPoly] = []
-        self._rows: list[dict[Partition, tuple[tuple[int, ...], tuple[int, ...],
-                                               tuple[int, ...]]]] = []
+        self._rows: list[dict[Partition, tuple[tuple[int, ...], tuple[int, ...]]]] = []
 
     def poly(self, n: int) -> SchurPoly:
         _check_index(n, "index")
@@ -74,85 +74,72 @@ class EqKLTable:
 
     def _recursion_rhs(self, n: int) -> tuple[dict[Partition, tuple[int, ...]],
                                               dict[Partition, tuple[int, ...]]]:
-        """The right-hand side of row n and B_n, from p_k, A_k and D_k for k < n.
+        """The right-hand side of row n and B_n, from p_k and A_k for k < n.
 
         Both are dicts from partition to coefficient tuple, without zeros.
         Each (lam, a = n - k) packs t^a p_k - A_k, the term of B_n, plus
-        t^lift (t^a A_k - D_k), the rest of rhs_n - (t-1) w_n, and the sum
-        goes to every mu of ``horizontal_strips(lam, a)`` with weight 1.
-        Neither half has degree above n (deg p_k <= k/2, deg A_k, D_k <=
-        k), so lift = n + 2 keeps them apart; (t-1) w_n is added from its
-        hook form.
+        t^lift (t^a A_k - R_k), with R_k = t^(k+1) p_k(1/t), and the sum goes
+        to every mu of ``horizontal_strips(lam, a)`` with weight 1; (t-1) t^n
+        s[n] starts the upper half.  Neither half has degree above n (deg
+        p_k <= k/2, deg A_k <= k, deg R_k <= k + 1), so lift = n + 2 keeps
+        them apart.
         """
         lift = n + 2
         rows = self._rows[:n]
-        slot = _strip_slot(sum(map(abs, p)) + 2 * sum(map(abs, a)) + sum(map(abs, d))
-                           for row in rows for p, a, d in row.values())
+        # R_k has the coefficients of p_k, so each half of (lam, a) has a
+        # 1-norm of at most |p_k| + |A_k|, and (t-1) t^n one of 2
+        slot = _strip_slot(2 + sum(sum(map(abs, p)) + sum(map(abs, a))
+                                   for row in rows for p, a in row.values()))
         high = slot * lift
-        acc: dict[Partition, int] = {}
+        acc = {(n,) if n else (): ((1 << slot) - 1) << (high + slot * n)}
         for k, row in enumerate(rows):
             size = n - k
             shift = slot * size
-            for lam, (p, a, d) in row.items():
+            for lam, (p, a) in row.items():
                 packed_a = _pack(a, slot)
+                reflected = _pack(p[::-1], slot) << slot * (k + 2 - len(p))
                 value = ((_pack(p, slot) << shift) - packed_a
-                         + (((packed_a << shift) - _pack(d, slot)) << high))
+                         + (((packed_a << shift) - reflected) << high))
                 for mu in horizontal_strips(lam, size):
                     acc[mu] = acc.get(mu, 0) + value
-        hooks = _t_minus_one_w(n)
         rhs: dict[Partition, tuple[int, ...]] = {}
         below: dict[Partition, tuple[int, ...]] = {}
-        for mu in acc.keys() | hooks.keys():
-            digits = _unpack(acc.get(mu, 0), slot)
+        for mu, value in acc.items():
+            digits = _unpack(value, slot)
             if low := _added(digits[:lift], ()):
                 below[mu] = low
-            if total := _added(_added(low, digits[lift:]), hooks.get(mu, ())):
+            if total := _added(low, digits[lift:]):
                 rhs[mu] = total
         return rhs, below
 
     def _append_next(self) -> None:
         n = len(self._entries)
         rhs, below = self._recursion_rhs(n)
-        hooks = _t_minus_one_w(n)
         terms: dict[Partition, IntPoly] = {}
         row = {}
-        for lam in rhs.keys() | below.keys() | hooks.keys():
+        for lam in rhs.keys() | below.keys():
             q = rhs.get(lam, ())
             coeff = solve_reflection_equation(n + 1, IntPoly(q)) if q else ZERO
             if p := coeff.coeffs:
                 terms[lam] = coeff
-            # A_n = p_n + B_n and D_n = p_n + rhs_n - (t-1) w_n
-            rest = _added(q, [-c for c in hooks.get(lam, ())])
-            if entry := (p, _added(p, below.get(lam, ())), _added(p, rest)):
+            # A_n = p_n + B_n
+            entry = (p, _added(p, below.get(lam, ())))
+            if any(entry):
                 row[lam] = entry
         self._entries.append(SchurPoly(terms, degree=n))
         self._rows.append(row)
 
 
-def _strip_slot(norms: Iterable[int]) -> int:
+def _strip_slot(bound: int) -> int:
     """Bits per power of t that hold every digit of a row's strip sums.
 
-    ``norms`` bounds the 1-norm of each packed input.  Each (lam, a) meets a
-    given mu at most once, with weight 1, so no output coefficient exceeds
-    the sum of the norms in absolute value, and a slot of
-    ``bound.bit_length() + 1`` bits holds it as a signed digit.
+    ``bound`` is the sum of the 1-norms of the packed inputs' halves.  Each
+    (lam, a) meets a given mu at most once, with weight 1, and each digit
+    of a sum belongs to one half, so no output coefficient exceeds the bound
+    in absolute value, and a slot of ``bound.bit_length() + 1`` bits holds
+    it as a signed digit.
     """
-    return sum(norms).bit_length() + 1
-
-
-def _t_minus_one_w(n: int) -> dict[Partition, tuple[int, ...]]:
-    """(t-1) w_n by its hook form, as a dict from partition to coefficient tuple.
-
-    The coefficient of s[a, 1^(n-a)] in w_n is (-1)^(n-a) t^(a-1) (t-1), from
-    h_a e_(n-a) and h_(a-1) e_(n-a+1), and w_n has no other terms; w_0 = 1.
-    """
-    if not n:
-        return {(): (-1, 1)}
-    out = {}
-    for a in range(1, n + 1):
-        sign = -1 if (n - a) & 1 else 1
-        out[(a,) + (1,) * (n - a)] = (0,) * (a - 1) + (sign, -2 * sign, sign)
-    return out
+    return bound.bit_length() + 1
 
 
 def _added(a, b) -> tuple[int, ...]:

@@ -74,46 +74,44 @@ def test_eq_kl_table_pinned_through_rank_twenty_two():
 
 
 def test_row_slots_stay_narrow(monkeypatch):
-    # the proven slot, the sum of the packed inputs' 1-norms, is 14 bits at
-    # row 15 and at most 16 through row 22; every strip sum of a row is that
-    # many bits per power of t
+    # the proven slot, from the summed 1-norms of the packed halves, is 13
+    # bits at row 15 and at most 15 through row 22; every strip sum of a row
+    # is that many bits per power of t
     honest = equivariant._strip_slot
     slots = []
 
-    def spy(norms):
-        slots.append(honest(norms))
+    def spy(bound):
+        slots.append(honest(bound))
         return slots[-1]
 
     monkeypatch.setattr(equivariant, "_strip_slot", spy)
     EqKLTable().poly(22)
     assert len(slots) == 23
-    assert slots[15] == 14
-    assert max(slots[15:]) <= 16
-
-
-def test_hook_form_of_t_minus_one_times_w():
-    for n in range(13):
-        hooks = equivariant._t_minus_one_w(n)
-        assert _as_schur(hooks, n) == w_poly(n).scaled(T - ONE)
+    assert slots[15] == 13
+    assert max(slots[15:]) <= 15
 
 
 def test_stored_partial_sums_match_products_with_w():
-    # A_n = sum_i p_i w_(n-i) and D_n = sum_(i+j+m=n) p_i w_j w_m, by the
-    # ribbon route of mul_w
+    # A_n = sum_i p_i w_(n-i) by the ribbon route of mul_w, and the reflected
+    # p_n, which the rows read in place of (A w)_n, is (t-1) w_n + sum_(i+j+m=n)
+    # p_i w_j w_m
     table = EqKLTable()
     table.poly(6)
     for n in range(7):
         row = table._rows[n]
-        p, a, d = ({lam: entry[k] for lam, entry in row.items() if entry[k]} for k in range(3))
+        assert all(any(entry) for entry in row.values())
+        p, a = ({lam: entry[k] for lam, entry in row.items() if entry[k]} for k in range(2))
         assert _as_schur(p, n) == table.poly(n)
         expected_a = SchurPoly({}, degree=n)
-        expected_d = SchurPoly({}, degree=n)
+        expected_d = w_poly(n).scaled(T - ONE)
         for i in range(n + 1):
             expected_a = expected_a + table.poly(i).mul_w(n - i)
             for j in range(n - i + 1):
                 expected_d = expected_d + table.poly(i).mul_w(j).mul_w(n - i - j)
         assert _as_schur(a, n) == expected_a
-        assert _as_schur(d, n) == expected_d
+        reflected = SchurPoly({lam: IntPoly(c.coeffs[::-1]).shifted(n + 1 - c.degree())
+                               for lam, c in table.poly(n).terms()}, degree=n)
+        assert reflected == expected_d
 
 
 def test_dropped_strip_is_caught(monkeypatch):
