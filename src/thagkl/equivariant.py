@@ -14,14 +14,13 @@ coefficient is extracted by the same reflection trick as the scalar case
 (deg < (n+1)/2).  Since v(t,u) s(u) = w(t,u) and s[n-l] = h_{n-l}, the
 first sum is sum_l v_l h_{n-l} = w_n, so the first term is (t-1) * w_n.
 
-The rest of the triple sum (i < n) is read off running products.  Products
-with w need no skew shapes: w(u) s(u) = s(tu), where w = s(tu)/s(u) and
-s(u) = sum_m h_m u^m, so for any series X = Y w the coefficient of u^n of
-X s = Y s(tu) gives
+With A = p w, the triple sum is (A w)_n.  Products with w need no skew
+shapes: w(u) s(u) = s(tu), where w = s(tu)/s(u) and s(u) = sum_m h_m u^m,
+so for any series X = Y w the coefficient of u^n of X s = Y s(tu) gives
 
     X_n = Y_n + sum_{a>=1} h_a (t^a Y_(n-a) - X_(n-a)).
 
-With A = p w, Y = p and X = A, that is
+With Y = p and X = A, that is
 
     B_n = A_n - p_n = sum_{a>=1} h_a (t^a p_(n-a) - A_(n-a)).
 
@@ -122,10 +121,9 @@ class EqKLTable:
             coeff = solve_reflection_equation(n + 1, IntPoly(q)) if q else ZERO
             if p := coeff.coeffs:
                 terms[lam] = coeff
-            # A_n = p_n + B_n
-            entry = (p, _added(p, below.get(lam, ())))
-            if any(entry):
-                row[lam] = entry
+            # A_n = p_n + B_n; a nonzero rhs has a nonzero solution, so the
+            # entry of each key of rhs or B_n has a nonzero part
+            row[lam] = (p, _added(p, below.get(lam, ())))
         self._entries.append(SchurPoly(terms, degree=n))
         self._rows.append(row)
 
@@ -133,7 +131,7 @@ class EqKLTable:
 def _strip_slot(bound: int) -> int:
     """Bits per power of t that hold every digit of a row's strip sums.
 
-    ``bound`` is the sum of the 1-norms of the packed inputs' halves.  Each
+    ``bound`` is at least the summed 1-norm of either half of the inputs.  Each
     (lam, a) meets a given mu at most once, with weight 1, and each digit
     of a sum belongs to one half, so no output coefficient exceeds the bound
     in absolute value, and a slot of ``bound.bit_length() + 1`` bits holds

@@ -126,7 +126,9 @@ def horizontal_strips(lam: Partition, size: int) -> Iterator[Partition]:
     lam: lam_i <= mu_i <= lam_(i-1) for every row i >= 1, one new row
     included.  The walk fills those rows from the bottom up on an explicit
     stack, and row 0 takes whatever is left, so every branch ends in a strip.
-    A negative size has no strips.
+    A negative size has no strips.  The equivariant solver's rows are mostly
+    this walk, and a filter on ``broken_ribbons`` would visit every broken
+    ribbon to find the strips.
     """
     lam = _checked_partition(*lam)
     size = operator.index(size)
