@@ -65,6 +65,21 @@ at the first flat of each orbit that the top-down pass meets, its highest
 index, and the rest of the orbit copy that flat's P, chi and row.  A graph
 without twins has one flat per orbit and runs the same loop.
 
+A flat F with at most four blocks is keyed by its contraction instead.  G/F
+is the simple graph whose vertices are F's blocks, two of them adjacent when
+an edge joins them, and [F, 1] is the lattice of flats of G/F.  On at most
+four vertices the sorted degree sequence determines a simple graph up to
+isomorphism (the 11 graphs on four vertices have 11 sequences; on five it
+fails: a path and a triangle beside an edge share (1, 1, 2, 2, 2)).  So two
+flats of one graph with the same sorted block degrees have isomorphic upper
+intervals, the same P and chi, and, with as many blocks, the same rank and
+so the same row; they share a class, solved once like an orbit.  Flats of
+five or more blocks keep their twin-orbit key; orbit keys are ints and
+contraction keys tuples, so the two never collide.  A flat that copies
+another is checked by size alone: isomorphic upper intervals have up-sets
+of one size, and unequal sizes raise ``ArithmeticError``.  A solved flat is
+not checked.
+
 Each flat's row, the coefficients of t^rk(g) P_g and of chi([g, 1]), is one
 int packed by the shared codec of ``polynomials`` in signed slots of
 ``_SLOT_BITS`` bits, so the up-set sum of i, which holds S_i and the chi sum
@@ -215,20 +230,22 @@ class FlatLattice:
     """All flats of a graph's cycle matroid, ordered by inclusion.
 
     ``ranked_covers[r]`` maps each flat of rank r, as an edge bitmask, to the
-    bitmasks of the flats that cover it, and ``orbit_of`` maps each flat's
-    bitmask to the number of its orbit under twin permutations; neither dict
-    is kept.  Flats are sorted by (rank, sorted edge indices), so index 0 is the
-    empty flat and the last index is the full edge set; ``flats`` holds them
-    as frozensets, and ``index_of`` finds one by its bitmask.  The flats of
-    rank r have the indices ``_rank_start[r]`` up to ``_rank_start[r + 1]``.
-    ``up_sets[i]`` is a bitset over flat indices: bit j is set iff
-    flats[i] <= flats[j].  The KL and characteristic polynomials of the
-    upper intervals come from one cached pass; Moebius rows are computed
-    from the up-sets on each call.
+    bitmasks of the flats that cover it, and ``key_of`` maps each flat's
+    bitmask to its class key: the sorted degrees of its contraction for a
+    flat of at most four blocks, else the number of its orbit under twin
+    permutations; neither dict is kept.  Flats of one class have isomorphic
+    upper intervals.  Flats are sorted by (rank, sorted edge indices), so
+    index 0 is the empty flat and the last index is the full edge set;
+    ``flats`` holds them as frozensets, and ``index_of`` finds one by its
+    bitmask.  The flats of rank r have the indices ``_rank_start[r]`` up to
+    ``_rank_start[r + 1]``.  ``up_sets[i]`` is a bitset over flat indices:
+    bit j is set iff flats[i] <= flats[j].  The KL and characteristic
+    polynomials of the upper intervals come from one cached pass, solved
+    once per class; Moebius rows are computed from the up-sets on each call.
     """
 
     def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]],
-                 orbit_of: dict[int, int]) -> None:
+                 key_of: dict[int, int | tuple[int, ...]]) -> None:
         self.graph = graph
         edge_ids = range(len(graph.edges))
         masks: list[int] = []
@@ -243,7 +260,7 @@ class FlatLattice:
         self.flats: tuple[Flat, ...] = tuple(
             frozenset(compress(edge_ids, _selector(m))) for m in masks)
         self.ranks: tuple[int, ...] = tuple(ranks)
-        self._orbits: list[int] = [orbit_of[m] for m in masks]
+        self._keys: list[int | tuple[int, ...]] = [key_of[m] for m in masks]
         self._at = at = {m: i for i, m in enumerate(masks)}
         # a cover has a larger index, so one pass from the top finds every
         # up-set; the cover lists are not kept
@@ -318,7 +335,8 @@ class FlatLattice:
         """P and chi of every upper interval [i, 1], by index i.
 
         One top-down pass: the up-set sum of flat i gives rhs_i and chi of
-        [i, 1] at once.
+        [i, 1] at once.  A flat copies the first of its class met, after a
+        check that their up-sets have the same size.
         """
         top = self.ranks[-1]
         half = 1 << (_SLOT_BITS - 1)
@@ -329,11 +347,17 @@ class FlatLattice:
         # sum of i; a row is zero below slot rk(g), so it is packed from there
         rows = [0] * len(self)
         starts = self._rank_start
-        first_of: dict[int, int] = {}
+        up_sets = self.up_sets
+        first_of: dict[int | tuple[int, ...], int] = {}
         peak = 0
         for i in reversed(range(len(self))):
-            first = first_of.setdefault(self._orbits[i], i)
+            first = first_of.setdefault(self._keys[i], i)
             if first != i:
+                if up_sets[i].bit_count() != up_sets[first].bit_count():
+                    raise ArithmeticError(
+                        f"flat {i} copies flat {first}, but their up-sets have "
+                        f"{up_sets[i].bit_count()} and {up_sets[first].bit_count()} flats"
+                    )
                 kl[i] = kl[first]
                 chi[i] = chi[first]
                 rows[i] = rows[first]
@@ -343,7 +367,7 @@ class FlatLattice:
             if r:
                 # every flat of up(i) but i has rank above rk(i)
                 lo = starts[rank + 1]
-                total = sum(compress(rows[lo:], _selector(self.up_sets[i] >> lo)))
+                total = sum(compress(rows[lo:], _selector(up_sets[i] >> lo)))
                 digits = _unpack(total >> (_SLOT_BITS * rank), _SLOT_BITS)
                 digits += [0] * (2 * r + 2 - len(digits))
                 s = digits[:r + 1]
@@ -376,11 +400,14 @@ def build_lattice(graph: Graph) -> FlatLattice:
     (``_twin_classes``), packed in fields wide enough for any class.  Two
     blocks are joined exactly by the edges incident to both, and merging them
     adds those edges to the flat, which gives each cover of the flat once;
-    the merged block is the sum of the two minus the joining edges.  A new
-    flat's orbit key is the sorted list of its blocks' count fields.
-    Vertices without edges never merge and are left out.  The blocks of a
-    flat are a list: a freed tuple would linger in CPython's tuple free
-    lists.  Guarded by MAX_LATTICE_RANK; the lattice is exponential in rank.
+    the merged block is the sum of the two minus the joining edges.  The
+    same pair loop counts each block's joining partners, its degree in the
+    contraction G/F, and a flat of at most four blocks is keyed by the
+    sorted degrees, which fix G/F up to isomorphism.  A flat of five or more
+    blocks is keyed by its twin orbit, the sorted list of its blocks' count
+    fields.  Vertices without edges never merge and are left out.  The
+    blocks of a flat are a list: a freed tuple would linger in CPython's
+    tuple free lists.  Guarded by MAX_LATTICE_RANK; the lattice is exponential in rank.
     """
     if graph.rank() > MAX_LATTICE_RANK:
         raise ValueError(
@@ -401,25 +428,27 @@ def build_lattice(graph: Graph) -> FlatLattice:
         return orbit_ids.setdefault(tuple(sorted(map(rshift, blocks, above_edges))),
                                     len(orbit_ids))
 
-    bottom = [b for b in incident if b & edge_bits]
-    level: dict[int, list[int]] = {0: bottom}
-    orbit_of = {0: orbit(bottom)}
+    level: dict[int, list[int]] = {0: [b for b in incident if b & edge_bits]}
+    key_of: dict[int, int | tuple[int, ...]] = {}
     ranked_covers: list[dict[int, list[int]]] = []
     while level:
         covers: dict[int, list[int]] = {}
         nxt: dict[int, list[int]] = {}
         for flat, blocks in level.items():
             above = covers[flat] = []
+            degrees = [0] * len(blocks)
             for a, block_a in enumerate(blocks):
                 for b in range(a + 1, len(blocks)):
                     joining = block_a & blocks[b] & edge_bits
                     if joining:
+                        degrees[a] += 1
+                        degrees[b] += 1
                         bigger = flat | joining
                         above.append(bigger)
                         if bigger not in nxt:
-                            merged = nxt[bigger] = (blocks[:a] + [block_a + blocks[b] - joining]
-                                                    + blocks[a + 1:b] + blocks[b + 1:])
-                            orbit_of[bigger] = orbit(merged)
+                            nxt[bigger] = (blocks[:a] + [block_a + blocks[b] - joining]
+                                           + blocks[a + 1:b] + blocks[b + 1:])
+            key_of[flat] = tuple(sorted(degrees)) if len(blocks) <= 4 else orbit(blocks)
         ranked_covers.append(covers)
         level = nxt
-    return FlatLattice(graph, ranked_covers, orbit_of)
+    return FlatLattice(graph, ranked_covers, key_of)

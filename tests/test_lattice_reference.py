@@ -5,8 +5,9 @@ flats found by closing single-edge extensions, the order by frozenset
 containment, a Moebius row per flat, and the characteristic polynomial of
 every interval [i, g] fed to the defining recursion one pair at a time.  It
 shares only ``closure``, ``IntPoly`` and the reflection solver with the
-engine under test.  In particular it knows nothing of twin vertices, so it
-checks the engine's orbit shortcut on graphs with planted twins.
+engine under test.  In particular it knows nothing of twin vertices or of
+contractions, so it checks the engine's shortcuts, one solve per twin orbit
+and one per contraction class, on graphs with planted twins and without.
 """
 
 import itertools
@@ -188,20 +189,97 @@ def test_twin_classes_of_named_graphs():
 
 
 def test_orbit_key_merging_non_twins_is_caught(monkeypatch):
-    # hub 0 and outer vertex 2 of the thagomizer are not twins; an engine
-    # that treats them as one class solves a wrong polynomial somewhere
-    graph = thagomizer_graph(3)
-    ref = ReferenceLattice(graph)
-    expected = [ref.kl_of_upper(i) for i in range(len(ref.flats))]
-    assert build_lattice(graph)._uppers[0] == expected
+    # hub 0 and outer vertex 2 of the thagomizer are not twins.  Only flats
+    # of five or more blocks are keyed by twin orbit: in thagomizer 3 that
+    # is the bottom alone, so treating 0 and 2 as one class changes nothing,
+    # while in thagomizer 4 it puts rank-1 flats whose upper intervals differ
+    # in size into one class, and the copy check raises
     honest = flats._twin_classes
 
     def merged(g):
         classes = honest(g)
         return [classes[0] if c == classes[2] else c for c in classes]
 
+    expected = {}
+    for n in (3, 4):
+        ref = ReferenceLattice(thagomizer_graph(n))
+        expected[n] = [ref.kl_of_upper(i) for i in range(len(ref.flats))]
+        assert build_lattice(thagomizer_graph(n))._uppers[0] == expected[n]
     monkeypatch.setattr(flats, "_twin_classes", merged)
-    assert build_lattice(graph)._uppers[0] != expected
+    assert build_lattice(thagomizer_graph(3))._uppers[0] == expected[3]
+    lattice = build_lattice(thagomizer_graph(4))
+    assert any(isinstance(key, int) for key in lattice._keys[1:])
+    with pytest.raises(ArithmeticError, match="copies"):
+        lattice._uppers
+
+
+def test_a_copied_flat_with_a_wrong_up_set_raises():
+    # the lowest flat that copies another: clearing the top from its up-set
+    # leaves an up-set smaller than that of the flat it copies
+    lattice = build_lattice(thagomizer_graph(4))
+    keys = lattice._keys
+    i = next(i for i, key in enumerate(keys) if key in keys[i + 1:])
+    up_sets = list(lattice.up_sets)
+    up_sets[i] &= ~(1 << (len(lattice) - 1))
+    lattice.up_sets = tuple(up_sets)
+    with pytest.raises(ArithmeticError, match=f"flat {i} copies"):
+        lattice._uppers
+
+
+def test_a_key_of_the_block_count_alone_is_caught():
+    # a triangle with a pendant edge: contracting a triangle edge leaves a
+    # path on three blocks, contracting the pendant edge a triangle, and
+    # their upper intervals have different chi
+    graph = Graph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
+    lattice = build_lattice(graph)
+    ref = ReferenceLattice(graph)
+    top = len(ref.flats) - 1
+    path, triangle = lattice.index_of({0}), lattice.index_of({3})
+    assert (lattice._keys[path], lattice._keys[triangle]) == ((1, 1, 2), (2, 2, 2))
+    assert ref.interval_char_poly(path, top) != ref.interval_char_poly(triangle, top)
+    lattice._keys = [("blocks", len(key)) if isinstance(key, tuple) else key
+                     for key in lattice._keys]
+    with pytest.raises(ArithmeticError, match="copies"):
+        lattice._uppers
+
+
+def canonical_edges(num_vertices: int, edges) -> tuple:
+    """The least sorted edge list of a simple graph over every relabelling."""
+    return min(tuple(sorted(tuple(sorted((s[u], s[v]))) for u, v in edges))
+               for s in itertools.permutations(range(num_vertices)))
+
+
+def test_sorted_degrees_name_a_graph_on_at_most_four_vertices():
+    # every labelled simple graph on v <= 4 vertices: one isomorphism class
+    # per sorted degree sequence, 11 classes on four vertices
+    for v in range(5):
+        pairs = list(itertools.combinations(range(v), 2))
+        by_degrees: dict[tuple, set] = {}
+        for k in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                degrees = tuple(sorted(sum(x in e for e in edges) for x in range(v)))
+                by_degrees.setdefault(degrees, set()).add(canonical_edges(v, edges))
+                if all(degrees):
+                    # the engine's key of the bottom flat, whose blocks are the vertices
+                    assert build_lattice(Graph(v, edges))._keys[0] == degrees
+        assert all(len(graphs) == 1 for graphs in by_degrees.values())
+    assert len(by_degrees) == 11
+
+
+def test_sorted_degrees_do_not_name_a_graph_on_five_vertices():
+    # a path and a triangle beside an edge share (1, 1, 2, 2, 2), and their
+    # lattices differ, so the engine keys five blocks by twin orbit
+    path = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    triangle_and_edge = Graph(5, ((0, 1), (1, 2), (2, 0), (3, 4)))
+    for graph in (path, triangle_and_edge):
+        degrees = sorted(sum(v in e for e in graph.edges) for v in range(5))
+        assert degrees == [1, 1, 2, 2, 2]
+    lattices = [build_lattice(path), build_lattice(triangle_and_edge)]
+    assert lattices[0].rank_counts() == [1, 4, 6, 4, 1]
+    assert lattices[1].rank_counts() == [1, 4, 4, 1]
+    assert lattices[0].char_poly(lattices[0].flats[-1]) != \
+        lattices[1].char_poly(lattices[1].flats[-1])
+    assert all(isinstance(lattice._keys[0], int) for lattice in lattices)
 
 
 @pytest.mark.parametrize("graph, bits", [(complete_graph(6), 8), (complete_graph(7), 16)])
@@ -236,9 +314,30 @@ ORBIT_CASES = [
 ]
 
 
-def orbits_of(graph: Graph, classes, flat_list) -> set:
-    """Orbits of the flats under every permutation of twins, each named by
-    its least image as a sorted tuple of sorted vertex blocks."""
+def contraction_class(graph: Graph, flat):
+    """The contraction G/F up to isomorphism, or None above four blocks.
+
+    G/F has F's blocks with edges as vertices, two of them adjacent when an
+    edge joins them; it is named by its block count and least edge list."""
+    touched = {v for e in graph.edges for v in e}
+    blocks = [b for b in vertex_partition(graph, flat) if touched.intersection(b)]
+    if len(blocks) > 4:
+        return None
+    where = {v: k for k, b in enumerate(blocks) for v in b}
+    edges = {tuple(sorted((where[u], where[v]))) for u, v in graph.edges if where[u] != where[v]}
+    return len(blocks), canonical_edges(len(blocks), edges)
+
+
+def classes_of(graph: Graph, classes, flat_list) -> set:
+    """The classes the engine solves once each: the contraction up to
+    isomorphism for a flat of at most four blocks, else its twin orbit."""
+    return {contraction_class(graph, f) or ("orbit", orbit)
+            for f, orbit in zip(flat_list, orbit_names(graph, classes, flat_list))}
+
+
+def orbit_names(graph: Graph, classes, flat_list) -> list:
+    """The orbit of each flat under every permutation of twins, named by its
+    least image as a sorted tuple of sorted vertex blocks."""
     perms = []
     for images in itertools.product(*(itertools.permutations(c) for c in classes)):
         sigma = list(range(graph.num_vertices))
@@ -246,11 +345,11 @@ def orbits_of(graph: Graph, classes, flat_list) -> set:
             for v, w in zip(c, image):
                 sigma[v] = w
         perms.append(sigma)
-    return {
+    return [
         min(tuple(sorted(tuple(sorted(s[v] for v in b)) for b in vertex_partition(graph, f)))
             for s in perms)
         for f in flat_list
-    }
+    ]
 
 
 @pytest.mark.parametrize("graph, classes", ORBIT_CASES)
@@ -267,17 +366,18 @@ def test_one_solve_per_orbit_of_twin_permutations(monkeypatch, graph, classes):
     monkeypatch.setattr(flats, "_solve_reflection", counting)
     lattice = build_lattice(graph)
     lattice.kl_poly()
-    # one solve per orbit of the non-top flats
-    assert len(solves) == len(orbits_of(graph, classes, lattice.flats[:-1]))
-    # without twins every non-top flat is solved
-    assert (len(solves) < len(lattice) - 1) == bool(classes)
+    # one solve per class of the non-top flats, and contractions merge
+    # flats that no twin permutation relates
+    non_top = lattice.flats[:-1]
+    assert len(solves) == len(classes_of(graph, classes, non_top))
+    assert len(solves) < len(set(orbit_names(graph, classes, non_top)))
 
 
 @pytest.mark.parametrize("graph, classes", ORBIT_CASES)
 def test_one_solve_per_orbit_in_the_char_poly_of_a_moved_flat(monkeypatch, graph, classes):
     # char_poly(F) below the top runs the pass of the graph on F's edges,
-    # which keys by that graph's own twin orbits, even when a twin swap of
-    # the whole graph moves F
+    # which keys by that graph's own classes, even when a twin swap of the
+    # whole graph moves F
     lattice = build_lattice(graph)
     moved = moved_by_a_twin_swap(graph, lattice.flats)
     assert bool(moved) == bool(classes)
@@ -297,13 +397,12 @@ def test_one_solve_per_orbit_in_the_char_poly_of_a_moved_flat(monkeypatch, graph
     monkeypatch.undo()
     local = build_lattice(restricted)
     restricted_classes = twin_classes(restricted)
-    assert len(solves) == len(orbits_of(restricted, restricted_classes, local.flats[:-1]))
-    assert (len(solves) < len(local) - 1) == bool(restricted_classes)
+    assert len(solves) == len(classes_of(restricted, restricted_classes, local.flats[:-1]))
     assert chi == ReferenceLattice(graph).interval_char_poly(0, f)
 
 
 def test_mu_row_of_a_flat_moved_by_twin_permutations():
-    # in K_5 the flat {01} shares its orbit with every single edge, and mu
+    # in K_5 the flat {01} shares its class with every single edge, and mu
     # from it differs inside one orbit above it: {012}{34} is a product of
     # two rank-1 intervals, {01}{234} merges three blocks of {01}{2}{3}{4}
     graph = complete_graph(5)
@@ -315,9 +414,9 @@ def test_mu_row_of_a_flat_moved_by_twin_permutations():
         return lattice.index_of(closure(graph, {edge[p] for p in pairs}))
 
     i = flat((0, 1))
-    assert lattice._orbits.count(lattice._orbits[i]) == len(graph.edges)
+    assert lattice._keys.count(lattice._keys[i]) == len(graph.edges)
     j, k = flat((0, 1), (1, 2), (3, 4)), flat((0, 1), (2, 3), (3, 4))
-    assert lattice._orbits[j] == lattice._orbits[k]
+    assert lattice._keys[j] == lattice._keys[k]
     row = lattice.mu_row(i)
     assert (row[j], row[k]) == (1, 2)
     assert row == ref.mu_row(i)
