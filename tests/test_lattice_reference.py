@@ -277,8 +277,6 @@ def test_sorted_degrees_do_not_name_a_graph_on_five_vertices():
     lattices = [build_lattice(path), build_lattice(triangle_and_edge)]
     assert lattices[0].rank_counts() == [1, 4, 6, 4, 1]
     assert lattices[1].rank_counts() == [1, 4, 4, 1]
-    assert lattices[0].char_poly(lattices[0].flats[-1]) != \
-        lattices[1].char_poly(lattices[1].flats[-1])
     assert all(isinstance(lattice._keys[0], int) for lattice in lattices)
 
 
