@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from .polynomials import (IntPoly, ONE, T, ZERO, _check_index, _pack, _unpack,
+from .polynomials import (IntPoly, ZERO, _check_index, _pack, _unpack,
                           solve_reflection_equation)
 from .symfunc import Partition, SchurPoly, horizontal_strips
 
@@ -227,12 +227,12 @@ def conjecture_poly(n: int) -> SchurPoly:
     plus ((n-1)t + 1) * s[n].
     """
     _check_index(n, "index", 1)
-    terms: dict[Partition, IntPoly] = {(n,): IntPoly((1, n - 1))}
+    terms = {(n,): IntPoly((1, n - 1))}
+    # upsilon has no repeats and no [n], so each term is written once
     for term in conjecture_terms(n):
-        coeff = IntPoly((term.kappa,)).shifted(term.ell - 1)
-        if term.omega:
-            coeff = coeff * (T + ONE)
-        terms[term.partition] = terms.get(term.partition, ZERO) + coeff
+        # kappa t^(ell-1) (1+t)^omega, with omega 0 or 1
+        coeffs = (0,) * (term.ell - 1) + (term.kappa,) * (1 + term.omega)
+        terms[term.partition] = IntPoly(coeffs)
     return SchurPoly(terms, degree=n)
 
 

@@ -23,7 +23,7 @@ with one result.  A value of more than 16 slots, each a multiple of 8 bits
 and at least 64 wide (the rows of the KL table in ``kl``), is read in
 linear time: one ``to_bytes`` call, then 64-bit words or byte slices.
 Shorter values (most lattice rows of ``flats``) and narrower or unaligned
-slots (the Dyck DP, the ribbon kernel of ``symfunc``) are read by a loop of
+slots (the Dyck DP, the strip rows of ``equivariant``) are read by a loop of
 one shift per digit, which is as quick for a few digits.
 """
 
@@ -264,17 +264,6 @@ def _unpack(value: int, slot: int) -> list[int]:
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 T = IntPoly((0, 1))
-
-
-def poly_reverse(r: int, p: IntPoly) -> IntPoly:
-    """Reverse p within the coefficient window 0..r, i.e. t^r * p(1/t).
-
-    Requires deg p <= r, otherwise the result would not be a polynomial.
-    """
-    _check_index(r, "window size")
-    if p.degree() > r:
-        raise ValueError(f"degree {p.degree()} exceeds reversal window {r}")
-    return IntPoly(p[r - k] for k in range(r + 1))
 
 
 def expand_F(order: int) -> tuple[IntPoly, ...]:

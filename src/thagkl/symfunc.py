@@ -4,38 +4,25 @@ A partition is a tuple of weakly decreasing positive integers; a ``SchurPoly``
 is a finite expansion sum_lambda c_lambda(t) * s[lambda] in which every index
 partition has one common size and every coefficient is a nonzero ``IntPoly``.
 
-The products with the tensor-power character
+Every product here is a Pieri product, and one walk serves them all:
+``horizontal_strips`` adds a horizontal strip (at most one new box per
+column), which is multiplication by h_a.  The involution omega, s[lam] ->
+s[lam'], swaps h and e and rows and columns, so the vertical strips of e_b
+are the conjugates of the horizontal strips of the conjugate shape.  The
+equivariant solver calls the walk directly (see ``thagkl.equivariant``).
+
+The tensor-power characters
 
     w_j(t) = sum_{a+b=j}   (-1)^b     t^a h_a e_b        (graded dim (t-1)^j)
-
-need no general Littlewood-Richardson machinery.  w_j = h_j[(t-1)X] comes
-from the series identity w(t,u) = s(tu)/s(u), where s(u) = sum_m s[m] u^m.
-``_ribbon_sums`` implements products with w_j on Schur terms: it takes
-(lam, j, coefficient tuple) triples, packs each polynomial into one int,
-its value at t = 2^slot (the codec of ``polynomials``), and returns the
-coefficient digits of each mu.  ``sum_mul_w`` is its ``SchurPoly`` face and
-its only caller, summing f * w_j over a list of (f, j) pairs in one pass
-(``SchurPoly.mul_w`` is its one-pair case, and ``w_poly`` applies that to
-1).  It works by the broken-ribbon rule: the coefficient of s[mu] in s[lam]
-* w_j is the skew Schur function s_{mu/lam} at the alphabet t - 1, which
-factors over the ribbons of mu/lam (Macdonald, Symmetric Functions and Hall
-Polynomials, Ch. I): it is (-1)^(r-c) t^(j-r) (t-1)^c when mu/lam has no
-2x2 square, with r rows and c edge-connected components, and 0 otherwise.
-``broken_ribbons`` walks these shapes on an explicit stack, once per (lam,
-j), and the kernel sums them into one int per mu, in slots proven wide
-enough by ``_ribbon_slot``.  The equivariant solver multiplies by w_j
-through h_a alone (see ``thagkl.equivariant``), so it does not use this
-kernel.
-
-The Pieri products with h_a and e_b add horizontal strips, walked on their
-own by ``horizontal_strips``, and vertical strips (one new box per row), a
-filter on the ribbon walk (r = size).  The second character
-
     v_l(t) = sum_{a+b+c=l} (-1)^(b+c) t^a h_a e_b e_c    (graded dim (t-2)^l)
 
-comes from v(t,u) = s(tu)/s(u)^2 = w(t,u)/s(u) and 1/s(u) = sum_m (-1)^m
-e_m u^m, so v_l = sum_m (-1)^m e_m w_{l-m} is one ``sum_mul_w`` call.  A
-plethysm evaluation of v_l through the power-sum basis, in integers, is
+are w_j = h_j[(t-1)X] and v_l = h_l[(t-2)X], the coefficients of u^j in
+w(t,u) = s(tu)/s(u) and of u^l in v(t,u) = s(tu)/s(u)^2, where s(u) =
+sum_m s[m] u^m.  Pieri's rule h_a e_b = s[a, 1^b] + s[a+1, 1^(b-1)] makes
+w_j a sum over hooks, and 1/s(u) = sum_m (-1)^m e_m u^m makes v_l =
+sum_m (-1)^m e_m w_(l-m), which ``v_poly`` sums under omega in one pass of
+the strip walk (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I).
+A plethysm evaluation of v_l through the power-sum basis, in integers, is
 provided as an independent cross-check; its characters chi^lam(mu) come
 from the Murnaghan-Nakayama rule on bead masks (``character_value``).
 
@@ -46,10 +33,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from math import factorial
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_index, _pack, _unpack
+from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_index
 
 Partition = tuple[int, ...]
 
@@ -127,8 +114,7 @@ def horizontal_strips(lam: Partition, size: int) -> Iterator[Partition]:
     included.  The walk fills those rows from the bottom up on an explicit
     stack, and row 0 takes whatever is left, so every branch ends in a strip.
     A negative size has no strips.  The equivariant solver's rows are mostly
-    this walk, and a filter on ``broken_ribbons`` would visit every broken
-    ribbon to find the strips.
+    this walk.
     """
     lam = _checked_partition(*lam)
     size = operator.index(size)
@@ -171,52 +157,12 @@ def horizontal_strips(lam: Partition, size: int) -> Iterator[Partition]:
 def vertical_strips(lam: Partition, size: int) -> Iterator[Partition]:
     """All mu obtained from lam by adding a vertical strip of ``size`` boxes.
 
-    These are the broken ribbons whose ``size`` boxes sit in ``size`` rows
-    (r = size), at most one new box per row.
-    """
-    return (mu for mu, rows, _ in broken_ribbons(lam, size) if rows == size)
-
-
-def broken_ribbons(lam: Partition, size: int) -> Iterator[tuple[Partition, int, int]]:
-    """All (mu, r, c) with mu/lam a skew shape of ``size`` boxes and no 2x2 square.
-
-    No 2x2 square means mu_{i+1} <= lam_i + 1 for every i, so mu/lam is a
-    disjoint union of ribbons (a broken ribbon).  r counts the rows that gain
-    boxes and c the edge-connected components.  Rows i and i+1 of such a
-    shape share an edge exactly when mu_{i+1} = lam_i + 1, so c is r minus
-    the number of those joins.  Below the last row of lam the shape is one
-    row of x boxes followed by a column of single boxes, all joined.
-
-    The walk keeps an explicit stack of partial shapes, one row at a time.
-    Row i may reach lam_{i-1} + 1 after a row that grew and lam_{i-1} after
-    one that did not, so that flag is all a state keeps of its last row.
+    A vertical strip has at most one new box per row, so it is a horizontal
+    strip of the conjugate shape: the walk is ``horizontal_strips(lam', size)``
+    with each shape conjugated back.  lam is checked before the walk starts.
     """
     lam = _checked_partition(*lam)
-    rows = len(lam)
-    # above[i] is lam_{i-1}; above[0] is too large to cap or join anything
-    above = (lam[0] + size if lam else size,) + lam
-    # (next row, mu so far, boxes left, rows gained, joins, last row grew)
-    stack = [(0, (), size, 0, 0, 1)]
-    while stack:
-        i, head, remaining, gained, joins, grew = stack.pop()
-        if remaining == 0:
-            yield head + lam[i:], gained, gained - joins
-            continue
-        link = above[i] + 1
-        cap = above[i] + grew
-        if i == rows:
-            for x in range(cap if cap < remaining else remaining, 0, -1):
-                column = remaining - x
-                r = gained + 1 + column
-                yield head + (x,) + (1,) * column, r, r - joins - column - (x == link)
-            continue
-        low = lam[i]
-        i += 1
-        stack.append((i, head + (low,), remaining, gained, joins, 0))
-        limit = low + remaining
-        gained += 1
-        for value in range(low + 1, (cap if cap < limit else limit) + 1):
-            stack.append((i, head + (value,), limit - value, gained, joins + (value == link), 1))
+    return (conjugate(mu) for mu in horizontal_strips(conjugate(lam), size))
 
 
 class SchurPoly:
@@ -291,10 +237,10 @@ class SchurPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SchurPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.degree == other.degree and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self.degree, frozenset(self._terms.items())))
 
     def __add__(self, other: SchurPoly) -> SchurPoly:
         if not isinstance(other, SchurPoly):
@@ -337,10 +283,6 @@ class SchurPoly:
                 out[mu] = out.get(mu, ZERO) + coeff
         return SchurPoly(out, degree=self.degree + size)
 
-    def mul_w(self, j: int) -> SchurPoly:
-        """Product with w_j = h_j[(t-1)X]: the one-pair case of ``sum_mul_w``."""
-        return sum_mul_w([(self, j)], self.degree + j)
-
     def graded_dimension(self) -> IntPoly:
         """Substitute each s[lambda] by its hook-length dimension."""
         total = ZERO
@@ -359,76 +301,22 @@ class SchurPoly:
         return f"SchurPoly({dict(self.terms())!r})"
 
 
-def sum_mul_w(pairs: Iterable[tuple[SchurPoly, int]], degree: int) -> SchurPoly:
-    """The sum of f * w_j over the (f, j) pairs, each f of degree ``degree - j``.
-
-    One ``_ribbon_sums`` call on the coefficient tuples of every term.
-    """
-    inputs = []
-    for f, j in pairs:
-        if not isinstance(f, SchurPoly):
-            raise TypeError(f"expected a SchurPoly, got {type(f).__name__}")
-        _check_index(j, "index")
-        if f.degree + j != degree:
-            raise ValueError(f"degree mismatch: {f.degree} + {j} != {degree}")
-        inputs.extend((lam, j, coeff.coeffs) for lam, coeff in f._terms.items())
-    return SchurPoly(
-        {mu: IntPoly(digits) for mu, digits in _ribbon_sums(inputs).items()}, degree=degree
-    )
-
-
-def _ribbon_slot(norms: Iterable[tuple[int, int]]) -> int:
-    """Bits per power of t that hold every digit of ``_ribbon_sums``.
-
-    ``norms`` lists (1-norm, j) for the inputs: the 1-norm of a polynomial
-    that is multiplied by the ribbon weights of (lam, j).  mu/lam fixes the
-    ribbon, so each (lam, j) meets a given mu at most once, with the weight
-    +-t^e (t-1)^c, c <= j, whose largest coefficient is C(c, c//2) <=
-    C(j, j//2).  So every output coefficient is at most the bound
-    sum 1-norm * C(j, j//2) in absolute value, and a slot of
-    ``bound.bit_length() + 1`` bits holds it as a signed digit.
-    """
-    bound = sum(norm * comb(j, j // 2) for norm, j in norms)
-    return bound.bit_length() + 1
-
-
-def _ribbon_sums(inputs: Sequence[tuple[Partition, int, Sequence[int]]]
-                 ) -> dict[Partition, list[int]]:
-    """The row kernel: sum over (lam, j, coeffs) of coeffs(t) * s[lam] * w_j.
-
-    Each coefficient tuple is packed at t = 2^slot (``polynomials._pack``),
-    the slot being ``_ribbon_slot`` of the inputs' 1-norms, and the inputs
-    of one (lam, j) are summed there.  By the broken-ribbon rule s[lam] *
-    w_j is the sum of (-1)^(r-c) t^(j-r) (t-1)^c s[mu] over
-    ``broken_ribbons(lam, j)``, so each (lam, j) is walked once and its sum
-    multiplied by one weight int per ribbon, cached by (j - r, c, sign).
-    Returns each mu's sum unpacked once into signed coefficient digits.
-    """
-    slot = _ribbon_slot((sum(map(abs, coeffs)), j) for _, j, coeffs in inputs)
-    packed: dict[tuple[Partition, int], int] = {}
-    for lam, j, coeffs in inputs:
-        packed[lam, j] = packed.get((lam, j), 0) + _pack(coeffs, slot)
-    t_minus_one = (1 << slot) - 1
-    weights: dict[tuple[int, int, int], int] = {}
-    acc: dict[Partition, int] = {}
-    for (lam, j), value in packed.items():
-        for mu, rows, components in broken_ribbons(lam, j):
-            key = (j - rows, components, (rows - components) & 1)
-            weight = weights.get(key)
-            if weight is None:
-                weight = (-1) ** key[2] * t_minus_one**components
-                weight = weights[key] = weight << (slot * key[0])
-            acc[mu] = acc.get(mu, 0) + value * weight
-    return {mu: _unpack(value, slot) for mu, value in acc.items()}
-
-
 @functools.lru_cache(maxsize=None, typed=True)
 def w_poly(j: int) -> SchurPoly:
     """Character of the j-fold tensor power of the virtual line with dimension t-1.
 
     Coefficient of u^j in s(tu)/s(u), i.e. sum_{a+b=j} (-1)^b t^a h_a e_b.
+    Since h_a e_b = s[a, 1^b] + s[a+1, 1^(b-1)], that is the hook sum
+    sum_{a=1}^{j} (-1)^(j-a) t^(a-1) (t-1) s[a, 1^(j-a)], and 1 at j = 0.
     """
-    return SchurPoly.one().mul_w(j)
+    _check_index(j, "index")
+    if not j:
+        return SchurPoly.one()
+    terms = {}
+    for a in range(1, j + 1):
+        sign = -1 if (j - a) & 1 else 1
+        terms[(a,) + (1,) * (j - a)] = IntPoly((0,) * (a - 1) + (-sign, sign))
+    return SchurPoly(terms, degree=j)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -437,10 +325,27 @@ def v_poly(ell: int) -> SchurPoly:
 
     Coefficient of u^ell in s(tu)/s(u)^2, which is
     sum_{a+b+c=ell} (-1)^(b+c) t^a h_a e_b e_c.  Read as w(t,u)/s(u), with
-    1/s(u) = sum_m (-1)^m e_m u^m, it is sum_m (-1)^m e_m w_(ell-m).
+    1/s(u) = sum_m (-1)^m e_m u^m, it is sum_m (-1)^m e_m w_(ell-m).  The
+    involution omega, s[lam] -> s[lam'], turns that into
+    sum_m (-1)^m h_m omega(w_(ell-m)), where omega(w_k) carries
+    (-1)^(k-a) t^(a-1) (t-1) at the conjugate hook [k-a+1, 1^(a-1)]: one
+    pass of ``horizontal_strips``, summed on coefficient lists, with each
+    shape conjugated back once at the end.
     """
     _check_index(ell, "index")
-    return sum_mul_w([(SchurPoly({(1,) * m: (-1) ** m}), ell - m) for m in range(ell + 1)], ell)
+    # the term m = ell is (-1)^ell h_ell omega(w_0) = (-1)^ell s[ell]
+    top = [0] * (ell + 1)
+    top[0] = -1 if ell & 1 else 1
+    acc: dict[Partition, list[int]] = {(ell,) if ell else (): top}
+    for m in range(ell):
+        for a in range(1, ell - m + 1):
+            # (-1)^m from 1/s(u) and (-1)^(k-a) from w_k, k = ell - m
+            sign = -1 if (ell - a) & 1 else 1
+            for mu in horizontal_strips((ell - m - a + 1,) + (1,) * (a - 1), m):
+                coeffs = acc.setdefault(mu, [0] * (ell + 1))
+                coeffs[a - 1] -= sign
+                coeffs[a] += sign
+    return SchurPoly({conjugate(mu): IntPoly(c) for mu, c in acc.items()}, degree=ell)
 
 
 def cycle_type_order(mu: Partition) -> int:

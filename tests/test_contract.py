@@ -19,7 +19,6 @@ LATTICE = flats.build_lattice(GRAPH)
 ENTRIES = [
     ("IntPoly.__pow__", lambda n: T**n, 0),
     ("IntPoly.shifted", lambda k: T.shifted(k), 0),
-    ("poly_reverse", lambda r: polynomials.poly_reverse(r, ONE), 0),
     ("expand_F", polynomials.expand_F, 0),
     # t^r P(1/t) - P(t) = 1 - t has the solution P = -1 at rank 1
     ("solve_reflection_equation",
@@ -53,8 +52,6 @@ ENTRIES = [
     ("SchurPoly.e", SchurPoly.e, 0),
     ("SchurPoly.mul_h", lambda a: SchurPoly.one().mul_h(a), 0),
     ("SchurPoly.mul_e", lambda b: SchurPoly.one().mul_e(b), 0),
-    ("SchurPoly.mul_w", lambda j: SchurPoly.one().mul_w(j), 0),
-    ("sum_mul_w", lambda j: symfunc.sum_mul_w([(SchurPoly.one(), j)], j), 0),
     ("w_poly", symfunc.w_poly, 0),
     ("v_poly", symfunc.v_poly, 0),
     ("v_poly_via_plethysm", symfunc.v_poly_via_plethysm, 0),
@@ -87,7 +84,6 @@ WRONG_TYPES = [
     ("solve_reflection_equation-rhs", lambda: polynomials.solve_reflection_equation(3, 1)),
     ("verify_theorem-series", lambda: kl.verify_theorem(3, series=[1, 2, 3])),
     ("verify_conjecture-candidates", lambda: equivariant.verify_conjecture(3, candidates={2: 5})),
-    ("sum_mul_w-pairs", lambda: symfunc.sum_mul_w([(5, 1)], 1)),
     ("SchurPoly.__add__", lambda: SchurPoly.one() + 1),
     ("IntPoly-float-and-str", lambda: IntPoly((0.5, "x"))),
     ("IntPoly-bool", lambda: IntPoly((True, 2))),
@@ -116,7 +112,6 @@ PARTITION_ENTRIES = [
     ("character_value-mu", lambda mu: symfunc.character_value((2, 2), mu)),
     ("horizontal_strips", lambda lam: list(symfunc.horizontal_strips(lam, 1))),
     ("vertical_strips", lambda lam: list(symfunc.vertical_strips(lam, 1))),
-    ("broken_ribbons", lambda lam: list(symfunc.broken_ribbons(lam, 1))),
 ]
 
 

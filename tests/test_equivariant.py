@@ -16,6 +16,7 @@ from thagkl.equivariant import (
 from thagkl.kl import kl_poly
 from thagkl.polynomials import IntPoly, ONE, T
 from thagkl.symfunc import SchurPoly, v_poly, w_poly
+from schur_reference import mul_w_pieri, pieri_oracle
 
 
 def test_eq_kl_base_entry_is_trivial_class():
@@ -92,9 +93,9 @@ def test_row_slots_stay_narrow(monkeypatch):
 
 
 def test_stored_partial_sums_match_products_with_w():
-    # A_n = sum_i p_i w_(n-i) by the ribbon route of mul_w, and the reflected
-    # p_n, which the rows read in place of (A w)_n, is (t-1) w_n + sum_(i+j+m=n)
-    # p_i w_j w_m
+    # A_n = sum_i p_i w_(n-i), each product by the brute-force Pieri strips,
+    # and the reflected p_n, which the rows read in place of (A w)_n, is
+    # (t-1) w_n + sum_(i+j+m=n) p_i w_j w_m
     table = EqKLTable()
     table.poly(6)
     for n in range(7):
@@ -105,9 +106,9 @@ def test_stored_partial_sums_match_products_with_w():
         expected_a = SchurPoly({}, degree=n)
         expected_d = w_poly(n).scaled(T - ONE)
         for i in range(n + 1):
-            expected_a = expected_a + table.poly(i).mul_w(n - i)
+            expected_a = expected_a + mul_w_pieri(table.poly(i), n - i)
             for j in range(n - i + 1):
-                expected_d = expected_d + table.poly(i).mul_w(j).mul_w(n - i - j)
+                expected_d = expected_d + mul_w_pieri(mul_w_pieri(table.poly(i), j), n - i - j)
         assert _as_schur(a, n) == expected_a
         reflected = SchurPoly({lam: IntPoly(c.coeffs[::-1]).shifted(n + 1 - c.degree())
                                for lam, c in table.poly(n).terms()}, degree=n)
@@ -156,15 +157,16 @@ def _rhs_reference(n: int, table: EqKLTable) -> SchurPoly:
 
     The first term keeps the v-sum (t-1) * sum_l v_l h_(n-l), which the solver
     replaces by (t-1) * w_n; table entries below n must already be built.
+    Every product is taken over the brute-force strips, not the solver's walk.
     """
     total = SchurPoly({}, degree=n)
     for ell in range(n + 1):
-        total = total + v_poly(ell).mul_h(n - ell)
+        total = total + pieri_oracle(v_poly(ell), n - ell, vertical=False)
     total = total.scaled(T - ONE)
     for i in range(n):
         for j in range(n - i + 1):
             m = n - i - j
-            total = total + table.poly(i).mul_w(j).mul_w(m)
+            total = total + mul_w_pieri(mul_w_pieri(table.poly(i), j), m)
     return total
 
 
@@ -183,7 +185,7 @@ def test_symmetrized_rhs_matches_ordered_reference():
         assert rhs == _rhs_reference(n, table)
         expected_below = SchurPoly({}, degree=n)
         for i in range(n):
-            expected_below = expected_below + table.poly(i).mul_w(n - i)
+            expected_below = expected_below + mul_w_pieri(table.poly(i), n - i)
         assert below == expected_below
         assert below.degree == n
 

@@ -26,7 +26,7 @@ ALLOWED = {
     "symfunc": {"polynomials"},
     "flats": {"polynomials"},
     # kl -> dyck is the last cross-pipeline edge: verify_theorem builds its own
-    # Dyck rows.  It moves to verify with ROADMAP item 1, because the bench
+    # Dyck rows.  It moves to verify with ROADMAP item 5, because the bench
     # traces kl.verify_theorem, Dyck rows included, by this path.
     "kl": {"dyck", "polynomials"},
     "equivariant": {"polynomials", "symfunc"},
@@ -64,8 +64,7 @@ def test_import_graph_is_pinned():
 # per importing module, the private names it imports from package modules
 PRIVATE_IMPORTS = {
     "dyck": {"polynomials._check_index", "polynomials._unpack"},
-    "symfunc": {"polynomials._as_poly", "polynomials._check_index", "polynomials._pack",
-                "polynomials._unpack"},
+    "symfunc": {"polynomials._as_poly", "polynomials._check_index"},
     "flats": {"polynomials._check_index", "polynomials._pack", "polynomials._solve_reflection",
               "polynomials._unpack"},
     "kl": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
@@ -96,8 +95,8 @@ def test_private_imports_are_pinned():
 def test_private_import_scan_sees_both_import_forms(tmp_path):
     # negative control: an absolute and a relative import of a private name
     source = tmp_path / "probe.py"
-    source.write_text("from thagkl.symfunc import _ribbon_sums\nfrom .flats import Graph, _selector\n")
-    assert private_imports(source) == {"symfunc._ribbon_sums", "flats._selector"}
+    source.write_text("from thagkl.symfunc import _checked_partition\nfrom .flats import Graph, _selector\n")
+    assert private_imports(source) == {"symfunc._checked_partition", "flats._selector"}
 
 
 def _bool_checks(path: Path) -> list[tuple[str, str | None]]:

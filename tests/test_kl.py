@@ -13,7 +13,7 @@ from thagkl.kl import (
     phi_series,
     verify_theorem,
 )
-from thagkl.polynomials import IntPoly, ONE, ZERO, poly_reverse, solve_reflection_equation
+from thagkl.polynomials import IntPoly, ONE, ZERO, solve_reflection_equation
 
 
 def test_char_poly_boolean():
@@ -82,10 +82,16 @@ def test_kl_poly_matches_closed_form():
             assert p[k] == closed_form(n, k)
 
 
+def reflected(r: int, p: IntPoly) -> IntPoly:
+    """t^r p(1/t): the coefficients of p reversed in the window 0..r."""
+    assert p.degree() <= r
+    return IntPoly(p[r - k] for k in range(r + 1))
+
+
 def test_defining_recursion_residual_is_exact():
     # substitute the table back into the rank recursion and demand identity
     for n in range(21):
-        lhs = poly_reverse(n + 1, kl_poly(n))
+        lhs = reflected(n + 1, kl_poly(n))
         rhs = char_poly_boolean(n + 1)
         for i in range(n + 1):
             weight = comb(n, i) * 2 ** (n - i)

@@ -16,7 +16,6 @@ from thagkl.polynomials import (
     _pack,
     _unpack,
     expand_F,
-    poly_reverse,
     solve_reflection_equation,
 )
 
@@ -79,27 +78,10 @@ def test_shifted_rejects_negative_and_bool_shifts():
             p.shifted(True)
 
 
-def test_reverse_basic_window():
-    assert poly_reverse(3, IntPoly((1, 1))) == IntPoly((0, 0, 1, 1))
-
-
-def test_reverse_of_degree_one_in_window_five():
-    # reflection of 1 + 4t (the n=3 polynomial per the Dyck oracle)
-    assert poly_reverse(5, IntPoly((1, 4))) == IntPoly((0, 0, 0, 0, 4, 1))
-
-
-def test_reverse_rejects_degree_overflow():
-    with pytest.raises(ValueError):
-        poly_reverse(1, IntPoly((0, 0, 1)))
-
-
-def test_reverse_is_window_involution():
-    rng = random.Random(7)
-    for _ in range(100):
-        r = rng.randrange(0, 8)
-        deg = rng.randrange(-1, r + 1)
-        p = IntPoly([rng.randrange(-5, 6) for _ in range(deg + 1)])
-        assert poly_reverse(r, poly_reverse(r, p)) == p
+def reflected(r: int, p: IntPoly) -> IntPoly:
+    """t^r p(1/t): the coefficients of p reversed in the window 0..r."""
+    assert p.degree() <= r
+    return IntPoly(p[r - k] for k in range(r + 1))
 
 
 def test_str_rendering():
@@ -244,7 +226,7 @@ def rank_and_low_poly(draw):
 @given(rank_and_low_poly())
 def test_solve_reflection_round_trip(case):
     rank, p = case
-    rhs = poly_reverse(rank, p) - p
+    rhs = reflected(rank, p) - p
     assert solve_reflection_equation(rank, rhs) == p
 
 
@@ -318,7 +300,7 @@ def reflection_cases(draw):
         coeffs = draw(st.lists(st.integers(-3, 3), max_size=max(rank, 0) + 3))
         return rank, IntPoly(coeffs)
     low =IntPoly(draw(st.lists(st.integers(-20, 20), max_size=(rank - 1) // 2 + 1)))
-    coeffs = list((poly_reverse(rank, low) - low).coeffs) + [0] * (rank + 3)
+    coeffs = list((reflected(rank, low) - low).coeffs) + [0] * (rank + 3)
     if kind == "perturbed":
         for _ in range(draw(st.integers(1, 3))):
             k = draw(st.integers(0, rank + 1))

@@ -11,19 +11,18 @@ from thagkl import symfunc
 from thagkl.polynomials import IntPoly, ONE, T, ZERO
 from thagkl.symfunc import (
     SchurPoly,
-    broken_ribbons,
     character_value,
     conjugate,
     cycle_type_order,
     hook_dim,
     horizontal_strips,
     partitions_of,
-    sum_mul_w,
     v_poly,
     v_poly_via_plethysm,
     vertical_strips,
     w_poly,
 )
+from schur_reference import mul_w_pieri, pieri_oracle, sign_t_power, strips_oracle
 
 T_MINUS_1 = T - ONE
 T_MINUS_2 = T - 2 * ONE
@@ -96,7 +95,7 @@ def test_horizontal_strips_examples():
     assert set(horizontal_strips((), 3)) == {(3,)}
     assert set(horizontal_strips((2,), 0)) == {(2,)}
     # a negative size has no strips and a non-int size is refused, as for
-    # broken_ribbons
+    # vertical_strips
     for lam in [(), (2, 1)]:
         assert list(horizontal_strips(lam, -1)) == []
         with pytest.raises(TypeError):
@@ -107,41 +106,6 @@ def test_vertical_strips_examples():
     assert set(vertical_strips((2,), 2)) == {(3, 1), (2, 1, 1)}
     assert set(vertical_strips((), 3)) == {(1, 1, 1)}
     assert set(vertical_strips((2, 2), 1)) == {(3, 2), (2, 2, 1)}
-
-
-@functools.cache
-def strips_oracle(lam, size, vertical):
-    """Brute-force strips: every mu of |lam| + size boxes whose rows grow from lam
-    by 0 or 1 (vertical), or that contains lam and interlaces it (horizontal),
-    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...; independent of ``broken_ribbons``."""
-    found = set()
-    for mu in partitions_of(sum(lam) + size):
-        padded = lam + (0,) * (len(mu) - len(lam))
-        if len(padded) > len(mu):
-            continue
-        if vertical:
-            if all(m - l in (0, 1) for m, l in zip(mu, padded)):
-                found.add(mu)
-        elif all(m >= l for m, l in zip(mu, padded)) and all(
-            m <= l for m, l in zip(mu[1:], padded)
-        ):
-            found.add(mu)
-    return frozenset(found)
-
-
-def pieri_oracle(f: SchurPoly, size: int, vertical: bool) -> SchurPoly:
-    """f * e_size (vertical) or f * h_size, summed over the brute-force strips."""
-    out = {}
-    for lam, coeff in f.terms():
-        for mu in strips_oracle(lam, size, vertical):
-            out[mu] = out.get(mu, ZERO) + coeff
-    return SchurPoly(out, degree=f.degree + size)
-
-
-def _sign_t_power(sign_exponent: int, t_exponent: int) -> IntPoly:
-    """(-1)^sign_exponent * t^t_exponent as an IntPoly."""
-    coeff = -1 if sign_exponent % 2 else 1
-    return IntPoly((0,) * t_exponent + (coeff,))
 
 
 def test_strips_match_brute_force_oracle():
@@ -224,100 +188,39 @@ def test_w_poly_low_indices():
     assert w_poly(2) == SchurPoly({(2,): T * T_MINUS_1, (1, 1): ONE - T})
 
 
-def mul_w_pieri(f: SchurPoly, j: int) -> SchurPoly:
-    """Reference product with w_j = sum_{a+b=j} (-1)^b t^a h_a e_b, by both Pieri
-    rules over the brute-force strips (the library's strips walk broken ribbons)."""
-    total = SchurPoly({}, degree=f.degree + j)
-    for a in range(j + 1):
-        b = j - a
-        product = pieri_oracle(pieri_oracle(f, a, vertical=False), b, vertical=True)
-        total = total + product.scaled(_sign_t_power(b, a))
-    return total
+def test_schurpoly_equality_sees_the_degree():
+    # two zeros of different degrees cannot be added, so they are not equal
+    assert SchurPoly({}, degree=3) != SchurPoly({}, degree=4)
+    assert SchurPoly({}, degree=3) == SchurPoly({}, degree=3)
+    assert hash(SchurPoly({}, degree=3)) != hash(SchurPoly({}, degree=4))
+    with pytest.raises(ValueError):
+        SchurPoly({}, degree=3) + SchurPoly({}, degree=4)
+    # nonzero expansions carry their degree in their terms
+    f = SchurPoly({(2, 1): IntPoly((1, -1))})
+    assert f == SchurPoly({(2, 1): IntPoly((1, -1))}, degree=3)
+    assert f != SchurPoly({(2, 2): IntPoly((1, -1))})
+    assert len({SchurPoly({}, degree=d) for d in range(4)} | {f}) == 5
 
 
-def broken_ribbons_recursive(lam, size):
-    """Reference enumerator: the row-by-row recursion over mu_i, one generator per row.
-
-    Row i takes mu_i from lam_i up to min(cap, lam_i + remaining), where cap
-    is mu_{i-1} capped at lam_{i-1} + 1 (no 2x2 square).  Rows i-1 and i
-    join when mu_i = lam_{i-1} + 1.  Below lam the shape is one row of x
-    boxes followed by a column of single boxes.
-    """
-    rows = len(lam)
-
-    def rec(i, remaining, cap, gained, joins, acc):
-        if remaining == 0:
-            yield tuple(acc) + lam[i:], gained, gained - joins
-            return
-        if i == rows:
-            link = lam[-1] + 1 if rows else 0
-            for x in range(min(cap, remaining), 0, -1):
-                column = remaining - x
-                r = gained + 1 + column
-                yield (
-                    tuple(acc) + (x,) + (1,) * column,
-                    r,
-                    r - joins - column - (x == link),
-                )
-            return
-        low = lam[i]
-        link = lam[i - 1] + 1 if i else 0
-        for value in range(min(cap, low + remaining), low - 1, -1):
-            acc.append(value)
-            yield from rec(
-                i + 1,
-                remaining - (value - low),
-                min(value, low + 1),
-                gained + (value > low),
-                joins + (value == link),
-                acc,
-            )
-            acc.pop()
-
-    yield from rec(0, size, lam[0] + size if lam else size, 0, 0, [])
-
-
-def test_broken_ribbons_match_recursive_reference():
-    for n in range(9):
-        for lam in partitions_of(n):
-            for j in range(9):
-                got = list(broken_ribbons(lam, j))
-                assert len(got) == len(set(got)), (lam, j)
-                assert set(got) == set(broken_ribbons_recursive(lam, j)), (lam, j)
-    # a negative size has no shapes and a non-int size is refused, as before
-    for lam in [(), (2, 1)]:
-        assert list(broken_ribbons(lam, -1)) == list(broken_ribbons_recursive(lam, -1)) == []
-        for walk in (broken_ribbons, broken_ribbons_recursive):
-            with pytest.raises(TypeError):
-                list(walk(lam, 1.5))
-
-
-def test_broken_ribbons_examples():
-    # each shape comes with (rows gaining boxes, components)
-    assert sorted(broken_ribbons((2, 1), 2), reverse=True) == [
-        ((4, 1), 1, 1),
-        ((3, 2), 2, 2),
-        ((3, 1, 1), 2, 2),
-        ((2, 2, 1), 2, 2),
-        ((2, 1, 1, 1), 2, 1),
-    ]
-    assert sorted(broken_ribbons((), 3), reverse=True) == [
-        ((3,), 1, 1),
-        ((2, 1), 2, 1),
-        ((1, 1, 1), 3, 1),
-    ]
-    # shapes whose new boxes contain a 2x2 square are left out
-    assert (2, 2) not in {mu for mu, _, _ in broken_ribbons((), 4)}
-    assert (2, 2, 2) not in {mu for mu, _, _ in broken_ribbons((2,), 4)}
-    assert (3, 3) in {mu for mu, _, _ in broken_ribbons((2,), 4)}
+def mul_w_by_strips(f: SchurPoly, j: int) -> SchurPoly:
+    """f * w_j through the solver's identity w(u) s(u) = s(tu) and the library's
+    ``mul_h``: X = f w has X_0 = f and X_n = t^n f h_n - sum_{a>=1} X_(n-a) h_a."""
+    xs = [f]
+    for n in range(1, j + 1):
+        x = f.mul_h(n).scaled(sign_t_power(0, n))
+        for a in range(1, n + 1):
+            x = x + xs[n - a].mul_h(a).scaled(-1)
+        xs.append(x)
+    return xs[j]
 
 
 def test_mul_w_matches_pieri_reference_exhaustively():
+    # the strip walk under the series identity, against the brute-force strips
     for n in range(8):
         for lam in partitions_of(n):
             f = SchurPoly({lam: 1})
             for j in range(8):
-                assert f.mul_w(j) == mul_w_pieri(f, j), (lam, j)
+                assert mul_w_by_strips(f, j) == mul_w_pieri(f, j), (lam, j)
 
 
 def _schur_polys(degree: int):
@@ -330,69 +233,11 @@ def _schur_polys(degree: int):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 8).flatmap(_schur_polys), st.integers(0, 6))
 def test_mul_w_matches_pieri_reference_on_sums(f, j):
-    assert f.mul_w(j) == mul_w_pieri(f, j)
-
-
-@st.composite
-def _w_pairs(draw):
-    """A degree and (f, j) pairs with mixed j, each f of that degree minus j."""
-    degree = draw(st.integers(0, 8))
-    pairs = []
-    for _ in range(draw(st.integers(0, 5))):
-        j = draw(st.integers(0, degree))
-        pairs.append((draw(_schur_polys(degree - j)), j))
-    return degree, pairs
-
-
-@settings(max_examples=150, deadline=None)
-@given(_w_pairs(), st.booleans())
-def test_sum_mul_w_matches_pieri_reference(degree_and_pairs, cancel):
-    degree, pairs = degree_and_pairs
-    if cancel:
-        # each product meets its negative, so the whole sum is zero
-        pairs = pairs + [(f.scaled(-1), j) for f, j in reversed(pairs)]
-    expected = SchurPoly({}, degree=degree)
-    for f, j in pairs:
-        expected = expected + mul_w_pieri(f, j)
-    got = sum_mul_w(pairs, degree)
-    assert got == expected
-    assert got.degree == degree
-    if cancel:
-        assert got.is_zero()
-
-
-def _wide_schur_polys(degree: int):
-    coeffs = st.lists(
-        st.integers(-(2**80), 2**80), min_size=1, max_size=4
-    ).map(IntPoly)
-    return st.dictionaries(
-        st.sampled_from(partitions_of(degree)), coeffs, max_size=4
-    ).map(lambda terms: SchurPoly(terms, degree=degree))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 7), st.data(), st.booleans())
-def test_sum_mul_w_matches_pieri_reference_on_wide_coefficients(degree, data, cancel):
-    # coefficients up to 2^80 in absolute value, of both signs, so a slot
-    # narrower than the proven bound carries into its neighbour
-    pairs = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        j = data.draw(st.integers(0, degree))
-        pairs.append((data.draw(_wide_schur_polys(degree - j)), j))
-    if cancel:
-        pairs = pairs + [(f.scaled(-1), j) for f, j in pairs]
-    expected = SchurPoly({}, degree=degree)
-    for f, j in pairs:
-        expected = expected + mul_w_pieri(f, j)
-    got = sum_mul_w(pairs, degree)
-    assert got == expected
-    if cancel:
-        assert got.is_zero()
+    assert mul_w_by_strips(f, j) == mul_w_pieri(f, j)
 
 
 def test_schur_poly_rejects_non_partitions():
-    # an index that is not a partition would be carried through products:
-    # the ribbon walk from (1, 2) reaches the non-partition (1, 2, 1)
+    # an index that is not a partition would be carried through products
     for bad in [(1, 2), (2, 0), (0,), (3, -1), (2, 1, 2)]:
         with pytest.raises(ValueError):
             SchurPoly({bad: 1})
@@ -402,20 +247,6 @@ def test_schur_poly_rejects_non_partitions():
         with pytest.raises(TypeError):
             SchurPoly({bad: 1})
     assert SchurPoly({(2, 2, 1): 1, (): 0}).partitions() == [(2, 2, 1)]
-
-
-def test_sum_mul_w_rejects_bad_pairs():
-    f = SchurPoly({(2, 1): IntPoly((1, -1))})
-    assert sum_mul_w([], 4) == SchurPoly({}, degree=4)
-    assert sum_mul_w([], 4).degree == 4
-    with pytest.raises(ValueError):
-        sum_mul_w([(f, 2)], 4)
-    with pytest.raises(ValueError):
-        sum_mul_w([(f, 1), (f, 2)], 5)
-    with pytest.raises(ValueError):
-        sum_mul_w([(SchurPoly({}, degree=3), 2)], 4)
-    with pytest.raises(ValueError):
-        sum_mul_w([(f, -1)], 2)
 
 
 def test_v_poly_low_indices():
@@ -443,8 +274,14 @@ def test_v_poly_matches_paper_form():
             for b in range(ell - a + 1):
                 c = ell - a - b
                 term = pieri_oracle(pieri_oracle(SchurPoly.h(a), b, True), c, True)
-                total = total + term.scaled(_sign_t_power(b + c, a))
+                total = total + term.scaled(sign_t_power(b + c, a))
         assert v_poly(ell) == total, ell
+
+
+def test_w_poly_matches_pieri_reference():
+    # the hook form against sum_(a+b=j) (-1)^b t^a h_a e_b by the brute-force strips
+    for j in range(11):
+        assert w_poly(j) == mul_w_pieri(SchurPoly.one(), j), j
 
 
 def test_graded_dimensions_of_tensor_characters():
@@ -471,9 +308,7 @@ def test_mul_w_scales_graded_dimension():
         f = SchurPoly({rng.choice(lams): coeff})
         j = rng.randrange(0, 5)
         expected = comb(f.degree + j, j) * f.graded_dimension() * T_MINUS_1**j
-        assert f.mul_w(j).graded_dimension() == expected
-    with pytest.raises(ValueError):
-        SchurPoly.one().mul_w(-1)
+        assert mul_w_by_strips(f, j).graded_dimension() == expected
     with pytest.raises(ValueError):
         w_poly(-1)
 
@@ -499,8 +334,6 @@ def test_indices_reject_bools():
         SchurPoly.e,
         f.mul_h,
         f.mul_e,
-        f.mul_w,
-        lambda j: sum_mul_w([(f, j)], 3 + j),
     ]
     for call in calls:
         call(1)
@@ -618,6 +451,18 @@ def test_character_sign_representation():
 def test_v_poly_plethysm_cross_check():
     for ell in range(7):
         assert v_poly_via_plethysm(ell) == v_poly(ell)
+
+
+def test_v_poly_without_the_conjugation_back_fails_the_plethysm_check(monkeypatch):
+    # negative control: v_poly sums omega(v_l); a copy that keeps those
+    # shapes unconjugated must disagree with the plethysm route
+    monkeypatch.setattr(symfunc, "conjugate", lambda lam: lam)
+    v_poly.cache_clear()
+    try:
+        for ell in range(2, 7):
+            assert v_poly(ell) != v_poly_via_plethysm(ell), ell
+    finally:
+        v_poly.cache_clear()
 
 
 def test_v_poly_plethysm_rejects_a_non_integral_sum(monkeypatch):
