@@ -324,6 +324,87 @@ def test_dyck_output_bytes_pinned(capsys, argv, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# exit code and sha256 of stdout and of stderr of `thagkl ARGV`: results of
+# the renderers the pins above leave out, the top-level and every
+# subcommand's help, and two usage errors.  argparse wraps help and usage to
+# the terminal width, so these run at 80 columns; the digests are of
+# Python 3.11's argparse layout.
+EMPTY = hashlib.sha256(b"").hexdigest()
+CLI_PINS = {
+    "poly --n 40": (
+        0, "9552f2e576a7d2eac821965b21be6a5b066f0db9cc2f5b68983ef468e3e73782",
+        EMPTY),
+    "poly --n 40 --format json": (
+        0, "39c1358f9eb4dcbae3d3a5499747aa29a297a9161d3ff2da96e99e7d379b641c",
+        EMPTY),
+    "table --max 20": (
+        0, "71ab6c0ed01c83a5d8a37d4e19db4c76f64fbaa14f8713209a8cf2b748f3bf5f",
+        EMPTY),
+    "table --max 20 --format csv": (
+        0, "92a322f16ad582c67056f109e92dd1375f48b309b7723465eca4a172a484cd99",
+        EMPTY),
+    "table --max 20 --format json": (
+        0, "6a287476b58c352c557eb4a709297b4d42d4e196d4a8671bfcae7dd9f11663f4",
+        EMPTY),
+    "equivariant --n 22": (
+        0, "1a3788548c1ce9c09afaa3353bd98cd062f9c09fc3e6b4776dca37fbc5e04c24",
+        EMPTY),
+    "equivariant --n 22 --format json": (
+        0, "ad1746a53591d13cf6755756200037b8f75fe9b63a8339e17effa02be890de1c",
+        EMPTY),
+    "conjecture --max 80": (
+        0, "bbaa896ef60885c87b65af1a12003de05312000ed156fa7ad0ef94d5202dbf28",
+        EMPTY),
+    "conjecture --max 80 --format json": (
+        0, "601a8f5b66194dbb049c6d38389fb090396844daf4744fa0ae8c9e05a22d77ad",
+        EMPTY),
+    "--help": (
+        0, "de499c392dcc88e5b0366a7e8bb45f8770b21d121866da4c5fa137f58ede1f2d",
+        EMPTY),
+    "poly --help": (
+        0, "7260e7db3bbc6297018252e0a17530187bfdc3e4743ad8c5ae20a14752761a45",
+        EMPTY),
+    "table --help": (
+        0, "1c924c7b91ab4e0c633646ded6cec58ddc91c1e0a1651019aa89bb5baecb3662",
+        EMPTY),
+    "dyck --help": (
+        0, "b58cd1ff8e9f3684fd16b7a0d0b02f2e80b36532928c2291d69d32dc71616dbe",
+        EMPTY),
+    "flats --help": (
+        0, "4e8796753ac56d2d90d1395ff978a4c974c2d083e6f5a57158e0277a39fa7a5c",
+        EMPTY),
+    "equivariant --help": (
+        0, "3e00c6d015f533288fdddc34a5220d79007eb1f9cd2ea696150f5214ec93aef2",
+        EMPTY),
+    "conjecture --help": (
+        0, "32f880b0a2ac321f326784e72c311273649379d20af0e95f49c2d1cbe705757c",
+        EMPTY),
+    "verify --help": (
+        0, "ff186a19976d1fbaf131228a1ac00d9af24030e4d40a88a7d570d80b2b5ca826",
+        EMPTY),
+    "dyck --n 3 --k x": (
+        2, EMPTY,
+        "a4ba0a819795cd472ba357aa0b0c5801429bd8a0569a02645fb6da5408c747bf"),
+    "poly --n 301": (
+        2, EMPTY,
+        "4157429f4eaaae0bf8b7330fbaba4908b4fa3a9617e0b0ae962bd3a4f608e3ec"),
+}
+
+
+@pytest.mark.parametrize("argv", CLI_PINS)
+def test_cli_output_bytes_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    exit_code, out_digest, err_digest = CLI_PINS[argv]
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
+
+
 def test_module_entry_point():
     # pytest's pythonpath setting reaches this process only, so the child
     # gets the source tree on its PYTHONPATH (no install needed)
