@@ -23,7 +23,6 @@ from .dyck import (
 from .equivariant import conjecture_poly, eq_kl
 from .flats import MAX_LATTICE_RANK, build_lattice, thagomizer_graph
 from .kl import kl_poly
-from .polynomials import IntPoly
 from .symfunc import SchurPoly
 from .verify import corrupted_series, run_checks
 
@@ -38,22 +37,17 @@ EQUIVARIANT_INDEX_MAX = 22
 CONJECTURE_INDEX_MAX = 80
 
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
-    return value
-
-
-def _at_most(limit: int):
-    """An argparse type: a nonnegative integer no larger than ``limit``."""
+def _at_most(limit: int | None = None):
+    """An argparse type: a nonnegative integer, no larger than ``limit`` if given."""
 
     def parse(text: str) -> int:
-        value = _nonneg(text)
-        if value > limit:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
+        if limit is not None and value > limit:
             raise argparse.ArgumentTypeError(f"must be at most {limit}: {value}")
         return value
 
@@ -66,10 +60,7 @@ def _emit_json(kind: str, **fields) -> None:
 
 
 def _schur_terms(f: SchurPoly) -> list[dict]:
-    return [
-        {"partition": list(lam), "coeffs": list(coeff.coeffs)}
-        for lam, coeff in f.terms()
-    ]
+    return [{"partition": list(lam), "coeffs": list(coeff.coeffs)} for lam, coeff in f.terms()]
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
@@ -82,11 +73,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    rows = []
-    for n in range(args.max + 1):
-        p = kl_poly(n)
-        for k in range(p.degree() + 1):
-            rows.append((n, k, p[k]))
+    polys = [kl_poly(n) for n in range(args.max + 1)]
+    rows = [(n, k, c) for n, p in enumerate(polys) for k, c in enumerate(p.coeffs)]
     if args.format == "json":
         _emit_json("table", max_n=args.max, rows=[{"n": n, "k": k, "c": c} for n, k, c in rows])
     elif args.format == "csv":
@@ -94,8 +82,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n, k, c in rows:
             print(f"{n},{k},{c}")
     else:
-        for n in range(args.max + 1):
-            print(f"P_{n}(t) = {kl_poly(n)}")
+        for n, p in enumerate(polys):
+            print(f"P_{n}(t) = {p}")
     return 0
 
 
@@ -158,17 +146,13 @@ def _cmd_equivariant(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
-    entries = []
-    for n in range(1, args.max + 1):
-        entries.append({"n": n, "terms": _schur_terms(conjecture_poly(n))})
+    polys = [conjecture_poly(n) for n in range(1, args.max + 1)]
     if args.format == "json":
+        entries = [{"n": n, "terms": _schur_terms(p)} for n, p in enumerate(polys, 1)]
         _emit_json("table", max_n=args.max, entries=entries)
     else:
-        for entry in entries:
-            parts = ", ".join(
-                f"s{term['partition']}: {IntPoly(term['coeffs'])}" for term in entry["terms"]
-            )
-            print(f"n={entry['n']}: {parts}")
+        for n, p in enumerate(polys, 1):
+            print(f"n={n}: " + ", ".join(f"s{list(lam)}: {coeff}" for lam, coeff in p.terms()))
     return 0
 
 
@@ -191,91 +175,55 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+# One row per subcommand: name and help; the index option, its limit and its
+# help; the other options, in help order; formats; handler.
+_COMMANDS = (
+    ("poly", "print P_n(t)",
+     "--n", KL_INDEX_MAX, f"index, at most {KL_INDEX_MAX}",
+     (), ("text", "json"), _cmd_poly),
+    ("table", "coefficient triangle up to --max",
+     "--max", KL_INDEX_MAX, f"largest index, at most {KL_INDEX_MAX}",
+     (), ("text", "csv", "json"), _cmd_table),
+    ("dyck", "long-ascent counts of Dyck paths",
+     "--n", KL_INDEX_MAX, f"semilength, at most {KL_INDEX_MAX} ({MAX_ENUM_SEMILENGTH} for enum)",
+     (("--k", {"type": _at_most(), "default": None}),
+      ("--method", {"choices": ("enum", "dp", "closed"), "default": "dp"})),
+     ("text", "json"), _cmd_dyck),
+    ("flats", "lattice-of-flats census and polynomials",
+     "--n", MAX_LATTICE_RANK - 1, f"index, at most {MAX_LATTICE_RANK - 1}",
+     (), ("text", "json"), _cmd_flats),
+    ("equivariant", "Schur expansion of the equivariant polynomial",
+     "--n", EQUIVARIANT_INDEX_MAX, f"index, at most {EQUIVARIANT_INDEX_MAX}",
+     (), ("text", "json"), _cmd_equivariant),
+    ("conjecture", "closed-form candidate terms up to --max",
+     "--max", CONJECTURE_INDEX_MAX, f"largest index, at most {CONJECTURE_INDEX_MAX}",
+     (), ("text", "json"), _cmd_conjecture),
+    ("verify", "run the full cross-check battery",
+     "--max", KL_INDEX_MAX, f"largest index, at most {KL_INDEX_MAX}",
+     (("--corrupt", {"metavar": "N,K", "default": None,
+                     "help": "negative control: bump series coefficient (n, k) before checking"}),),
+     ("text", "json"), _cmd_verify),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thagkl",
         description="Exact Kazhdan-Lusztig polynomials of thagomizer matroids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser, *choices: str) -> None:
-        p.add_argument("--format", choices=choices, default="text")
-
-    p_poly = sub.add_parser("poly", help="print P_n(t)")
-    p_poly.add_argument(
-        "--n", type=_at_most(KL_INDEX_MAX), required=True, help=f"index, at most {KL_INDEX_MAX}"
-    )
-    add_format(p_poly, "text", "json")
-    p_poly.set_defaults(func=_cmd_poly)
-
-    p_table = sub.add_parser("table", help="coefficient triangle up to --max")
-    p_table.add_argument(
-        "--max", type=_at_most(KL_INDEX_MAX), required=True, help=f"largest index, at most {KL_INDEX_MAX}"
-    )
-    add_format(p_table, "text", "csv", "json")
-    p_table.set_defaults(func=_cmd_table)
-
-    p_dyck = sub.add_parser("dyck", help="long-ascent counts of Dyck paths")
-    p_dyck.add_argument(
-        "--n",
-        type=_at_most(KL_INDEX_MAX),
-        required=True,
-        help=f"semilength, at most {KL_INDEX_MAX} ({MAX_ENUM_SEMILENGTH} for enum)",
-    )
-    p_dyck.add_argument("--k", type=_nonneg, default=None)
-    p_dyck.add_argument("--method", choices=("enum", "dp", "closed"), default="dp")
-    add_format(p_dyck, "text", "json")
-    p_dyck.set_defaults(func=_cmd_dyck)
-
-    p_flats = sub.add_parser("flats", help="lattice-of-flats census and polynomials")
-    p_flats.add_argument(
-        "--n",
-        type=_at_most(MAX_LATTICE_RANK - 1),
-        required=True,
-        help=f"index, at most {MAX_LATTICE_RANK - 1}",
-    )
-    add_format(p_flats, "text", "json")
-    p_flats.set_defaults(func=_cmd_flats)
-
-    p_eq = sub.add_parser("equivariant", help="Schur expansion of the equivariant polynomial")
-    p_eq.add_argument(
-        "--n",
-        type=_at_most(EQUIVARIANT_INDEX_MAX),
-        required=True,
-        help=f"index, at most {EQUIVARIANT_INDEX_MAX}",
-    )
-    add_format(p_eq, "text", "json")
-    p_eq.set_defaults(func=_cmd_equivariant)
-
-    p_conj = sub.add_parser("conjecture", help="closed-form candidate terms up to --max")
-    p_conj.add_argument(
-        "--max",
-        type=_at_most(CONJECTURE_INDEX_MAX),
-        required=True,
-        help=f"largest index, at most {CONJECTURE_INDEX_MAX}",
-    )
-    add_format(p_conj, "text", "json")
-    p_conj.set_defaults(func=_cmd_conjecture)
-
-    p_verify = sub.add_parser("verify", help="run the full cross-check battery")
-    p_verify.add_argument(
-        "--max", type=_at_most(KL_INDEX_MAX), required=True, help=f"largest index, at most {KL_INDEX_MAX}"
-    )
-    p_verify.add_argument(
-        "--corrupt",
-        metavar="N,K",
-        default=None,
-        help="negative control: bump series coefficient (n, k) before checking",
-    )
-    add_format(p_verify, "text", "json")
-    p_verify.set_defaults(func=_cmd_verify)
-
+    for name, about, index, limit, index_help, options, formats, handler in _COMMANDS:
+        p = sub.add_parser(name, help=about)
+        p.add_argument(index, type=_at_most(limit), required=True, help=index_help)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

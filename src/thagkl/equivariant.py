@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Mapping
+
 from .polynomials import (IntPoly, ZERO, _check_index, _pack, _unpack,
                           solve_reflection_equation)
 from .symfunc import Partition, SchurPoly, horizontal_strips
@@ -258,15 +260,21 @@ class ConjectureReport:
 def verify_conjecture(
     max_n: int,
     *,
-    candidates: dict[int, SchurPoly] | None = None,
+    candidates: Mapping[int, SchurPoly] | None = None,
 ) -> ConjectureReport:
     """Compare eq_kl(n) against the closed form for 1 <= n <= max_n.
 
     ``candidates`` may supply replacement predictions per n (used for
     negative controls); missing indices fall back to the honest closed form.
-    Disagreements are returned as data, not raised.
+    It must be a mapping from indices n >= 1, checked as every index is, to
+    ``SchurPoly`` values.  Disagreements are returned as data, not raised.
     """
     _check_index(max_n, "max_n", 1)
+    if candidates is not None:
+        if not isinstance(candidates, Mapping):
+            raise TypeError(f"candidates must be a mapping, got {type(candidates).__name__}")
+        for key in candidates:
+            _check_index(key, "candidate index", 1)
     mismatches: list[TermMismatch] = []
     for n in range(1, max_n + 1):
         computed = eq_kl(n)

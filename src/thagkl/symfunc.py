@@ -32,9 +32,8 @@ Every partition argument and every ``SchurPoly`` index is checked to be one.
 from __future__ import annotations
 
 import functools
-import operator
 from math import factorial
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .polynomials import IntPoly, ONE, ZERO, _as_poly, _check_index
 
@@ -59,20 +58,17 @@ def _partitions_bounded(n: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def _as_partition(lam: Iterable[int]) -> Partition:
-    """lam as a tuple, checked to be a partition: positive ints, weakly decreasing."""
-    lam = tuple(lam)
-    for part in lam:
-        _check_index(part, "partition part", 1)
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise ValueError(f"{lam} is not weakly decreasing")
-    return lam
-
-
 @functools.lru_cache(maxsize=None, typed=True)
 def _checked_partition(*parts: int) -> Partition:
-    """``_as_partition`` memoised on the parts' values and types: a bool never hits its int."""
-    return _as_partition(parts)
+    """The parts as a partition, checked: positive ints, weakly decreasing.
+
+    Memoised on the parts' values and types, so a bool never hits its int.
+    """
+    for part in parts:
+        _check_index(part, "partition part", 1)
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"{parts} is not weakly decreasing")
+    return parts
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -113,11 +109,16 @@ def horizontal_strips(lam: Partition, size: int) -> Iterator[Partition]:
     lam: lam_i <= mu_i <= lam_(i-1) for every row i >= 1, one new row
     included.  The walk fills those rows from the bottom up on an explicit
     stack, and row 0 takes whatever is left, so every branch ends in a strip.
-    A negative size has no strips.  The equivariant solver's rows are mostly
+    A negative size has no strips; a size that is not an int, a bool
+    included, raises ``TypeError``.  The equivariant solver's rows are mostly
     this walk.
     """
     lam = _checked_partition(*lam)
-    size = operator.index(size)
+    if type(size) is not int:
+        # the package's index check, off the hot path: TypeError for a bool
+        # or a non-int, and another int subclass is read as its int
+        _check_index(size, "size")
+        size = int(size)
     if size <= 0 or not lam:
         if size >= 0:
             yield (size,) if size else lam
@@ -159,7 +160,8 @@ def vertical_strips(lam: Partition, size: int) -> Iterator[Partition]:
 
     A vertical strip has at most one new box per row, so it is a horizontal
     strip of the conjugate shape: the walk is ``horizontal_strips(lam', size)``
-    with each shape conjugated back.  lam is checked before the walk starts.
+    with each shape conjugated back.  lam is checked before the walk starts,
+    size by the walk.
     """
     lam = _checked_partition(*lam)
     return (conjugate(mu) for mu in horizontal_strips(conjugate(lam), size))
@@ -185,7 +187,7 @@ class SchurPoly:
     ):
         clean: dict[Partition, IntPoly] = {}
         for lam, coeff in terms.items():
-            lam = _as_partition(lam)
+            lam = _checked_partition(*lam)
             poly = _as_poly(coeff)
             if not poly.is_zero():
                 clean[lam] = poly

@@ -21,8 +21,10 @@ def check_layout(bench: dict) -> None:
     assert set(compose_bench.LAYOUT) <= bench.keys()
     assert bench["schema"] == 1 and bench["kind"] == "bench"
     revisions = {"parent": bench["parent_revision"], "change": bench["change_revision"]}
-    assert set(bench["claim"]) == {"workload", "metric", "better", "rule"}
-    assert bench["claim"]["workload"] in bench["workloads"]
+    # a file that claims no gain says so with a null claim
+    if bench["claim"] is not None:
+        assert set(bench["claim"]) == {"workload", "metric", "better", "rule"}
+        assert bench["claim"]["workload"] in bench["workloads"]
     for entry in bench["workloads"].values():
         assert set(compose_bench.WORKLOAD_LAYOUT) <= entry.keys()
         assert isinstance(entry["all_correct"], bool) and isinstance(entry["failed"], int)
@@ -81,3 +83,16 @@ def test_composer_rejects_an_unpaired_run():
     records = [_record("equivariant", 1, "a", 4.0), _record("equivariant", 2, "b", 2.0)]
     with pytest.raises(ValueError, match="seed 1 has no change run"):
         compose_bench.compose(records, "demo", "a", "b", ("equivariant", "wall_ref"), METRICS)
+
+
+def test_composer_without_a_claim_writes_a_null_claim(tmp_path, capsys):
+    log = tmp_path / "runs.log"
+    records = [_record("verify-cli", seed, r, 2.0 + seed / 10)
+               for seed in range(3) for r in ("a", "b")]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert compose_bench.main(["--label", "demo", "--parent", "a", "--change", "b",
+                               str(log)]) == 0
+    bench = json.loads(capsys.readouterr().out)
+    check_layout(bench)
+    assert bench["claim"] is None
+    assert bench["workloads"]["verify-cli"]["summary"]["wall_ref"]["pairs"] == 3

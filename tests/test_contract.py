@@ -6,6 +6,8 @@ bool or a float and ``ValueError`` for ``low - 1``.  The valid call comes
 first, so a cached entry cannot answer ``True`` from the entry for 1.
 """
 
+import enum
+
 import pytest
 
 from thagkl import dyck, equivariant, flats, kl, polynomials, symfunc, verify
@@ -84,6 +86,10 @@ WRONG_TYPES = [
     ("solve_reflection_equation-rhs", lambda: polynomials.solve_reflection_equation(3, 1)),
     ("verify_theorem-series", lambda: kl.verify_theorem(3, series=[1, 2, 3])),
     ("verify_conjecture-candidates", lambda: equivariant.verify_conjecture(3, candidates={2: 5})),
+    # a sequence is not a mapping of n to candidates, and True is not the index 1
+    ("verify_conjecture-candidates-list", lambda: equivariant.verify_conjecture(3, candidates=[1])),
+    ("verify_conjecture-candidates-bool-key",
+     lambda: equivariant.verify_conjecture(3, candidates={True: SchurPoly.h(1)})),
     ("SchurPoly.__add__", lambda: SchurPoly.one() + 1),
     ("IntPoly-float-and-str", lambda: IntPoly((0.5, "x"))),
     ("IntPoly-bool", lambda: IntPoly((True, 2))),
@@ -99,6 +105,30 @@ WRONG_TYPES = [
 def test_wrong_type_raises_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+# the two strip walkers take a size below which there are no strips, so a
+# negative size is no error; a size that is not an int is, and an int
+# subclass other than bool is read as its int
+class Size(enum.IntEnum):
+    ONE = 1
+
+
+STRIP_WALKS = [
+    ("horizontal_strips", symfunc.horizontal_strips),
+    ("vertical_strips", symfunc.vertical_strips),
+]
+
+
+@pytest.mark.parametrize("walk", [pytest.param(w, id=name) for name, w in STRIP_WALKS])
+def test_strip_size_contract(walk):
+    assert sorted(walk((2, 1), 1)) == sorted({(3, 1), (2, 2), (2, 1, 1)})
+    assert list(walk((2, 1), -1)) == []
+    assert list(walk((2, 1), Size.ONE)) == list(walk((2, 1), 1))
+    assert list(walk((), Size.ONE)) == [(1,)]
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="must be an int"):
+            list(walk((2, 1), bad))
 
 
 # (id, entry) of every public entry that takes a partition; the bad values

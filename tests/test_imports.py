@@ -31,7 +31,7 @@ ALLOWED = {
     "kl": {"dyck", "polynomials"},
     "equivariant": {"polynomials", "symfunc"},
     "verify": {"dyck", "equivariant", "flats", "kl", "polynomials"},
-    "cli": {"dyck", "equivariant", "flats", "kl", "polynomials", "symfunc", "verify"},
+    "cli": {"dyck", "equivariant", "flats", "kl", "symfunc", "verify"},
 }
 
 

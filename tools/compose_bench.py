@@ -1,7 +1,7 @@
 """Compose a before/after ``BENCH_<label>.json`` from ``bench/run.py`` record lines.
 
     python3 tools/compose_bench.py --label NAME --parent REV --change REV \
-        --claim WORKLOAD:METRIC LOG [LOG ...] > BENCH_NAME.json
+        [--claim WORKLOAD:METRIC] LOG [LOG ...] > BENCH_NAME.json
 
 Each LOG holds the standard output of ``bench/run.py`` runs; every line
 that parses as a run record (a JSON object with ``workload``, ``seed``,
@@ -10,7 +10,8 @@ revisions that share a workload and a seed form one pair, and ``first``
 names the side read first.  Traced records (``--trace 1``) are listed under
 ``traced``.  Every end-to-end metric of ``BENCHMARK.json`` is summarised
 per workload by its quartiles on each side, the number of pairs the change
-wins, and the ratio of the medians.
+wins, and the ratio of the medians.  Without ``--claim`` the file claims no
+gain: its ``claim`` is null.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def side(record: dict) -> dict:
 
 
 def compose(records: list[dict], label: str, parent: str, change: str,
-            claim: tuple[str, str], metrics: list[dict]) -> dict:
+            claim: tuple[str, str] | None, metrics: list[dict]) -> dict:
     plain = [r for r in records if not r.get("trace")]
     traced = [r for r in records if r.get("trace")]
     for r in records:
@@ -101,9 +102,13 @@ def compose(records: list[dict], label: str, parent: str, change: str,
             "summary": summary,
             "pairs": pairs,
         }
-    if claim[0] not in workloads:
-        raise ValueError(f"no pairs of the claimed workload {claim[0]!r}")
-    better = next(m["better"] for m in metrics if m["name"] == claim[1])
+    claimed = None
+    if claim is not None:
+        workload, metric = claim
+        if workload not in workloads:
+            raise ValueError(f"no pairs of the claimed workload {workload!r}")
+        better = next(m["better"] for m in metrics if m["name"] == metric)
+        claimed = {"workload": workload, "metric": metric, "better": better, "rule": RULE}
     first = plain[0]
     out = {
         "schema": 1, "kind": "bench", "label": label,
@@ -112,7 +117,7 @@ def compose(records: list[dict], label: str, parent: str, change: str,
         "python": first["python"], "implementation": first["implementation"],
         "nproc": first["nproc"], "parent_revision": parent, "change_revision": change,
         "quartiles": QUARTILES,
-        "claim": {"workload": claim[0], "metric": claim[1], "better": better, "rule": RULE},
+        "claim": claimed,
         "workloads": workloads,
     }
     if traced:
@@ -133,16 +138,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--parent", required=True, help="parent commit (full hash)")
     parser.add_argument("--change", required=True, help="change commit (full hash)")
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC; omitted, no gain is claimed")
     parser.add_argument("logs", nargs="+", type=Path)
     args = parser.parse_args(argv)
-    workload, _, metric = args.claim.partition(":")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    if metric not in [m["name"] for m in metrics]:
-        parser.error(f"unknown metric {metric!r}")
+    claim = None
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if metric not in [m["name"] for m in metrics]:
+            parser.error(f"unknown metric {metric!r}")
+        claim = (workload, metric)
     try:
         out = compose(read_records(args.logs), args.label, args.parent, args.change,
-                      (workload, metric), metrics)
+                      claim, metrics)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
