@@ -22,9 +22,12 @@ sum_m s[m] u^m.  Pieri's rule h_a e_b = s[a, 1^b] + s[a+1, 1^(b-1)] makes
 w_j a sum over hooks, and 1/s(u) = sum_m (-1)^m e_m u^m makes v_l =
 sum_m (-1)^m e_m w_(l-m), which ``v_poly`` sums under omega in one pass of
 the strip walk (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I).
-A plethysm evaluation of v_l through the power-sum basis, in integers, is
-provided as an independent cross-check; its characters chi^lam(mu) come
-from the Murnaghan-Nakayama rule on bead masks (``character_value``).
+An independent cross-check, ``v_poly_via_plethysm``, evaluates the
+plethysm v_l = h_l[(t-2) s[1]] by Newton's identity
+l h_l = sum_r p_r h_(l-r), under which p_r becomes (t^r - 2) p_r, and
+multiplies by p_r with the Murnaghan-Nakayama rule: one walk over the
+border strips of r boxes on a bead mask (``_rim_hooks``), on plain int
+coefficient lists.  It walks no Pieri strip.
 
 Every partition argument and every ``SchurPoly`` index is checked to be one.
 """
@@ -350,97 +353,96 @@ def v_poly(ell: int) -> SchurPoly:
     return SchurPoly({conjugate(mu): IntPoly(c) for mu, c in acc.items()}, degree=ell)
 
 
-def cycle_type_order(mu: Partition) -> int:
-    """Size of the centralizer of a permutation of cycle type mu (z_mu)."""
-    mu = _checked_partition(*mu)
-    z = 1
-    multiplicity: dict[int, int] = {}
-    for part in mu:
-        multiplicity[part] = multiplicity.get(part, 0) + 1
-    for part, count in multiplicity.items():
-        z *= part**count * factorial(count)
-    return z
+def _rim_hooks(nu: Partition, r: int) -> list[tuple[Partition, int]]:
+    """The terms (lam, sign) of p_r * s[nu] = sum (-1)^ht(lam/nu) s[lam], r >= 1.
 
-
-def character_value(lam: Partition, mu: Partition) -> int:
-    """Irreducible S_n character chi^lam on cycle type mu (Murnaghan-Nakayama).
-
-    lam is read as a bead mask: row i (from 0) of l rows puts a bead at bit
-    lam_i + l - 1 - i.  Removing a border strip of size r moves a bead from b
-    to an empty b - r, with the sign (-1)^(beads strictly between).
+    lam runs over the shapes with lam/nu a border strip of r boxes.  nu is
+    read as a bead mask on len(nu) + r rows, enough for any strip: row i
+    (from 0) puts a bead at bit nu_i + rows - 1 - i, so the r empty rows sit
+    on bits 0..r-1.  Adding a border strip moves a bead from b to an empty
+    b + r, and its height is the number of beads strictly between.  Not
+    memoised: the rows of ``_plethysm_row`` are, so each (nu, r) is asked once.
     """
-    lam, mu = _checked_partition(*lam), _checked_partition(*mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("partition sizes differ")
-    rows = len(lam)
-    beads = 0
-    for i, part in enumerate(lam):
+    rows = len(nu) + r
+    beads = (1 << r) - 1
+    for i, part in enumerate(nu):
         beads |= 1 << (part + rows - 1 - i)
-    return _border_strips(beads >> _low_run(beads), mu)
-
-
-def _low_run(beads: int) -> int:
-    """Number of beads packed at the bottom, bits 0, 1, ...: the empty rows."""
-    return (beads ^ (beads + 1)).bit_length() - 1
-
-
-@functools.cache
-def _border_strips(beads: int, mu: Partition) -> int:
-    """chi at the shape with bead mask ``beads`` on cycle type mu.
-
-    Callers strip the beads of empty rows (``_low_run``) so that one shape
-    has one memo key, whatever rows the strips before it emptied.
-    """
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    total = 0
-    # beads at some b >= r whose b - r is empty
-    movable = beads & ~(beads << r) & -(1 << r)
+    out = []
+    # beads at some b whose b + r is empty
+    movable = beads & ~(beads >> r)
     while movable:
         low = movable & -movable
         movable ^= low
-        moved = beads ^ low ^ (low >> r)
-        value = _border_strips(moved >> _low_run(moved), rest)
-        # bits b - r .. b - 1; b - r is empty
-        total += -value if (beads & (low - (low >> r))).bit_count() & 1 else value
-    return total
+        high = low << r
+        sign = -1 if (beads & (high - (low << 1))).bit_count() & 1 else 1
+        moved = beads ^ low ^ high
+        lam = []
+        while moved:
+            b = moved.bit_length() - 1
+            part = b - rows + 1 + len(lam)
+            if not part:
+                break
+            lam.append(part)
+            moved ^= 1 << b
+        out.append((tuple(lam), sign))
+    return out
+
+
+@functools.cache
+def _plethysm_row(ell: int) -> dict[Partition, tuple[int, ...]]:
+    """The Schur coefficient lists of H_ell = h_ell[(t-2) s[1]], zeros dropped.
+
+    Newton's identity under the plethysm: ell * H_ell =
+    sum_{r=1}^{ell} (t^r - 2) p_r H_(ell-r), with p_r * s[nu] from
+    ``_rim_hooks``.  Each sum is divided by ell, checked exact.  Callers
+    fill the rows below ell first, so the recursion stays one call deep.
+    """
+    if not ell:
+        return {(): (1,)}
+    acc: dict[Partition, list[int]] = {}
+    for r in range(1, ell + 1):
+        for nu, coeffs in _plethysm_row(ell - r).items():
+            # (t^r - 2) * coeffs
+            weighted = [0] * (len(coeffs) + r)
+            for k, c in enumerate(coeffs):
+                weighted[k] -= 2 * c
+                weighted[k + r] += c
+            for lam, sign in _rim_hooks(nu, r):
+                vec = acc.get(lam)
+                if vec is None:
+                    vec = acc[lam] = [0] * (ell + 1)
+                for k, c in enumerate(weighted):
+                    vec[k] += sign * c
+    row = {}
+    for lam, vec in acc.items():
+        ints = []
+        for value in vec:
+            q, rem = divmod(value, ell)
+            if rem:
+                raise ArithmeticError(
+                    f"plethysm produced a fractional coefficient {value}/{ell} at {lam}"
+                )
+            ints.append(q)
+        while ints and not ints[-1]:
+            ints.pop()
+        if ints:
+            row[lam] = tuple(ints)
+    return row
 
 
 def v_poly_via_plethysm(ell: int) -> SchurPoly:
     """Independent route to v_poly: the plethysm h_ell[(t-2) s[1]].
 
-    Expanded through power sums: p_k[(t-2)s[1]] = (t^k - 2) p_k,
-    h_ell = sum_mu p_mu / z_mu, and p_mu = sum_lam chi^lam(mu) s[lam].  Each
-    term is weighted by the integer ell!/z_mu, and the sums are divided by
-    ell! once at the end.  The Schur coefficients must come out integral; a
-    remainder is reported as a fault.
+    The plethysm by (t-2) s[1] is a ring map with p_r -> (t^r - 2) p_r, so
+    Newton's identity n h_n = sum_r p_r h_(n-r) becomes a recurrence in
+    ell (``_plethysm_row``), and the Murnaghan-Nakayama rule gives each
+    product p_r * s[nu] as a signed sum over border strips (``_rim_hooks``).
+    Every division by ell must be exact; a remainder is reported as a fault.
     """
     _check_index(ell, "index")
-    scale = factorial(ell)
-    acc: dict[Partition, list[int]] = {}
-    for mu in partitions_of(ell):
-        weight = ONE
-        for part in mu:
-            weight = weight * (IntPoly((0,) * part + (1,)) - 2 * ONE)
-        share = scale // cycle_type_order(mu)
-        scaled = [share * c for c in weight.coeffs]
-        for lam in partitions_of(ell):
-            chi = character_value(lam, mu)
-            if not chi:
-                continue
-            vec = acc.setdefault(lam, [0] * (ell + 1))
-            for k, c in enumerate(scaled):
-                vec[k] += chi * c
-    terms: dict[Partition, IntPoly] = {}
-    for lam, vec in acc.items():
-        ints = []
-        for value in vec:
-            q, r = divmod(value, scale)
-            if r:
-                raise ArithmeticError(
-                    f"plethysm produced a fractional coefficient {value}/{scale} at {lam}"
-                )
-            ints.append(q)
-        terms[lam] = IntPoly(ints)
-    return SchurPoly(terms, degree=ell)
+    for k in range(ell):
+        _plethysm_row(k)
+    return SchurPoly(
+        {lam: IntPoly(coeffs) for lam, coeffs in _plethysm_row(ell).items()},
+        degree=ell,
+    )

@@ -42,11 +42,15 @@ def corrupted_series(order: int, n: int, k: int) -> tuple[IntPoly, ...]:
 
     The negative control of ``theorem-agreement``: passed as ``series`` to
     ``run_checks``, it must fail that check, and only that one, at (n, k).
+    Since deg P_n <= n // 2, a larger k is rejected before any polynomial
+    of that degree is built.
     """
     _check_index(n, "corruption index n")
     _check_index(k, "corruption index k")
     if n + 1 > order:
         raise ValueError(f"corruption index n={n} outside series order {order}")
+    if k > n // 2:
+        raise ValueError(f"corruption index k={k} above deg P_{n} <= {n // 2}")
     series = list(phi_series(order))
     series[n + 1] += ONE.shifted(k)
     return tuple(series)

@@ -190,13 +190,22 @@ def test_verify_corrupted_exits_one_and_names_check(capsys):
     assert "n=4" in failing[0] and "k=1" in failing[0]
 
 
-@pytest.mark.parametrize("corrupt", ["-1,0", "4,-1"])
-def test_verify_rejects_negative_corruption_index(capsys, corrupt):
-    # -1,0 would bump the unchecked u^0 coefficient; 4,-1 would bump k=2 via list[-1]
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param("-1,0", "nonnegative", id="-1,0"),
+        pytest.param("4,-1", "nonnegative", id="4,-1"),
+        pytest.param("4,3", "above deg P_4 <= 2", id="4,3"),
+        pytest.param("1,1000000000", "above deg P_1 <= 0", id="1,1000000000"),
+    ],
+)
+def test_verify_rejects_negative_corruption_index(capsys, corrupt, message):
+    # -1,0 would bump the unchecked u^0 coefficient; 4,-1 would bump k=2 via
+    # list[-1]; a k past deg P_n would build a polynomial of degree k
     code, out, err = run_cli(capsys, "verify", "--max", "6", f"--corrupt={corrupt}")
     assert code == 2
     assert out == ""
-    assert "nonnegative" in err
+    assert f"bad --corrupt argument {corrupt!r}" in err and message in err
 
 
 def test_verify_json_report(capsys):

@@ -63,7 +63,8 @@ ENTRIES = [
     ("conjecture_poly", equivariant.conjecture_poly, 1),
     ("verify_conjecture", equivariant.verify_conjecture, 1),
     ("corrupted_series-n", lambda n: verify.corrupted_series(5, n, 0), 0),
-    ("corrupted_series-k", lambda k: verify.corrupted_series(5, 0, k), 0),
+    # n = 2, as deg P_n <= n // 2 bounds k: k = 1 must be a valid index
+    ("corrupted_series-k", lambda k: verify.corrupted_series(5, 2, k), 0),
     ("run_checks", verify.run_checks, 0),
 ]
 
@@ -137,9 +138,6 @@ PARTITION_ENTRIES = [
     ("SchurPoly", lambda lam: SchurPoly({lam: 1})),
     ("SchurPoly.coefficient", lambda lam: SchurPoly.h(4).coefficient(lam)),
     ("hook_dim", symfunc.hook_dim),
-    ("cycle_type_order", symfunc.cycle_type_order),
-    ("character_value-lam", lambda lam: symfunc.character_value(lam, (2, 1, 1))),
-    ("character_value-mu", lambda mu: symfunc.character_value((2, 2), mu)),
     ("horizontal_strips", lambda lam: list(symfunc.horizontal_strips(lam, 1))),
     ("vertical_strips", lambda lam: list(symfunc.vertical_strips(lam, 1))),
 ]

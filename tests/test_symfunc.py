@@ -11,9 +11,7 @@ from thagkl import symfunc
 from thagkl.polynomials import IntPoly, ONE, T, ZERO
 from thagkl.symfunc import (
     SchurPoly,
-    character_value,
     conjugate,
-    cycle_type_order,
     hook_dim,
     horizontal_strips,
     partitions_of,
@@ -22,7 +20,16 @@ from thagkl.symfunc import (
     vertical_strips,
     w_poly,
 )
-from schur_reference import mul_w_pieri, pieri_oracle, sign_t_power, strips_oracle
+from schur_reference import (
+    character_value,
+    cycle_type_order,
+    mul_w_pieri,
+    pieri_oracle,
+    rim_hooks_oracle,
+    sign_t_power,
+    strips_oracle,
+    v_poly_via_characters,
+)
 
 T_MINUS_1 = T - ONE
 T_MINUS_2 = T - 2 * ONE
@@ -447,9 +454,46 @@ def test_character_sign_representation():
     assert character_value((2, 1), (3,)) == -1
 
 
+def test_rim_hooks_match_brute_force():
+    for n in range(8):
+        for nu in partitions_of(n):
+            for r in range(1, 7):
+                assert sorted(symfunc._rim_hooks(nu, r)) == sorted(rim_hooks_oracle(nu, r)), (nu, r)
+
+
+def test_rim_hooks_examples():
+    # p_3 = s[3] - s[2, 1] + s[1, 1, 1]
+    assert sorted(symfunc._rim_hooks((), 3)) == [((1, 1, 1), 1), ((2, 1), -1), ((3,), 1)]
+    # of the five shapes that add 2 boxes to (2, 1), only a flat and an
+    # upright domino are border strips: p_2 s[2, 1] = s[4, 1] - s[2, 1, 1, 1]
+    assert sorted(symfunc._rim_hooks((2, 1), 2)) == [((2, 1, 1, 1), -1), ((4, 1), 1)]
+
+
 def test_v_poly_plethysm_cross_check():
-    for ell in range(7):
+    for ell in range(13):
         assert v_poly_via_plethysm(ell) == v_poly(ell)
+
+
+def test_v_poly_plethysm_matches_character_table():
+    for ell in range(11):
+        assert v_poly_via_plethysm(ell) == v_poly_via_characters(ell), ell
+
+
+def test_v_poly_plethysm_walks_no_pieri_strip(monkeypatch):
+    # the plethysm is an independent route: with the strip walk and v_poly
+    # gone, and its rows recomputed, it still gives every value
+    expected = [v_poly_via_plethysm(ell) for ell in range(10)]
+
+    def no_walk(*args):
+        raise AssertionError("the plethysm walked a Pieri strip")
+
+    monkeypatch.setattr(symfunc, "horizontal_strips", no_walk)
+    monkeypatch.setattr(symfunc, "v_poly", no_walk)
+    symfunc._plethysm_row.cache_clear()
+    try:
+        assert [v_poly_via_plethysm(ell) for ell in range(10)] == expected
+    finally:
+        symfunc._plethysm_row.cache_clear()
 
 
 def test_v_poly_without_the_conjugation_back_fails_the_plethysm_check(monkeypatch):
@@ -465,15 +509,20 @@ def test_v_poly_without_the_conjugation_back_fails_the_plethysm_check(monkeypatc
 
 
 def test_v_poly_plethysm_rejects_a_non_integral_sum(monkeypatch):
-    # negative control: chi^(2,1) at a 3-cycle is -1; reading +1 there moves
-    # the t^3 sum at (2,1) by 2 * 3!/z_(3) = 4, which 3! does not divide
-    honest = character_value
+    # negative control: p_3 = s[3] - s[2,1] + s[1,1,1]; reading +s[2,1] there
+    # moves 3 H_3 at (2,1) by 2 (t^3 - 2), so its constant term -6 becomes -10
+    honest = symfunc._rim_hooks
 
-    def doctored(lam, mu):
-        if (lam, mu) == ((2, 1), (3,)):
-            return 1
-        return honest(lam, mu)
+    def doctored(nu, r):
+        terms = honest(nu, r)
+        if (nu, r) == ((), 3):
+            terms = [(lam, -sign if lam == (2, 1) else sign) for lam, sign in terms]
+        return terms
 
-    monkeypatch.setattr(symfunc, "character_value", doctored)
-    with pytest.raises(ArithmeticError):
-        v_poly_via_plethysm(3)
+    monkeypatch.setattr(symfunc, "_rim_hooks", doctored)
+    symfunc._plethysm_row.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"fractional coefficient .*/3 at \(2, 1\)"):
+            v_poly_via_plethysm(3)
+    finally:
+        symfunc._plethysm_row.cache_clear()

@@ -77,7 +77,8 @@ def test_corrupted_series_fails_only_theorem_agreement():
 
 @pytest.mark.parametrize(
     "n, k, message",
-    [(-1, 0, "nonnegative"), (2, -1, "nonnegative"), (9, 0, "outside series order 9")],
+    [(-1, 0, "nonnegative"), (2, -1, "nonnegative"), (9, 0, "outside series order 9"),
+     (4, 3, "above deg P_4 <= 2"), (0, 10**9, "above deg P_0 <= 0")],
 )
 def test_corrupted_series_rejects_bad_indices(n, k, message):
     with pytest.raises(ValueError, match=message):
