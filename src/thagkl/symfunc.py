@@ -390,7 +390,7 @@ def _rim_hooks(nu: Partition, r: int) -> list[tuple[Partition, int]]:
 
 @functools.cache
 def _plethysm_row(ell: int) -> dict[Partition, tuple[int, ...]]:
-    """The Schur coefficient lists of H_ell = h_ell[(t-2) s[1]], zeros dropped.
+    """The Schur coefficients of H_ell = h_ell[(t-2) s[1]] as int tuples, zeros dropped.
 
     Newton's identity under the plethysm: ell * H_ell =
     sum_{r=1}^{ell} (t^r - 2) p_r H_(ell-r), with p_r * s[nu] from

@@ -458,7 +458,8 @@ def test_rim_hooks_match_brute_force():
     for n in range(8):
         for nu in partitions_of(n):
             for r in range(1, 7):
-                assert sorted(symfunc._rim_hooks(nu, r)) == sorted(rim_hooks_oracle(nu, r)), (nu, r)
+                expected = sorted(rim_hooks_oracle(nu, r))
+                assert sorted(symfunc._rim_hooks(nu, r)) == expected, (nu, r)
 
 
 def test_rim_hooks_examples():
