@@ -37,7 +37,14 @@ every (lam, a) adds its polynomial, with weight 1, to each mu of
 ``symfunc.horizontal_strips(lam, a)`` (Macdonald, Symmetric Functions and
 Hall Polynomials, Ch. I).  Both halves of a row ride in one packed int per
 (lam, a) (the codec of ``polynomials``).  The table keeps p_k and A_k as
-coefficient tuples, so the only ``SchurPoly`` of a row is the public p_n.
+coefficient tuples, so the only ``SchurPoly`` of a row is the public p_n,
+and packs p_k, A_k and R_k once, when the entry is stored, at one slot of
+whole bytes for the whole table: 16 bits for rows 15 to 22.  Each (lam, a)
+is then shifts and adds of three stored ints, and each shape's sum is read
+back in one ``to_bytes`` call.  The slot holds a proven bound on every
+digit of a strip sum; when the bound outgrows it, the slot grows and every
+stored entry is packed again, and a row whose bound still does not fit
+raises ``ArithmeticError``.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -60,12 +67,18 @@ class EqKLTable:
     """Bottom-up table of p_0, p_1, ...; the entries handed out are SchurPoly values.
 
     Row k maps each partition to the coefficient tuples of p_k and of A_k =
-    (p w)_k, at least one of them nonzero.
+    (p w)_k, at least one of them nonzero.  Next to it the table keeps each
+    entry packed at the table's slot, as (lam, p_k, A_k, R_k) with R_k =
+    t^(k+1) p_k(1/t), and the bound of ``_slot_bits``: 2 plus the summed
+    1-norms of p_k and A_k over every stored entry.
     """
 
     def __init__(self) -> None:
         self._entries: list[SchurPoly] = []
         self._rows: list[dict[Partition, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        self._packed: list[list[tuple[Partition, int, int, int]]] = []
+        self._bound = 2
+        self._slot = 8
 
     def poly(self, n: int) -> SchurPoly:
         _check_index(n, "index")
@@ -78,28 +91,22 @@ class EqKLTable:
         """The right-hand side of row n and B_n, from p_k and A_k for k < n.
 
         Both are dicts from partition to coefficient tuple, without zeros.
-        Each (lam, a = n - k) packs t^a p_k - A_k, the term of B_n, plus
-        t^lift (t^a A_k - R_k), with R_k = t^(k+1) p_k(1/t), and the sum goes
-        to every mu of ``horizontal_strips(lam, a)`` with weight 1; (t-1) t^n
-        s[n] starts the upper half.  Neither half has degree above n (deg
-        p_k <= k/2, deg A_k <= k, deg R_k <= k + 1), so lift = n + 2 keeps
-        them apart.
+        Each (lam, a = n - k) adds t^a p_k - A_k, the term of B_n, plus
+        t^lift (t^a A_k - R_k), with R_k = t^(k+1) p_k(1/t), to every mu of
+        ``horizontal_strips(lam, a)`` with weight 1, as shifts and adds of
+        the entry's packed ints; (t-1) t^n s[n] starts the upper half.
+        Neither half has degree above n (deg p_k <= k/2, deg A_k <= k, deg
+        R_k <= k + 1), so lift = n + 2 keeps them apart.
         """
+        slot = self._slot
         lift = n + 2
-        rows = self._rows[:n]
-        # R_k has the coefficients of p_k, so each half of (lam, a) has a
-        # 1-norm of at most |p_k| + |A_k|, and (t-1) t^n one of 2
-        slot = _strip_slot(2 + sum(sum(map(abs, p)) + sum(map(abs, a))
-                                   for row in rows for p, a in row.values()))
         high = slot * lift
         acc = {(n,) if n else (): ((1 << slot) - 1) << (high + slot * n)}
-        for k, row in enumerate(rows):
+        for k, row in enumerate(self._packed[:n]):
             size = n - k
             shift = slot * size
-            for lam, (p, a) in row.items():
-                packed_a = _pack(a, slot)
-                reflected = _pack(p[::-1], slot) << slot * (k + 2 - len(p))
-                value = ((_pack(p, slot) << shift) - packed_a
+            for lam, packed_p, packed_a, reflected in row:
+                value = ((packed_p << shift) - packed_a
                          + (((packed_a << shift) - reflected) << high))
                 for mu in horizontal_strips(lam, size):
                     acc[mu] = acc.get(mu, 0) + value
@@ -115,6 +122,13 @@ class EqKLTable:
 
     def _append_next(self) -> None:
         n = len(self._entries)
+        slot = _slot_bits(self._bound)
+        if slot != self._slot:
+            self._slot = slot
+            self._packed = [_packed_row(row, k, slot) for k, row in enumerate(self._rows)]
+        if self._bound >> (slot - 1):
+            raise ArithmeticError(
+                f"strip sums of row {n} up to {self._bound} may overflow a {slot}-bit slot")
         rhs, below = self._recursion_rhs(n)
         terms: dict[Partition, IntPoly] = {}
         row = {}
@@ -128,18 +142,35 @@ class EqKLTable:
             row[lam] = (p, _added(p, below.get(lam, ())))
         self._entries.append(SchurPoly(terms, degree=n))
         self._rows.append(row)
+        self._packed.append(_packed_row(row, n, slot))
+        self._bound += sum(sum(map(abs, p)) + sum(map(abs, a)) for p, a in row.values())
 
 
-def _strip_slot(bound: int) -> int:
-    """Bits per power of t that hold every digit of a row's strip sums.
+def _packed_row(row: dict[Partition, tuple[tuple[int, ...], tuple[int, ...]]], k: int,
+                slot: int) -> list[tuple[Partition, int, int, int]]:
+    """Each entry of row k as (lam, p_k, A_k, R_k), packed at ``slot``; R_k = t^(k+1) p_k(1/t)."""
+    return [(lam, _pack(p, slot), _pack(a, slot),
+             _pack(p[::-1], slot) << slot * (k + 2 - len(p)))
+            for lam, (p, a) in row.items()]
 
-    ``bound`` is at least the summed 1-norm of either half of the inputs.  Each
-    (lam, a) meets a given mu at most once, with weight 1, and each digit
-    of a sum belongs to one half, so no output coefficient exceeds the bound
-    in absolute value, and a slot of ``bound.bit_length() + 1`` bits holds
-    it as a signed digit.
+
+def _slot_bits(bound: int) -> int:
+    """The table's slot for strip sums whose digits are at most ``bound`` in absolute value.
+
+    ``bound`` is 2 plus the summed 1-norms of p_k and A_k over the stored
+    entries.  R_k has the coefficients of p_k, so each half of a (lam, a)
+    term has a 1-norm of at most |p_k|_1 + |A_k|_1, and (t-1) t^n one of 2.
+    Each (lam, a) meets a given mu at most once, with weight 1, and each
+    digit of a sum belongs to one half, so no digit of a strip sum exceeds
+    the bound in absolute value, and ``bound.bit_length() + 1`` bits, the
+    proven width, hold it as a signed digit (13 bits at row 15).  The slot
+    is the smallest of 8, 16, 32 or 64 bits, then a multiple of 64, that is
+    at least that wide, so ``_unpack`` reads whole bytes.
     """
-    return bound.bit_length() + 1
+    bits = bound.bit_length() + 1
+    if bits <= 32:
+        return max(8, 1 << (bits - 1).bit_length())
+    return -(-bits // 64) * 64
 
 
 def _added(a, b) -> tuple[int, ...]:

@@ -19,17 +19,18 @@ power series", 1980); ``expand_F`` runs that order-3 recurrence on plain
 integer coefficient lists, one O(n) pass per coefficient.
 
 The codec reads a packed value back as signed digits in one of two ways,
-with one result.  A value of more than 16 slots, each a multiple of 8 bits
-and at least 64 wide (the rows of the KL table in ``kl``), is read in
-linear time: one ``to_bytes`` call, then 64-bit words or byte slices.
-Shorter values (most lattice rows of ``flats``) and narrower or unaligned
-slots (the Dyck DP, the strip rows of ``equivariant``) are read by a loop of
-one shift per digit, which is as quick for a few digits.
+with one result.  A slot of whole bytes is read in one ``to_bytes`` call,
+then as native signed words or byte slices: the 64-bit lattice rows of
+``flats``, the KL rows of ``kl`` and the strip rows of ``equivariant``.
+Any other slot, such as the Dyck DP's 2 * max_n + 1 bits, is read by a
+loop of one shift per digit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import struct
 import sys
 from typing import Iterable, Sequence, Union
 
@@ -208,12 +209,6 @@ def _pack(coeffs: Sequence[int], slot: int) -> int:
     return value
 
 
-# Values of at most this many slots are read by the loop of ``_unpack``: up
-# to about 8 slots of 64 bits, and 16 of wider ones, the loop was as quick as
-# one ``to_bytes`` read (the lattice rows of ``flats`` are mostly that short).
-_LOOP_DIGITS = 16
-
-
 def _unpack(value: int, slot: int) -> list[int]:
     """The signed base-2^slot digits of ``value``, lowest first, no zero on top.
 
@@ -222,24 +217,31 @@ def _unpack(value: int, slot: int) -> list[int]:
     at most b // slot + 1 digits, except when its top digit is 1 above a
     digit of -2^(slot-1): then it has one more, the carry 1.
 
-    A value of more than ``_LOOP_DIGITS`` slots, each of 64 bits or more and
-    a multiple of 8, is read in linear time.  Adding half = 2^(slot-1) to
-    each of the b // slot + 2 digits, that is offset = half * (1 + X + X^2 + ...) at X = 2^slot, makes every
-    digit read unsigned, with no borrow; XOR with the offset then flips the
-    top bit of each slot back, which leaves each digit in two's complement
-    in its own slot.  One ``to_bytes`` call lays the slots out, read as
-    native signed 64-bit words or as signed ``int.from_bytes`` slices.
-    Any other value is read by a loop of b // slot + 1 steps, each a mask, a
-    shift and at most one borrow, ending even without the carry; what is
-    left, 0 or the carry 1, is appended.
+    A slot of whole bytes is read in one ``to_bytes`` call.  Adding half =
+    2^(slot-1) to each of the b // slot + 2 digits, that is offset = half *
+    (1 + X + X^2 + ...) at X = 2^slot, makes every digit read unsigned,
+    with no borrow; XOR with the offset then flips the top bit of each slot
+    back, which leaves each digit in two's complement in its own slot.
+    Digits of 1, 2, 4 or 8 bytes are then read as native signed words by
+    ``memoryview.cast`` (on a little-endian host), with the offset cached
+    per (digit count, byte width); wider ones are read as signed
+    ``int.from_bytes`` slices.  Any other slot is read by a loop of
+    b // slot + 1 steps, each a mask, a shift and at most one borrow, ending
+    even without the carry; what is left, 0 or the carry 1, is appended.
+
+    A 16-bit value with a negative digit and the carry above it:
+
+    >>> _unpack(_pack([3, -(1 << 15), 1], 16), 16)
+    [3, -32768, 1]
     """
     count = value.bit_length() // slot + 2
-    if count > _LOOP_DIGITS and slot >= 64 and not slot % 8:
+    if not slot % 8:
         width = slot // 8
-        offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+        word = _SIGNED_WORDS.get(width)
+        offset = _word_offset(count, width) if word else _offset(count, width)
         raw = ((value + offset) ^ offset).to_bytes(count * width, "little")
-        if width == 8 and sys.byteorder == "little":
-            digits = memoryview(raw).cast("q").tolist()
+        if word:
+            digits = memoryview(raw).cast(word).tolist()
         else:
             digits = [int.from_bytes(raw[k:k + width], "little", signed=True)
                       for k in range(0, count * width, width)]
@@ -259,6 +261,23 @@ def _unpack(value: int, slot: int) -> list[int]:
     while digits and not digits[-1]:
         digits.pop()
     return digits
+
+
+def _offset(count: int, width: int) -> int:
+    """half = 2^(8 width - 1) in each of ``count`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+# cached for digits read as words, which the lattice and equivariant rows
+# read by the thousand at a few counts; a wider slot is a long KL row, read
+# once, whose offset would only hold memory
+_word_offset = functools.lru_cache(maxsize=256)(_offset)
+
+
+# the native signed format of each item size, for ``memoryview.cast``; the
+# casts read the host's byte order, so a big-endian host reads by slices
+_SIGNED_WORDS = ({struct.calcsize(f): f for f in "qihb"}
+                 if sys.byteorder == "little" else {})
 
 
 ZERO = IntPoly()

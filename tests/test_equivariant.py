@@ -75,21 +75,58 @@ def test_eq_kl_table_pinned_through_rank_twenty_two():
 
 
 def test_row_slots_stay_narrow(monkeypatch):
-    # the proven slot, from the summed 1-norms of the packed halves, is 13
-    # bits at row 15 and at most 15 through row 22; every strip sum of a row
-    # is that many bits per power of t
-    honest = equivariant._strip_slot
+    # the proven width, from the summed 1-norms of the packed halves, is 13
+    # bits at row 15 and at most 15 through row 22, and the table's slot,
+    # rounded up to whole bytes, is 16 bits at every row from 15 to 22
+    honest = equivariant._slot_bits
+    bounds, slots = [], []
+
+    def spy(bound):
+        bounds.append(bound)
+        slots.append(honest(bound))
+        return slots[-1]
+
+    monkeypatch.setattr(equivariant, "_slot_bits", spy)
+    EqKLTable().poly(22)
+    assert len(slots) == 23
+    widths = [bound.bit_length() + 1 for bound in bounds]
+    assert widths[15] == 13
+    assert max(widths[15:]) <= 15
+    assert slots[15:] == [16] * 8
+
+
+def test_slot_one_bit_short_is_refused(monkeypatch):
+    # negative control: a slot rule one bit below the proven width raises
+    # instead of reading strip sums whose digits may not fit
+    monkeypatch.setattr(equivariant, "_slot_bits", lambda bound: bound.bit_length())
+    with pytest.raises(ArithmeticError, match="may overflow"):
+        EqKLTable().poly(15)
+
+
+def test_slot_growth_packs_every_entry_again(monkeypatch):
+    # the slot starts at 8 bits and grows with the bound; each growth packs
+    # every stored entry again, and the rows keep the pinned digest
+    honest = equivariant._slot_bits
     slots = []
 
     def spy(bound):
         slots.append(honest(bound))
         return slots[-1]
 
-    monkeypatch.setattr(equivariant, "_strip_slot", spy)
-    EqKLTable().poly(22)
-    assert len(slots) == 23
-    assert slots[15] == 13
-    assert max(slots[15:]) <= 15
+    monkeypatch.setattr(equivariant, "_slot_bits", spy)
+    table = EqKLTable()
+    digest = hashlib.sha256(
+        "".join(repr(table.poly(n)) for n in range(23)).encode()
+    ).hexdigest()
+    assert digest == "9db52d9c003c213ec13f3ca99578d60dc42623497468a6fab00abbe7724c2e9c"
+    assert slots[0] == 8 and 16 in slots and table._slot == 16
+    for k, (row, packed) in enumerate(zip(table._rows, table._packed)):
+        assert [lam for lam, *_ in packed] == list(row)
+        for (p, a), (_, packed_p, packed_a, reflected) in zip(row.values(), packed):
+            assert packed_p == IntPoly(p).evaluate(1 << 16)
+            assert packed_a == IntPoly(a).evaluate(1 << 16)
+            # R_k = t^(k+1) p_k(1/t)
+            assert reflected == sum(c << 16 * (k + 1 - j) for j, c in enumerate(p))
 
 
 def test_stored_partial_sums_match_products_with_w():

@@ -372,10 +372,17 @@ def test_pack_round_trip(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(slot_and_digits(st.sampled_from([64, 72, 128, 256, 1024]), max_size=300))
-# the carry case: a top 1 above -2^(slot-1), read by the loop when short and
-# by the byte-aligned read when longer than _LOOP_DIGITS slots
+@given(slot_and_digits(st.sampled_from([8, 16, 24, 32, 40, 64, 72, 128, 256, 1024]),
+                       max_size=300))
+# the carry case: a top 1 above -2^(slot-1), in slots read as native words
+# (1, 2 and 8 bytes) and as byte slices
+@example((8, [3, -(1 << 7), 1]))
+@example((16, [3, -(1 << 15), 1]))
 @example((64, [3, -(1 << 63), 1]))
+# one digit, the extremes of the signed range included
+@example((8, [-(1 << 7)]))
+@example((16, [(1 << 15) - 1]))
+@example((24, [-1]))
 @example((64, [3] * 20 + [-(1 << 63), 1]))
 @example((64, [-(1 << 63)] * 30 + [1]))
 @example((1024, [0] * 20 + [-(1 << 1023), 1]))
@@ -385,7 +392,7 @@ def test_pack_round_trip_byte_aligned(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(slot_and_digits(), slot_and_digits(st.sampled_from([64, 128]))),
+@given(st.one_of(slot_and_digits(), slot_and_digits(st.sampled_from([16, 64, 128]))),
        st.integers(0, 12))
 def test_pack_digit_out_of_range_does_not_round_trip(case, where):
     # negative control: a digit of +2^(slot-1) is one past the signed range,
