@@ -103,23 +103,16 @@ def test_slot_one_bit_short_is_refused(monkeypatch):
         EqKLTable().poly(15)
 
 
-def test_slot_growth_packs_every_entry_again(monkeypatch):
+def test_slot_growth_packs_every_entry_again():
     # the slot starts at 8 bits and grows with the bound; each growth packs
     # every stored entry again, and the rows keep the pinned digest
-    honest = equivariant._slot_bits
-    slots = []
-
-    def spy(bound):
-        slots.append(honest(bound))
-        return slots[-1]
-
-    monkeypatch.setattr(equivariant, "_slot_bits", spy)
     table = EqKLTable()
+    assert table._slot == 8
     digest = hashlib.sha256(
         "".join(repr(table.poly(n)) for n in range(23)).encode()
     ).hexdigest()
     assert digest == "9db52d9c003c213ec13f3ca99578d60dc42623497468a6fab00abbe7724c2e9c"
-    assert slots[0] == 8 and 16 in slots and table._slot == 16
+    assert table._slot == 16
     for k, (row, packed) in enumerate(zip(table._rows, table._packed)):
         assert [lam for lam, *_ in packed] == list(row)
         for (p, a), (_, packed_p, packed_a, reflected) in zip(row.values(), packed):
