@@ -36,15 +36,15 @@ A_n = p_n + B_n is stored beside it.  Multiplying by h_a is the Pieri rule:
 every (lam, a) adds its polynomial, with weight 1, to each mu of
 ``symfunc.horizontal_strips(lam, a)`` (Macdonald, Symmetric Functions and
 Hall Polynomials, Ch. I).  Both halves of a row ride in one packed int per
-(lam, a) (the codec of ``polynomials``).  The table keeps p_k and A_k as
-coefficient tuples, so the only ``SchurPoly`` of a row is the public p_n,
-and packs p_k, A_k and R_k once, when the entry is stored, at one slot of
-whole bytes for the whole table: 16 bits for rows 15 to 22.  Each (lam, a)
-is then shifts and adds of three stored ints, and each shape's sum is read
+(lam, a) (the codec of ``polynomials``).  The table keeps p_k, A_k and R_k
+only packed, each entry packed once, when it is solved, at one slot of whole
+bytes for the whole table (``polynomials._slot_bits``): 16 bits for rows 15
+to 22.  The only ``SchurPoly`` of a row is the public p_n.  Each (lam, a) is
+then shifts and adds of three stored ints, and each shape's sum is read
 back in one ``to_bytes`` call.  The slot holds a proven bound on every
 digit of a strip sum; when the bound outgrows it, the slot grows and every
-stored entry is packed again, and a row whose bound still does not fit
-raises ``ArithmeticError``.
+stored entry is read back at the old slot and packed at the new one, and a
+row whose bound still does not fit raises ``ArithmeticError``.
 
 ``conjecture_poly`` assembles the closed-form candidate for p_n indexed by
 the partition family of shape [a, b, 2^i, 1^eta] (2 <= a < n; b = 0 or
@@ -56,9 +56,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
-from .polynomials import (IntPoly, ZERO, _check_index, _pack, _unpack,
+from .polynomials import (IntPoly, ZERO, _check_index, _pack, _slot_bits, _unpack,
                           solve_reflection_equation)
 from .symfunc import Partition, SchurPoly, horizontal_strips
 
@@ -66,16 +66,14 @@ from .symfunc import Partition, SchurPoly, horizontal_strips
 class EqKLTable:
     """Bottom-up table of p_0, p_1, ...; the entries handed out are SchurPoly values.
 
-    Row k maps each partition to the coefficient tuples of p_k and of A_k =
-    (p w)_k, at least one of them nonzero.  Next to it the table keeps each
-    entry packed at the table's slot, as (lam, p_k, A_k, R_k) with R_k =
-    t^(k+1) p_k(1/t), and the bound of ``_slot_bits``: 2 plus the summed
-    1-norms of p_k and A_k over every stored entry.
+    Row k of ``_packed`` holds each partition lam whose p_k or A_k = (p w)_k
+    is nonzero as (lam, p_k, A_k, R_k), with R_k = t^(k+1) p_k(1/t), packed
+    at the table's slot; that is the only copy of a stored entry.  The bound
+    is 2 plus the summed 1-norms of p_k and A_k over every stored entry.
     """
 
     def __init__(self) -> None:
         self._entries: list[SchurPoly] = []
-        self._rows: list[dict[Partition, tuple[tuple[int, ...], tuple[int, ...]]]] = []
         self._packed: list[list[tuple[Partition, int, int, int]]] = []
         self._bound = 2
         self._slot = 8
@@ -86,11 +84,11 @@ class EqKLTable:
             self._append_next()
         return self._entries[n]
 
-    def _recursion_rhs(self, n: int) -> tuple[dict[Partition, tuple[int, ...]],
-                                              dict[Partition, tuple[int, ...]]]:
+    def _recursion_rhs(self, n: int) -> tuple[dict[Partition, Sequence[int]],
+                                              dict[Partition, Sequence[int]]]:
         """The right-hand side of row n and B_n, from p_k and A_k for k < n.
 
-        Both are dicts from partition to coefficient tuple, without zeros.
+        Both are dicts from partition to coefficient sequence, without zeros.
         Each (lam, a = n - k) adds t^a p_k - A_k, the term of B_n, plus
         t^lift (t^a A_k - R_k), with R_k = t^(k+1) p_k(1/t), to every mu of
         ``horizontal_strips(lam, a)`` with weight 1, as shifts and adds of
@@ -110,11 +108,14 @@ class EqKLTable:
                          + (((packed_a << shift) - reflected) << high))
                 for mu in horizontal_strips(lam, size):
                     acc[mu] = acc.get(mu, 0) + value
-        rhs: dict[Partition, tuple[int, ...]] = {}
-        below: dict[Partition, tuple[int, ...]] = {}
+        rhs: dict[Partition, Sequence[int]] = {}
+        below: dict[Partition, Sequence[int]] = {}
         for mu, value in acc.items():
             digits = _unpack(value, slot)
-            if low := _added(digits[:lift], ()):
+            low = digits[:lift]
+            while low and not low[-1]:
+                low.pop()
+            if low:
                 below[mu] = low
             if total := _added(low, digits[lift:]):
                 rhs[mu] = total
@@ -122,16 +123,24 @@ class EqKLTable:
 
     def _append_next(self) -> None:
         n = len(self._entries)
-        slot = _slot_bits(self._bound)
+        # No digit of a strip sum exceeds the bound in absolute value: R_k
+        # has the coefficients of p_k, so each half of a (lam, a) term has a
+        # 1-norm of at most |p_k|_1 + |A_k|_1, and (t-1) t^n one of 2; each
+        # (lam, a) meets a given mu at most once, with weight 1, and each
+        # digit of a sum belongs to one half.  A signed digit of
+        # bound.bit_length() + 1 bits, the proven width, holds it (13 bits
+        # at row 15).
+        slot = _slot_bits(self._bound.bit_length() + 1)
         if slot != self._slot:
-            self._slot = slot
-            self._packed = [_packed_row(row, k, slot) for k, row in enumerate(self._rows)]
+            old, self._slot = self._slot, slot
+            self._packed = [[(lam, *(_pack(_unpack(x, old), slot) for x in entry))
+                             for lam, *entry in row] for row in self._packed]
         if self._bound >> (slot - 1):
             raise ArithmeticError(
                 f"strip sums of row {n} up to {self._bound} may overflow a {slot}-bit slot")
         rhs, below = self._recursion_rhs(n)
         terms: dict[Partition, IntPoly] = {}
-        row = {}
+        row = []
         for lam in rhs.keys() | below.keys():
             q = rhs.get(lam, ())
             coeff = solve_reflection_equation(n + 1, IntPoly(q)) if q else ZERO
@@ -139,38 +148,12 @@ class EqKLTable:
                 terms[lam] = coeff
             # A_n = p_n + B_n; a nonzero rhs has a nonzero solution, so the
             # entry of each key of rhs or B_n has a nonzero part
-            row[lam] = (p, _added(p, below.get(lam, ())))
+            a = _added(p, below.get(lam, ()))
+            row.append((lam, _pack(p, slot), _pack(a, slot),
+                        _pack(p[::-1], slot) << slot * (n + 2 - len(p))))
+            self._bound += sum(map(abs, p)) + sum(map(abs, a))
         self._entries.append(SchurPoly(terms, degree=n))
-        self._rows.append(row)
-        self._packed.append(_packed_row(row, n, slot))
-        self._bound += sum(sum(map(abs, p)) + sum(map(abs, a)) for p, a in row.values())
-
-
-def _packed_row(row: dict[Partition, tuple[tuple[int, ...], tuple[int, ...]]], k: int,
-                slot: int) -> list[tuple[Partition, int, int, int]]:
-    """Each entry of row k as (lam, p_k, A_k, R_k), packed at ``slot``; R_k = t^(k+1) p_k(1/t)."""
-    return [(lam, _pack(p, slot), _pack(a, slot),
-             _pack(p[::-1], slot) << slot * (k + 2 - len(p)))
-            for lam, (p, a) in row.items()]
-
-
-def _slot_bits(bound: int) -> int:
-    """The table's slot for strip sums whose digits are at most ``bound`` in absolute value.
-
-    ``bound`` is 2 plus the summed 1-norms of p_k and A_k over the stored
-    entries.  R_k has the coefficients of p_k, so each half of a (lam, a)
-    term has a 1-norm of at most |p_k|_1 + |A_k|_1, and (t-1) t^n one of 2.
-    Each (lam, a) meets a given mu at most once, with weight 1, and each
-    digit of a sum belongs to one half, so no digit of a strip sum exceeds
-    the bound in absolute value, and ``bound.bit_length() + 1`` bits, the
-    proven width, hold it as a signed digit (13 bits at row 15).  The slot
-    is the smallest of 8, 16, 32 or 64 bits, then a multiple of 64, that is
-    at least that wide, so ``_unpack`` reads whole bytes.
-    """
-    bits = bound.bit_length() + 1
-    if bits <= 32:
-        return max(8, 1 << (bits - 1).bit_length())
-    return -(-bits // 64) * 64
+        self._packed.append(row)
 
 
 def _added(a, b) -> tuple[int, ...]:

@@ -22,8 +22,9 @@ exact at any slot; only that read needs every coefficient of rhs inside the
 signed range of a slot.  Since ||(t-1) f||_1 <= 2 ||f||_1, the same Horner
 pass over the 1-norms of the entries, doubled at each (t - 1), bounds every
 coefficient of rhs.  When that bound outgrows the table's slot, the slot
-grows to a quarter more than the bound needs, rounded up to a multiple of 8
-bits, and the stored entries are repacked; a row whose bound still does not
+grows to ``polynomials._slot_bits`` of a quarter more than the bits the
+bound needs, whole bytes, so every growth multiplies the slot by more than
+5/4, and the stored entries are repacked; a row whose bound still does not
 fit raises ``ArithmeticError``.  ``solve_reflection_equation`` still checks
 every right-hand side it is given.
 
@@ -46,6 +47,7 @@ from .polynomials import (
     ZERO,
     _check_index,
     _pack,
+    _slot_bits,
     _unpack,
     expand_F,
     solve_reflection_equation,
@@ -96,10 +98,11 @@ class KLTable:
         for i, norm in enumerate(self._norms):
             bound = 2 * bound + (binomials[i] * norm << (n - i))
         bound *= 2
-        slot = _slot_bits(bound, self._slot)
-        if slot != self._slot:
-            self._slot = slot
-            self._packed = [_pack(p.coeffs, slot) for p in self._entries]
+        bits = bound.bit_length() + 1
+        if bits > self._slot:
+            self._slot = _slot_bits(bits * 5 // 4)
+            self._packed = [_pack(p.coeffs, self._slot) for p in self._entries]
+        slot = self._slot
         if bound >> (slot - 1):
             raise ArithmeticError(
                 f"coefficients of row {n} up to {bound} may overflow a {slot}-bit slot"
@@ -113,19 +116,6 @@ class KLTable:
         self._packed.append(_pack(p.coeffs, slot))
         self._norms.append(sum(map(abs, p.coeffs)))
         self._binomials = [1] + [a + b for a, b in zip(binomials, binomials[1:])] + [1]
-
-
-def _slot_bits(bound: int, slot: int) -> int:
-    """The slot for a row whose coefficients are at most ``bound`` in absolute value.
-
-    ``slot`` itself if a signed digit of that many bits holds them; else a
-    quarter more than the bits they need, rounded up to a multiple of 8, so
-    every growth multiplies the slot by more than 5/4.
-    """
-    bits = bound.bit_length() + 1
-    if bits <= slot:
-        return slot
-    return -(-(bits * 5 // 4) // 8) * 8
 
 
 _TABLE = KLTable()

@@ -23,7 +23,9 @@ with one result.  A slot of whole bytes is read in one ``to_bytes`` call,
 then as native signed words or byte slices: the 64-bit lattice rows of
 ``flats``, the KL rows of ``kl`` and the strip rows of ``equivariant``.
 Any other slot, such as the Dyck DP's 2 * max_n + 1 bits, is read by a
-loop of one shift per digit.
+loop of one shift per digit.  ``_slot_bits`` is the one rule by which the
+two growing tables, ``kl``'s and ``equivariant``'s, pick such a slot for a
+digit width.
 """
 
 from __future__ import annotations
@@ -151,7 +153,13 @@ class IntPoly:
         return IntPoly((0,) * k + self.coeffs)
 
     def evaluate(self, x: int) -> int:
-        """Exact integer evaluation by Horner's scheme."""
+        """Exact integer evaluation by Horner's scheme.
+
+        A point whose type is not ``int`` itself (a bool, a float) raises
+        ``TypeError``, as a coefficient does.
+        """
+        if type(x) is not int:
+            raise TypeError(f"the point must be an int, got {type(x).__name__}")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -261,6 +269,20 @@ def _unpack(value: int, slot: int) -> list[int]:
     while digits and not digits[-1]:
         digits.pop()
     return digits
+
+
+def _slot_bits(width: int) -> int:
+    """The slot that ``_unpack`` reads in one call for signed digits of ``width`` bits.
+
+    The smallest of 8, 16, 32 or 64 bits that holds them, read as native
+    words, else ``width`` rounded up to whole bytes, read as byte slices.
+
+    >>> [_slot_bits(width) for width in (1, 13, 64, 65)]
+    [8, 16, 64, 72]
+    """
+    if width <= 64:
+        return max(8, 1 << (width - 1).bit_length())
+    return -(-width // 8) * 8
 
 
 def _offset(count: int, width: int) -> int:

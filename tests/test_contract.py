@@ -99,6 +99,9 @@ WRONG_TYPES = [
     ("IntPoly.__add__-bool", lambda: ONE + True),
     ("IntPoly.__mul__-bool", lambda: T * True),
     ("IntPoly.__rsub__-bool", lambda: True - T),
+    # Horner's scheme at a float or bool point would return a float or read True as 1
+    ("IntPoly.evaluate-float", lambda: IntPoly((1, 2)).evaluate(0.5)),
+    ("IntPoly.evaluate-bool", lambda: IntPoly((1, 2)).evaluate(True)),
 ]
 
 

@@ -14,7 +14,7 @@ from thagkl.equivariant import (
     verify_conjecture,
 )
 from thagkl.kl import kl_poly
-from thagkl.polynomials import IntPoly, ONE, T
+from thagkl.polynomials import IntPoly, ONE, T, _unpack
 from thagkl.symfunc import SchurPoly, v_poly, w_poly
 from schur_reference import mul_w_pieri, pieri_oracle
 
@@ -77,19 +77,19 @@ def test_eq_kl_table_pinned_through_rank_twenty_two():
 def test_row_slots_stay_narrow(monkeypatch):
     # the proven width, from the summed 1-norms of the packed halves, is 13
     # bits at row 15 and at most 15 through row 22, and the table's slot,
-    # rounded up to whole bytes, is 16 bits at every row from 15 to 22
+    # rounded up to whole bytes by the codec's rule, is 16 bits at every row
+    # from 15 to 22
     honest = equivariant._slot_bits
-    bounds, slots = [], []
+    widths, slots = [], []
 
-    def spy(bound):
-        bounds.append(bound)
-        slots.append(honest(bound))
+    def spy(width):
+        widths.append(width)
+        slots.append(honest(width))
         return slots[-1]
 
     monkeypatch.setattr(equivariant, "_slot_bits", spy)
     EqKLTable().poly(22)
     assert len(slots) == 23
-    widths = [bound.bit_length() + 1 for bound in bounds]
     assert widths[15] == 13
     assert max(widths[15:]) <= 15
     assert slots[15:] == [16] * 8
@@ -98,14 +98,15 @@ def test_row_slots_stay_narrow(monkeypatch):
 def test_slot_one_bit_short_is_refused(monkeypatch):
     # negative control: a slot rule one bit below the proven width raises
     # instead of reading strip sums whose digits may not fit
-    monkeypatch.setattr(equivariant, "_slot_bits", lambda bound: bound.bit_length())
+    monkeypatch.setattr(equivariant, "_slot_bits", lambda width: width - 1)
     with pytest.raises(ArithmeticError, match="may overflow"):
         EqKLTable().poly(15)
 
 
 def test_slot_growth_packs_every_entry_again():
-    # the slot starts at 8 bits and grows with the bound; each growth packs
-    # every stored entry again, and the rows keep the pinned digest
+    # the slot starts at 8 bits and grows with the bound; each growth reads
+    # every stored entry back at the old slot and packs it at the new one,
+    # and the rows keep the pinned digest
     table = EqKLTable()
     assert table._slot == 8
     digest = hashlib.sha256(
@@ -113,11 +114,14 @@ def test_slot_growth_packs_every_entry_again():
     ).hexdigest()
     assert digest == "9db52d9c003c213ec13f3ca99578d60dc42623497468a6fab00abbe7724c2e9c"
     assert table._slot == 16
-    for k, (row, packed) in enumerate(zip(table._rows, table._packed)):
-        assert [lam for lam, *_ in packed] == list(row)
-        for (p, a), (_, packed_p, packed_a, reflected) in zip(row.values(), packed):
+    for k, row in enumerate(table._packed):
+        p_k, a_k = _stored_rows(table, k)
+        assert {lam for lam, *_ in row} == p_k.keys() | a_k.keys()
+        assert SchurPoly({lam: IntPoly(p) for lam, p in p_k.items()}, degree=k) == table.poly(k)
+        for lam, packed_p, packed_a, reflected in row:
+            p = p_k.get(lam, ())
             assert packed_p == IntPoly(p).evaluate(1 << 16)
-            assert packed_a == IntPoly(a).evaluate(1 << 16)
+            assert packed_a == IntPoly(a_k.get(lam, ())).evaluate(1 << 16)
             # R_k = t^(k+1) p_k(1/t)
             assert reflected == sum(c << 16 * (k + 1 - j) for j, c in enumerate(p))
 
@@ -129,9 +133,8 @@ def test_stored_partial_sums_match_products_with_w():
     table = EqKLTable()
     table.poly(6)
     for n in range(7):
-        row = table._rows[n]
-        assert all(any(entry) for entry in row.values())
-        p, a = ({lam: entry[k] for lam, entry in row.items() if entry[k]} for k in range(2))
+        p, a = _stored_rows(table, n)
+        assert all(packed_p or packed_a for _, packed_p, packed_a, _ in table._packed[n])
         assert _as_schur(p, n) == table.poly(n)
         expected_a = SchurPoly({}, degree=n)
         expected_d = w_poly(n).scaled(T - ONE)
@@ -200,8 +203,20 @@ def _rhs_reference(n: int, table: EqKLTable) -> SchurPoly:
     return total
 
 
+def _stored_rows(table: EqKLTable, k: int) -> tuple[dict, dict]:
+    """p_k and A_k of the table's row k, read back from its packed entries."""
+    slot = table._slot
+    p, a = {}, {}
+    for lam, packed_p, packed_a, _ in table._packed[k]:
+        for terms, packed in ((p, packed_p), (a, packed_a)):
+            if coeffs := _unpack(packed, slot):
+                terms[lam] = coeffs
+    return p, a
+
+
 def _as_schur(terms: dict, n: int) -> SchurPoly:
-    # the solver keeps each row as a dict from partition to coefficient tuple
+    # a dict from partition to coefficient sequence, as ``_recursion_rhs``
+    # returns and ``_stored_rows`` reads back, with no zero on top
     assert all(coeffs and coeffs[-1] for coeffs in terms.values())
     return SchurPoly({lam: IntPoly(coeffs) for lam, coeffs in terms.items()}, degree=n)
 

@@ -6,7 +6,7 @@ package modules listed here, so a new edge is a deliberate edit of this table.
 ``cli`` and ``__init__``) imports several of them.
 ``dyck`` imports ``polynomials`` for the index check and the packed-row
 reader ``_unpack``; ``kl`` and ``equivariant`` also import both halves of
-the codec, for their packed rows.  The private names that cross a module
+the codec, for their packed rows, and its one slot rule ``_slot_bits``.  The private names that cross a module
 boundary are the kernel's index check, coercion and packed-polynomial codec,
 and the reflection core, which the lattice engine calls on coefficient lists.
 """
@@ -67,8 +67,10 @@ PRIVATE_IMPORTS = {
     "symfunc": {"polynomials._as_poly", "polynomials._check_index"},
     "flats": {"polynomials._check_index", "polynomials._pack", "polynomials._solve_reflection",
               "polynomials._unpack"},
-    "kl": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
-    "equivariant": {"polynomials._check_index", "polynomials._pack", "polynomials._unpack"},
+    "kl": {"polynomials._check_index", "polynomials._pack", "polynomials._slot_bits",
+           "polynomials._unpack"},
+    "equivariant": {"polynomials._check_index", "polynomials._pack", "polynomials._slot_bits",
+                    "polynomials._unpack"},
     "verify": {"polynomials._check_index"},
 }
 

@@ -13,7 +13,7 @@ from thagkl.kl import (
     phi_series,
     verify_theorem,
 )
-from thagkl.polynomials import IntPoly, ONE, ZERO, solve_reflection_equation
+from thagkl.polynomials import IntPoly, ONE, ZERO, _slot_bits, solve_reflection_equation
 
 
 def test_char_poly_boolean():
@@ -139,25 +139,47 @@ def test_kl_table_pinned_through_three_hundred():
         "c35808ad9713b88e008db7dc380f6d5f89a2312b2ff3e2b946fe7b22a77cffba")
 
 
-def test_slot_grows_past_the_bound_in_whole_bytes():
+def test_slot_grows_past_the_bound_in_whole_bytes(monkeypatch):
+    # the codec's rule is asked only when the bound outgrows the slot, each
+    # time for a quarter more than the bits the bound needs
+    widths = []
+
+    def spy(width):
+        widths.append(width)
+        return _slot_bits(width)
+
+    monkeypatch.setattr(kl, "_slot_bits", spy)
     table = KLTable()
     table.entries(80)
     slot = table._slot
     assert slot % 8 == 0 and slot > 64
-    # the slot is what the growth rule makes of the bound, and the stored
+    assert len(widths) >= 2
+    for before, width in zip([64] + [_slot_bits(w) for w in widths], widths):
+        assert width >= (before + 1) * 5 // 4
+    # the slot is what the rule makes of the last width, and the stored
     # entries are packed at it
+    assert slot == _slot_bits(widths[-1])
     assert all(packed == p.evaluate(1 << slot)
                for p, packed in zip(table._entries, table._packed))
     assert table._norms == [sum(map(abs, p.coeffs)) for p in table._entries]
-    assert kl._slot_bits(1, 64) == 64
-    assert kl._slot_bits((1 << 63) - 1, 64) == 64
-    assert kl._slot_bits(1 << 63, 64) == 88  # 65 bits needed, a quarter more is 81
+    assert _slot_bits(81) == 88  # 65 bits needed, a quarter more is 81
+
+
+def test_slot_sequence_pinned_through_three_hundred():
+    # every slot the table takes on its way to row 300, read after each row
+    table = KLTable()
+    slots = []
+    for n in range(301):
+        table.poly(n)
+        if not slots or slots[-1] != table._slot:
+            slots.append(table._slot)
+    assert slots == [64, 88, 120, 160, 208, 264, 336, 424, 536, 672, 848, 1064]
 
 
 def test_slot_below_the_bound_raises(monkeypatch):
     # negative control: a slot that never grows is soon narrower than the
     # bound; the row must raise instead of reading wrapped digits
-    monkeypatch.setattr(kl, "_slot_bits", lambda bound, slot: slot)
+    monkeypatch.setattr(kl, "_slot_bits", lambda width: 64)
     table = KLTable()
     with pytest.raises(ArithmeticError, match="may overflow a 64-bit slot"):
         table.entries(60)
