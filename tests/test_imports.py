@@ -6,9 +6,10 @@ package modules listed here, so a new edge is a deliberate edit of this table.
 ``cli`` and ``__init__``) imports several of them.
 ``dyck`` imports ``polynomials`` for the index check and the packed-row
 reader ``_unpack``; ``kl`` and ``equivariant`` also import both halves of
-the codec, for their packed rows, and its one slot rule ``_slot_bits``.  The private names that cross a module
-boundary are the kernel's index check, coercion and packed-polynomial codec,
-and the reflection core, which the lattice engine calls on coefficient lists.
+the codec, for their packed rows, and its one slot rule ``_slot_bits``.  The
+private names that cross a module boundary are the kernel's index check,
+coercion and packed-polynomial codec, and the reflection core, which the
+lattice engine calls on coefficient lists.
 """
 
 import ast
