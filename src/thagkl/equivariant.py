@@ -60,7 +60,7 @@ from collections.abc import Mapping, Sequence
 
 from .polynomials import (IntPoly, ZERO, _check_index, _pack, _slot_bits, _unpack,
                           solve_reflection_equation)
-from .symfunc import Partition, SchurPoly, horizontal_strips
+from .symfunc import Partition, SchurPoly, _checked_partition, horizontal_strips
 
 
 class EqKLTable:
@@ -199,7 +199,11 @@ def upsilon(n: int) -> tuple[Partition, ...]:
 
 
 def kappa(lam: Partition, n: int) -> int:
-    """Leading multiplicity of the closed-form candidate at lam."""
+    """Leading multiplicity of the closed-form candidate at lam, a partition of n."""
+    lam = _checked_partition(*lam)
+    _check_index(n, "index", 1)
+    if sum(lam) != n:
+        raise ValueError(f"{lam} is not a partition of {n}")
     if lam == (n - 1, 1):
         return lam[0] - 1
     second = lam[1] if len(lam) > 1 else 0
@@ -208,6 +212,7 @@ def kappa(lam: Partition, n: int) -> int:
 
 def omega(lam: Partition) -> int:
     """1 when the smallest part differs from 1, else 0."""
+    lam = _checked_partition(*lam)
     return 0 if lam and lam[-1] == 1 else 1
 
 

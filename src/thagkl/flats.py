@@ -196,8 +196,14 @@ def thagomizer_graph(n: int) -> Graph:
     return Graph(n + 2, tuple(edges))
 
 
+def _check_graph(graph: Graph) -> None:
+    if not isinstance(graph, Graph):
+        raise TypeError(f"graph must be a Graph, got {type(graph).__name__}")
+
+
 def closure(graph: Graph, edge_subset: Flat) -> Flat:
     """Graphic-matroid closure: every edge whose endpoints the subset connects."""
+    _check_graph(graph)
     reps = graph._components(frozenset(edge_subset))
     return frozenset(
         e for e, (u, v) in enumerate(graph.edges) if reps[u] == reps[v]
@@ -409,6 +415,7 @@ def build_lattice(graph: Graph) -> FlatLattice:
     blocks of a flat are a list: a freed tuple would linger in CPython's
     tuple free lists.  Guarded by MAX_LATTICE_RANK; the lattice is exponential in rank.
     """
+    _check_graph(graph)
     if graph.rank() > MAX_LATTICE_RANK:
         raise ValueError(
             f"matroid rank {graph.rank()} exceeds lattice bound {MAX_LATTICE_RANK}"

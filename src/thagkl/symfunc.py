@@ -75,6 +75,7 @@ def _checked_partition(*parts: int) -> Partition:
 
 
 def conjugate(lam: Partition) -> Partition:
+    lam = _checked_partition(*lam)
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
@@ -163,10 +164,9 @@ def vertical_strips(lam: Partition, size: int) -> Iterator[Partition]:
 
     A vertical strip has at most one new box per row, so it is a horizontal
     strip of the conjugate shape: the walk is ``horizontal_strips(lam', size)``
-    with each shape conjugated back.  lam is checked before the walk starts,
-    size by the walk.
+    with each shape conjugated back.  lam is checked by ``conjugate`` before
+    the walk starts, size by the walk.
     """
-    lam = _checked_partition(*lam)
     return (conjugate(mu) for mu in horizontal_strips(conjugate(lam), size))
 
 
@@ -188,6 +188,8 @@ class SchurPoly:
         terms: Mapping[Partition, Union[IntPoly, int]],
         degree: int | None = None,
     ):
+        if not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a mapping, got {type(terms).__name__}")
         clean: dict[Partition, IntPoly] = {}
         for lam, coeff in terms.items():
             lam = _checked_partition(*lam)

@@ -60,6 +60,7 @@ ENTRIES = [
     ("EqKLTable.poly", lambda n: equivariant.EqKLTable().poly(n), 0),
     ("eq_kl", equivariant.eq_kl, 0),
     ("upsilon", equivariant.upsilon, 1),
+    ("kappa", lambda n: equivariant.kappa((1,), n), 1),
     ("conjecture_poly", equivariant.conjecture_poly, 1),
     ("verify_conjecture", equivariant.verify_conjecture, 1),
     ("corrupted_series-n", lambda n: verify.corrupted_series(5, n, 0), 0),
@@ -102,6 +103,10 @@ WRONG_TYPES = [
     # Horner's scheme at a float or bool point would return a float or read True as 1
     ("IntPoly.evaluate-float", lambda: IntPoly((1, 2)).evaluate(0.5)),
     ("IntPoly.evaluate-bool", lambda: IntPoly((1, 2)).evaluate(True)),
+    # an int or a list of pairs is neither a graph nor a mapping of terms
+    ("build_lattice-graph", lambda: flats.build_lattice(5)),
+    ("closure-graph", lambda: flats.closure(5, {0})),
+    ("SchurPoly-terms", lambda: SchurPoly([((1,), 1)])),
 ]
 
 
@@ -143,6 +148,9 @@ PARTITION_ENTRIES = [
     ("hook_dim", symfunc.hook_dim),
     ("horizontal_strips", lambda lam: list(symfunc.horizontal_strips(lam, 1))),
     ("vertical_strips", lambda lam: list(symfunc.vertical_strips(lam, 1))),
+    ("conjugate", symfunc.conjugate),
+    ("kappa", lambda lam: equivariant.kappa(lam, 4)),
+    ("omega", equivariant.omega),
 ]
 
 

@@ -235,6 +235,22 @@ def test_packed_count_names_the_first_bad_path(length, where):
     assert _packed_long_ascents(array("I", xs), 6) == _scalar_counts(xs)
 
 
+def test_run_bits_are_factor_bits_moved_up_plus_the_end():
+    # the identity behind the one count: a long run ends at a U U followed
+    # by a D (a UUD factor, one place lower) or by the end of the word.  So
+    # the UUD factor count that the run scan replaced differs from it only
+    # on a word ending in U U, which is what _bit_long_ascents raises on
+    for x in range(1 << 16):
+        pair = x & (x >> 1)
+        factors = (pair >> 1) & ~x
+        assert pair & ~(pair << 1) == factors << 1 | (pair & 1)
+        if pair & 1:
+            with pytest.raises(ArithmeticError):
+                _bit_long_ascents(x)
+        else:
+            assert _bit_long_ascents(x) == factors.bit_count()
+
+
 def test_packed_counts_disagree_on_run_closed_by_the_end():
     # the packed twin of the scalar test above, alone and between two paths
     with pytest.raises(ArithmeticError):
@@ -261,8 +277,8 @@ def test_long_ascents_examples():
 
 
 def test_long_ascents_run_scan_equals_factor_count():
-    # the two counting strategies are computed independently inside
-    # long_ascents and cross-checked; exercise that on every small path
+    # long_ascents counts runs on bits; this counts them step by step on
+    # the U/D word, for every small path
     for n in range(8):
         for path in enumerate_paths(n):
             runs = 0
@@ -409,7 +425,7 @@ def test_is_dyck_word_rejects_invalid():
 
 
 def test_long_ascents_rejects_non_dyck_words():
-    # "UUDU" has one long run and one UUD factor, so the counts alone agree
+    # "UUDU" does not end in U U, so only the Dyck-word check rejects it
     for word in ("UUDU", "UDUU", "DU", "UUD", "UXDD", "D"):
         with pytest.raises(ValueError):
             long_ascents(word)

@@ -8,8 +8,9 @@ package modules listed here, so a new edge is a deliberate edit of this table.
 reader ``_unpack``; ``kl`` and ``equivariant`` also import both halves of
 the codec, for their packed rows, and its one slot rule ``_slot_bits``.  The
 private names that cross a module boundary are the kernel's index check,
-coercion and packed-polynomial codec, and the reflection core, which the
-lattice engine calls on coefficient lists.
+coercion and packed-polynomial codec, the reflection core, which the
+lattice engine calls on coefficient lists, and the partition check, which
+``equivariant`` applies to the shapes its closed form is read at.
 """
 
 import ast
@@ -71,7 +72,7 @@ PRIVATE_IMPORTS = {
     "kl": {"polynomials._check_index", "polynomials._pack", "polynomials._slot_bits",
            "polynomials._unpack"},
     "equivariant": {"polynomials._check_index", "polynomials._pack", "polynomials._slot_bits",
-                    "polynomials._unpack"},
+                    "polynomials._unpack", "symfunc._checked_partition"},
     "verify": {"polynomials._check_index"},
 }
 
