@@ -195,10 +195,13 @@ class NotDyckPathError(ValueError, ArithmeticError):
 
 
 def long_ascents(path: str) -> int:
-    """Number of long ascents of a Dyck path.
+    """Number of long ascents of a Dyck path, given as a U/D string.
 
-    Raises ``NotDyckPathError`` if ``path`` is not a Dyck path.
+    Raises ``TypeError`` if ``path`` is not a ``str``, and
+    ``NotDyckPathError`` if it is not a Dyck path.
     """
+    if not isinstance(path, str):
+        raise TypeError(f"path must be a str of U and D steps, got {type(path).__name__}")
     if not is_dyck_word(path):
         raise NotDyckPathError(f"{path!r} is not a Dyck path")
     return _bit_long_ascents(int("0" + path.translate(_TO_BITS), 2))
@@ -209,12 +212,12 @@ def _bit_long_ascents(x: int) -> int:
 
     Bit i of ``pair`` marks a U whose preceding step is also U.  A maximal
     run of >= 2 U's is counted once, at its last such bit.  Bit 0 of
-    ``pair`` marks a word ending in UU (no Dyck path does), which is raised:
-    there the run count and the UUD factor count would disagree.
+    ``pair`` marks a word ending in UU, which no Dyck path does, so it is
+    raised: no D closes that run, so it would be counted with no UUD factor.
     """
     pair = x & (x >> 1)
     if pair & 1:
-        raise ArithmeticError("last two steps U U: run scan and UUD factor count disagree")
+        raise ArithmeticError("word ends in U U, which no Dyck path does")
     return (pair & ~(pair << 1)).bit_count()
 
 
@@ -259,8 +262,7 @@ def _packed_long_ascents(block: array, n: int) -> bytes:
         if pair & _lanes(1):
             bad = next(p for p in block[first : first + _CHUNK] if p & 3 == 3)
             raise ArithmeticError(
-                f"last two steps U U: run scan and UUD factor count disagree "
-                f"on path {bad:0{2 * n}b}"
+                f"word ends in U U, which no Dyck path does, on path {bad:0{2 * n}b}"
             )
         # the lanes past the end of a short last chunk hold no path
         out.append(_lane_counts(pair ^ pair & (pair << 1))[: len(block) - first])

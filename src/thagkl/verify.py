@@ -1,21 +1,23 @@
 """The cross-check battery behind ``thagkl verify``.
 
-``run_checks(max_n)`` returns one ``Check`` per comparison of independent
-pipelines, in this order: recursion = series = Dyck DP (``theorem-agreement``),
-recursion = binomial closed form, lattice-of-flats engine = recursion and
-(t-1)(t-2)^n for n <= ``LATTICE_CHECK_MAX``, equivariant solver = conjectured
-closed form for 1 <= n <= ``CONJECTURE_CHECK_MAX`` (left out when max_n is 0),
-graded dimension of the equivariant solver = recursion for 0 <= n <=
+``run_checks(max_n)`` returns one ``Check`` per row of ``_CHECKS``, in its
+order: recursion = series = Dyck DP (``theorem-agreement``), recursion =
+binomial closed form, lattice-of-flats engine = recursion and (t-1)(t-2)^n
+for n <= ``LATTICE_CHECK_MAX``, equivariant solver = conjectured closed form
+for 1 <= n <= ``CONJECTURE_CHECK_MAX`` (left out when max_n is 0), graded
+dimension of the equivariant solver = recursion for 0 <= n <=
 ``CONJECTURE_CHECK_MAX`` (``equivariant-dimension``), and the Catalan values
-of P_n(1) and of the leading coefficient of P_{2m}.  Apart from
-``kl.verify_theorem``, which builds its own Dyck DP rows, this module is the
-one place where pipelines meet.  A disagreement is data: its check has
-``ok`` false and names the first few disagreements in ``detail``.
+of P_n(1) and of the leading coefficient of P_{2m}.  Every comparison takes
+whole rows: two polynomials are compared over the union of their spans.
+Apart from ``kl.verify_theorem``, which builds its own Dyck DP rows, this
+module is the one place where pipelines meet.  A disagreement is data: its
+check has ``ok`` false and names the first few disagreements in ``detail``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 from .dyck import catalan, closed_form_row
@@ -64,83 +66,64 @@ def run_checks(max_n: int, *, series: Sequence[IntPoly] | None = None) -> tuple[
     ``corrupted_series``).
     """
     _check_index(max_n, "max_n")
-    checks = [
-        _theorem_agreement(max_n, series),
-        _closed_form_agreement(max_n),
-        _lattice_cross_check(min(max_n, LATTICE_CHECK_MAX)),
-    ]
-    if max_n >= 1:
-        checks.append(_conjecture_agreement(min(max_n, CONJECTURE_CHECK_MAX)))
-    checks.append(_equivariant_dimension(min(max_n, CONJECTURE_CHECK_MAX)))
-    checks.append(_catalan_checks(max_n))
+    checks = []
+    for name, low, cap, disagreements, failure, success in _CHECKS:
+        top = min(max_n, cap)
+        if top >= low:
+            bad = disagreements(top, series)
+            detail = failure(bad) if bad else f"{success} for n <= {top}"
+            checks.append(Check(name, not bad, detail))
     return tuple(checks)
 
 
-def _theorem_agreement(max_n: int, series: Sequence[IntPoly] | None) -> Check:
-    report = verify_theorem(max_n + 1, series=series)
-    detail = "; ".join(
-        f"(n={m.n}, k={m.k}): recursion={m.recursion} series={m.series} dp={m.dyck_dp}"
-        for m in report.mismatches[:5]
-    )
-    return Check("theorem-agreement", report.ok, detail or f"recursion = series = dp for n <= {max_n}")
+def _cells(n: int, a: IntPoly, b: IntPoly) -> list[tuple[int, int]]:
+    """The (n, k) at which a and b differ, over the union of their spans."""
+    return [(n, k) for k in range(max(a.degree(), b.degree()) + 1) if a[k] != b[k]]
 
 
-def _closed_form_agreement(max_n: int) -> Check:
-    bad = []
-    for n in range(max_n + 1):
-        p = kl_poly(n)
-        row = closed_form_row(n)
-        bad.extend((n, k) for k in range(p.degree() + 1) if p[k] != row.get(k, 0))
-    return Check(
-        "closed-form-agreement",
-        not bad,
-        f"mismatches at {bad[:5]}" if bad else f"closed form matches for n <= {max_n}",
-    )
+def _poly(row: dict[int, int]) -> IntPoly:
+    return IntPoly(row.get(k, 0) for k in range(max(row, default=-1) + 1))
 
 
-def _lattice_cross_check(max_n: int) -> Check:
-    bad = []
-    for n in range(max_n + 1):
-        lattice = build_lattice(thagomizer_graph(n))
-        if lattice.kl_poly() != kl_poly(n):
-            bad.append(("kl", n))
-        if lattice.char_poly(lattice.flats[-1]) != char_poly_thag(n):
-            bad.append(("chi", n))
-    return Check(
-        "lattice-cross-check",
-        not bad,
-        f"failures: {bad}" if bad else f"lattice engine matches for n <= {max_n}",
-    )
+def _lattice_sides(n: int) -> tuple[tuple[str, IntPoly, IntPoly], ...]:
+    lattice = build_lattice(thagomizer_graph(n))
+    return (("kl", lattice.kl_poly(), kl_poly(n)),
+            ("chi", lattice.char_poly(lattice.flats[-1]), char_poly_thag(n)))
 
 
-def _conjecture_agreement(max_n: int) -> Check:
-    report = verify_conjecture(max_n)
-    detail = "; ".join(f"(n={m.n}, partition={list(m.partition)})" for m in report.mismatches[:5])
-    return Check(
-        "conjecture-agreement", report.ok, detail or f"closed form matches the solver for n <= {max_n}"
-    )
-
-
-def _equivariant_dimension(max_n: int) -> Check:
-    bad = [n for n in range(max_n + 1) if eq_kl(n).graded_dimension() != kl_poly(n)]
-    return Check(
-        "equivariant-dimension",
-        not bad,
-        f"graded dimension differs from P_n at {bad[:5]}"
-        if bad
-        else f"graded dimension of the solver is P_n for n <= {max_n}",
-    )
-
-
-def _catalan_checks(max_n: int) -> Check:
-    bad_value = [n for n in range(max_n + 1) if kl_poly(n).evaluate(1) != catalan(n)]
-    bad_leading = [
-        m for m in range(max_n // 2 + 1) if kl_poly(2 * m).leading_coefficient() != catalan(m)
-    ]
-    return Check(
-        "catalan-checks",
-        not bad_value and not bad_leading,
-        f"P(1) failures at {bad_value[:5]}; leading failures at {bad_leading[:5]}"
-        if bad_value or bad_leading
-        else f"P_n(1) and leading coefficients are Catalan for n <= {max_n}",
-    )
+# One row per check, in report order: name; least n and cap on n; the
+# disagreements for n up to top = min(max_n, cap), given the replacement
+# series; the failure text, from the disagreements; the success text.  The
+# pipelines' functions are looked up in this module at call time.
+_CHECKS = (
+    ("theorem-agreement", 0, math.inf,
+     lambda top, series: verify_theorem(top + 1, series=series).mismatches,
+     lambda bad: "; ".join(f"(n={m.n}, k={m.k}): recursion={m.recursion} series={m.series} "
+                           f"dp={m.dyck_dp}" for m in bad[:5]),
+     "recursion = series = dp"),
+    ("closed-form-agreement", 0, math.inf,
+     lambda top, _: [cell for n in range(top + 1)
+                     for cell in _cells(n, kl_poly(n), _poly(closed_form_row(n)))],
+     lambda bad: f"mismatches at {bad[:5]}",
+     "closed form matches"),
+    ("lattice-cross-check", 0, LATTICE_CHECK_MAX,
+     lambda top, _: [(side, n) for n in range(top + 1)
+                     for side, a, b in _lattice_sides(n) if a != b],
+     lambda bad: f"failures: {bad}",
+     "lattice engine matches"),
+    ("conjecture-agreement", 1, CONJECTURE_CHECK_MAX,
+     lambda top, _: verify_conjecture(top).mismatches,
+     lambda bad: "; ".join(f"(n={m.n}, partition={list(m.partition)})" for m in bad[:5]),
+     "closed form matches the solver"),
+    ("equivariant-dimension", 0, CONJECTURE_CHECK_MAX,
+     lambda top, _: [n for n in range(top + 1) if eq_kl(n).graded_dimension() != kl_poly(n)],
+     lambda bad: f"graded dimension differs from P_n at {bad[:5]}",
+     "graded dimension of the solver is P_n"),
+    ("catalan-checks", 0, math.inf,
+     lambda top, _: [("P(1)", n) for n in range(top + 1) if kl_poly(n).evaluate(1) != catalan(n)]
+     + [("leading", m) for m in range(top // 2 + 1)
+        if kl_poly(2 * m).leading_coefficient() != catalan(m)],
+     lambda bad: "P(1) failures at {}; leading failures at {}".format(
+         *([n for tag, n in bad if tag == side][:5] for side in ("P(1)", "leading"))),
+     "P_n(1) and leading coefficients are Catalan"),
+)

@@ -107,6 +107,10 @@ WRONG_TYPES = [
     ("build_lattice-graph", lambda: flats.build_lattice(5)),
     ("closure-graph", lambda: flats.closure(5, {0})),
     ("SchurPoly-terms", lambda: SchurPoly([((1,), 1)])),
+    # a path is a str: a sequence of steps or bytes is not read as one
+    ("long_ascents-list", lambda: dyck.long_ascents(["U", "U", "D", "D"])),
+    ("long_ascents-tuple", lambda: dyck.long_ascents(("U", "D"))),
+    ("long_ascents-bytes", lambda: dyck.long_ascents(b"UD")),
 ]
 
 

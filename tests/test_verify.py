@@ -97,6 +97,16 @@ def _bump_closed_form(monkeypatch):
     monkeypatch.setattr(verify, "closed_form_row", row)
 
 
+def _extra_closed_form_term(monkeypatch):
+    # a term above deg P_6 = 3, which a comparison up to deg P_n never reads
+    honest = verify.closed_form_row
+
+    def row(n):
+        return {**honest(n), 4: 1} if n == 6 else honest(n)
+
+    monkeypatch.setattr(verify, "closed_form_row", row)
+
+
 def _wrong_lattice_kl(monkeypatch):
     honest = FlatLattice.kl_poly
     monkeypatch.setattr(FlatLattice, "kl_poly", lambda self: honest(self) + T * T)
@@ -145,6 +155,7 @@ def _wrong_catalan(monkeypatch):
     "corrupt, name, detail",
     [
         (_bump_closed_form, "closed-form-agreement", "mismatches at [(6, 2)]"),
+        (_extra_closed_form_term, "closed-form-agreement", "mismatches at [(6, 4)]"),
         (_wrong_lattice_kl, "lattice-cross-check", "failures: [('kl', 0), ('kl', 1),"),
         (_wrong_lattice_chi, "lattice-cross-check",
          "failures: [('chi', 0), ('chi', 1), ('chi', 2), ('chi', 3), ('chi', 4), ('chi', 5)]"),
