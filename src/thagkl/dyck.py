@@ -212,8 +212,8 @@ def _bit_long_ascents(x: int) -> int:
 
     Bit i of ``pair`` marks a U whose preceding step is also U.  A maximal
     run of >= 2 U's is counted once, at its last such bit.  Bit 0 of
-    ``pair`` marks a word ending in UU, which no Dyck path does, so it is
-    raised: no D closes that run, so it would be counted with no UUD factor.
+    ``pair`` marks a word ending in UU, which no Dyck path does, and is
+    raised: no D closes that run, so it is a long run with no UUD factor.
     """
     pair = x & (x >> 1)
     if pair & 1:

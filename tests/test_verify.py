@@ -98,7 +98,7 @@ def _bump_closed_form(monkeypatch):
 
 
 def _extra_closed_form_term(monkeypatch):
-    # a term above deg P_6 = 3, which a comparison up to deg P_n never reads
+    # a term above deg P_6 = 3: only a comparison over both spans sees it
     honest = verify.closed_form_row
 
     def row(n):
