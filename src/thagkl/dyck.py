@@ -78,7 +78,12 @@ def catalan(n: int) -> int:
 
 
 def is_dyck_word(word: str) -> bool:
-    """True iff word is a balanced U/D word with all prefix sums nonnegative."""
+    """True iff word is a balanced U/D word with all prefix sums nonnegative.
+
+    Raises ``TypeError`` if ``word`` is not a ``str``.
+    """
+    if not isinstance(word, str):
+        raise TypeError(f"path must be a str of U and D steps, got {type(word).__name__}")
     height = 0
     for step in word:
         if step == "U":
@@ -200,8 +205,6 @@ def long_ascents(path: str) -> int:
     Raises ``TypeError`` if ``path`` is not a ``str``, and
     ``NotDyckPathError`` if it is not a Dyck path.
     """
-    if not isinstance(path, str):
-        raise TypeError(f"path must be a str of U and D steps, got {type(path).__name__}")
     if not is_dyck_word(path):
         raise NotDyckPathError(f"{path!r} is not a Dyck path")
     return _bit_long_ascents(int("0" + path.translate(_TO_BITS), 2))

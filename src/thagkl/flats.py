@@ -52,40 +52,27 @@ localization M|_F.  Closing a set of edges inside F never leaves F, so M|_F
 is the cycle matroid of the graph on F's edges, and its chi is read from the
 top of that graph's own lattice; for F = 1 it is the cached full pass.
 
-Two vertices u != v are twins when N(u) - {v} = N(v) - {u}.  False twins
-share N(v), true twins share N(v) + {v}, and no vertex has both kinds, so
-twinship is an equivalence.  Neighbour sets are used, not edge counts:
-parallel edges do not change the lattice, which is that of the underlying
-simple graph.  Permuting twins is an automorphism of that graph and maps
-flats to flats, so P_g and chi([g, 1]) are constant on each orbit of flats
-under those permutations.  Two flats lie in one orbit exactly when their
-blocks have the same multiset of per-twin-class vertex counts, which
-``build_lattice`` records as each flat's orbit key.  The recursion is solved
-at the first flat of each orbit that the top-down pass meets, its highest
-index, and the rest of the orbit copy that flat's P, chi and row.  A graph
-without twins has one flat per orbit and runs the same loop.
-
-A flat F with at most four blocks is keyed by its contraction instead.  G/F
-is the simple graph whose vertices are F's blocks, two of them adjacent when
-an edge joins them, and [F, 1] is the lattice of flats of G/F.  On at most
-four vertices the sorted degree sequence determines a simple graph up to
-isomorphism (the 11 graphs on four vertices have 11 sequences; on five it
-fails: a path and a triangle beside an edge share (1, 1, 2, 2, 2)).  So two
-flats of one graph with the same sorted block degrees have isomorphic upper
-intervals, the same P and chi, and, with as many blocks, the same rank and
-so the same row; they share a class, solved once like an orbit.  Flats of
-five or more blocks keep their twin-orbit key; orbit keys are ints and
-contraction keys tuples, so the two never collide.  A flat that copies
-another is checked by size alone: isomorphic upper intervals have up-sets
-of one size, and unequal sizes raise ``ArithmeticError``.  A solved flat is
-not checked.
+Flats are classed by the pass itself, a rank at a time from the top; the
+top flat is a class of its own.  Flat i is keyed by the tuple of counts
+|up(i) & C| over the classes C formed at higher ranks, read as one popcount
+per class.  Every flat of a class has one row, so the key fixes the up-set
+sum as sum_C |up(i) & C| row_C, and with it rhs_i and chi([i, 1]): by
+induction from the top, flats of one rank with one key have one P, chi and
+row, which makes the key sound with no isomorphism test and nothing to
+check.  Each key of a rank is a class, solved once, and its counts add up
+to |up(i)| - 1, so no up-set is summed flat by flat.  An isomorphism of
+upper intervals maps each flat above to one with an isomorphic upper
+interval, so by the same induction flats with isomorphic upper intervals,
+and in particular with isomorphic contractions G/F, share a key; the pass
+solves at most once per isomorphism class of contractions, at any number of
+blocks.
 
 Each flat's row, the coefficients of t^rk(g) P_g and of chi([g, 1]), is one
 int packed by the shared codec of ``polynomials`` in signed slots of
 ``_SLOT_BITS`` bits, so the up-set sum of i, which holds S_i and the chi sum
-in its two halves, is one C-level ``sum`` of ints; a guard raises
-``ArithmeticError`` once the largest coefficient times len(lattice), a bound
-on any up-set sum, could reach half a slot.
+in its two halves, is one C-level ``sum`` of the class rows times their
+counts; a guard raises ``ArithmeticError`` once the largest coefficient
+times len(lattice), a bound on any up-set sum, could reach half a slot.
 
 Flats are sorted by rank, then by their sorted lists of edge indices.  No
 flat contains another of its rank, so the lowest edge at which two flats of
@@ -95,10 +82,7 @@ mask, so sorting each rank by it in descending order gives that order
 without building the lists.
 
 Bitsets are scanned by ``itertools.compress`` over a 0/1 selector read from
-``bin(mask)``, one step per bit up to the highest, so each scan covers only
-the flats that can be in the set it sums.  A flat strictly above i has a
-larger rank, so the up-set sum of i starts at the first flat of rank
-rk(i) + 1.
+``bin(mask)``, one step per bit up to the highest.
 
 ``mu_row(i)`` reads only up-sets: mu(i, j) = -sum_{i <= h < j} mu(i, h)
 over the flats h <= j, so it visits up(i) in ascending index order, where
@@ -110,9 +94,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import Counter
 from itertools import compress, repeat
-from operator import rshift
+from operator import mul
 from typing import FrozenSet
 
 from .polynomials import IntPoly, ONE, _check_index, _pack, _solve_reflection, _unpack
@@ -215,43 +198,23 @@ def _selector(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def _twin_classes(graph: Graph) -> list[int]:
-    """Twin class of each vertex, numbered from 0 in order of first vertex.
-
-    u and v share a class when N(u) - {v} = N(v) - {u}: equal open
-    neighbourhoods (false twins) or equal closed ones (true twins).
-    """
-    neighbours: list[set[int]] = [set() for _ in range(graph.num_vertices)]
-    for u, v in graph.edges:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    open_sets = [frozenset(s) for s in neighbours]
-    shared = Counter(open_sets)
-    ids: dict[tuple[bool, frozenset[int]], int] = {}
-    return [ids.setdefault((True, s) if shared[s] > 1 else (False, s | {v}), len(ids))
-            for v, s in enumerate(open_sets)]
-
-
 class FlatLattice:
     """All flats of a graph's cycle matroid, ordered by inclusion.
 
     ``ranked_covers[r]`` maps each flat of rank r, as an edge bitmask, to the
-    bitmasks of the flats that cover it, and ``key_of`` maps each flat's
-    bitmask to its class key: the sorted degrees of its contraction for a
-    flat of at most four blocks, else the number of its orbit under twin
-    permutations; neither dict is kept.  Flats of one class have isomorphic
-    upper intervals.  Flats are sorted by (rank, sorted edge indices), so
+    bitmasks of the flats that cover it; it is not kept.  Flats are sorted
+    by (rank, sorted edge indices), so
     index 0 is the empty flat and the last index is the full edge set;
     ``flats`` holds them as frozensets, and ``index_of`` finds one by its
     bitmask.  The flats of rank r have the indices ``_rank_start[r]`` up to
     ``_rank_start[r + 1]``.  ``up_sets[i]`` is a bitset over flat indices:
     bit j is set iff flats[i] <= flats[j].  The KL and characteristic
     polynomials of the upper intervals come from one cached pass, solved
-    once per class; Moebius rows are computed from the up-sets on each call.
+    once per class of flats with the same counts of each class above them;
+    Moebius rows are computed from the up-sets on each call.
     """
 
-    def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]],
-                 key_of: dict[int, int | tuple[int, ...]]) -> None:
+    def __init__(self, graph: Graph, ranked_covers: list[dict[int, list[int]]]) -> None:
         self.graph = graph
         edge_ids = range(len(graph.edges))
         masks: list[int] = []
@@ -266,7 +229,6 @@ class FlatLattice:
         self.flats: tuple[Flat, ...] = tuple(
             frozenset(compress(edge_ids, _selector(m))) for m in masks)
         self.ranks: tuple[int, ...] = tuple(ranks)
-        self._keys: list[int | tuple[int, ...]] = [key_of[m] for m in masks]
         self._at = at = {m: i for i, m in enumerate(masks)}
         # a cover has a larger index, so one pass from the top finds every
         # up-set; the cover lists are not kept
@@ -340,41 +302,38 @@ class FlatLattice:
     def _uppers(self) -> tuple[list[IntPoly], list[IntPoly]]:
         """P and chi of every upper interval [i, 1], by index i.
 
-        One top-down pass: the up-set sum of flat i gives rhs_i and chi of
-        [i, 1] at once.  A flat copies the first of its class met, after a
-        check that their up-sets have the same size.
+        One top-down pass, a rank at a time: flat i is keyed by how many
+        flats of each class formed above its rank lie in its up-set, and
+        each key of a rank is a class, solved once from the sum of the rows
+        those counts weight.
         """
         top = self.ranks[-1]
         half = 1 << (_SLOT_BITS - 1)
         kl: list[IntPoly] = [ONE] * len(self)
         chi: list[IntPoly] = [ONE] * len(self)
-        # per flat g: t^rk(g) P_g in slots 0..top and chi([g, 1]) in slots
-        # top+1..2*top+1, so one sum over an up-set gives S_i and the chi
-        # sum of i; a row is zero below slot rk(g), so it is packed from there
-        rows = [0] * len(self)
-        starts = self._rank_start
         up_sets = self.up_sets
-        first_of: dict[int | tuple[int, ...], int] = {}
-        peak = 0
-        for i in reversed(range(len(self))):
-            first = first_of.setdefault(self._keys[i], i)
-            if first != i:
-                if up_sets[i].bit_count() != up_sets[first].bit_count():
-                    raise ArithmeticError(
-                        f"flat {i} copies flat {first}, but their up-sets have "
-                        f"{up_sets[i].bit_count()} and {up_sets[first].bit_count()} flats"
-                    )
-                kl[i] = kl[first]
-                chi[i] = chi[first]
-                rows[i] = rows[first]
-                continue
-            rank = self.ranks[i]
+        starts = self._rank_start
+        # per class formed so far: the bitset of its flats, and the row of
+        # each, t^rk(g) P_g in slots 0..top and chi([g, 1]) in slots
+        # top+1..2*top+1, so the counts of a key weight the rows into S_i
+        # and the chi sum of i; a row is zero below slot rk(g), so it is
+        # packed from there.  The top flat is a class of its own.
+        masks = [1 << (len(self) - 1)]
+        rows = [_pack([1, 1], _SLOT_BITS) << (_SLOT_BITS * top)]
+        peak = 1
+        for rank in reversed(range(top)):
             r = top - rank
-            if r:
-                # every flat of up(i) but i has rank above rk(i)
-                lo = starts[rank + 1]
-                total = sum(compress(rows[lo:], _selector(up_sets[i] >> lo)))
-                digits = _unpack(total >> (_SLOT_BITS * rank), _SLOT_BITS)
+            lo, hi = starts[rank], starts[rank + 1]
+            ups = up_sets[lo:hi]
+            # one column per class: its flats in each up-set of this rank
+            counts = [list(map(int.bit_count, map(mask.__and__, ups))) for mask in masks]
+            level: dict[tuple[int, ...], int] = {}
+            ids = [level.setdefault(key, len(level)) for key in zip(*counts)]
+            polys: list[tuple[IntPoly, IntPoly]] = []
+            # a key has a count per class above this rank, so map stops
+            # before the rows this rank appends
+            for key in level:
+                digits = _unpack(sum(map(mul, key, rows)) >> (_SLOT_BITS * rank), _SLOT_BITS)
                 digits += [0] * (2 * r + 2 - len(digits))
                 s = digits[:r + 1]
                 # rhs_i = t^(-rk i) S_i(t) - t^top S_i(1/t)
@@ -384,17 +343,19 @@ class FlatLattice:
                 c = [-d for d in digits[r + 1:]]
                 c[r] += 1
                 slots = p + c
-            else:
-                slots = [1, 1]
-            peak = max(peak, max(map(abs, slots)))
-            if peak * len(self) >= half:
-                raise ArithmeticError(
-                    f"coefficient {peak} times {len(self)} flats may overflow "
-                    f"a {_SLOT_BITS}-bit slot"
-                )
-            kl[i] = IntPoly(slots[:r + 1])
-            chi[i] = IntPoly(slots[r + 1:])
-            rows[i] = _pack(slots, _SLOT_BITS) << (_SLOT_BITS * rank)
+                peak = max(peak, max(map(abs, slots)))
+                if peak * len(self) >= half:
+                    raise ArithmeticError(
+                        f"coefficient {peak} times {len(self)} flats may overflow "
+                        f"a {_SLOT_BITS}-bit slot"
+                    )
+                polys.append((IntPoly(p), IntPoly(c)))
+                rows.append(_pack(slots, _SLOT_BITS) << (_SLOT_BITS * rank))
+            kl[lo:hi], chi[lo:hi] = zip(*map(polys.__getitem__, ids))
+            new = [0] * len(level)
+            for i, k in enumerate(ids):
+                new[k] |= 1 << i
+            masks += [m << lo for m in new]
         return kl, chi
 
 
@@ -402,60 +363,38 @@ def build_lattice(graph: Graph) -> FlatLattice:
     """Enumerate every flat, rank by rank, by merging blocks.
 
     A block is kept as one int: the bitmask of the edges incident to its
-    vertices, plus, above the edge bits, its vertex count per twin class
-    (``_twin_classes``), packed in fields wide enough for any class.  Two
-    blocks are joined exactly by the edges incident to both, and merging them
-    adds those edges to the flat, which gives each cover of the flat once;
-    the merged block is the sum of the two minus the joining edges.  The
-    same pair loop counts each block's joining partners, its degree in the
-    contraction G/F, and a flat of at most four blocks is keyed by the
-    sorted degrees, which fix G/F up to isomorphism.  A flat of five or more
-    blocks is keyed by its twin orbit, the sorted list of its blocks' count
-    fields.  Vertices without edges never merge and are left out.  The
-    blocks of a flat are a list: a freed tuple would linger in CPython's
-    tuple free lists.  Guarded by MAX_LATTICE_RANK; the lattice is exponential in rank.
+    vertices.  Two blocks are joined exactly by the edges incident to both,
+    and merging them adds those edges to the flat, which gives each cover of
+    the flat once; the merged block is the union of the two.  Vertices
+    without edges never merge and are left out.  The blocks of a flat are a
+    list: a freed tuple would linger in CPython's tuple free lists.  Guarded
+    by MAX_LATTICE_RANK; the lattice is exponential in rank.
     """
     _check_graph(graph)
     if graph.rank() > MAX_LATTICE_RANK:
         raise ValueError(
             f"matroid rank {graph.rank()} exceeds lattice bound {MAX_LATTICE_RANK}"
         )
-    classes = _twin_classes(graph)
-    field = max(Counter(classes).values(), default=0).bit_length()
-    num_edges = len(graph.edges)
-    edge_bits = (1 << num_edges) - 1
-    incident = [1 << (num_edges + field * c) for c in classes]
+    incident = [0] * graph.num_vertices
     for e, (u, v) in enumerate(graph.edges):
         incident[u] |= 1 << e
         incident[v] |= 1 << e
-    orbit_ids: dict[tuple[int, ...], int] = {}
-    above_edges = repeat(num_edges)
-
-    def orbit(blocks: list[int]) -> int:
-        return orbit_ids.setdefault(tuple(sorted(map(rshift, blocks, above_edges))),
-                                    len(orbit_ids))
-
-    level: dict[int, list[int]] = {0: [b for b in incident if b & edge_bits]}
-    key_of: dict[int, int | tuple[int, ...]] = {}
+    level: dict[int, list[int]] = {0: [b for b in incident if b]}
     ranked_covers: list[dict[int, list[int]]] = []
     while level:
         covers: dict[int, list[int]] = {}
         nxt: dict[int, list[int]] = {}
         for flat, blocks in level.items():
             above = covers[flat] = []
-            degrees = [0] * len(blocks)
             for a, block_a in enumerate(blocks):
                 for b in range(a + 1, len(blocks)):
-                    joining = block_a & blocks[b] & edge_bits
+                    joining = block_a & blocks[b]
                     if joining:
-                        degrees[a] += 1
-                        degrees[b] += 1
                         bigger = flat | joining
                         above.append(bigger)
                         if bigger not in nxt:
-                            nxt[bigger] = (blocks[:a] + [block_a + blocks[b] - joining]
+                            nxt[bigger] = (blocks[:a] + [block_a | blocks[b]]
                                            + blocks[a + 1:b] + blocks[b + 1:])
-            key_of[flat] = tuple(sorted(degrees)) if len(blocks) <= 4 else orbit(blocks)
         ranked_covers.append(covers)
         level = nxt
-    return FlatLattice(graph, ranked_covers, key_of)
+    return FlatLattice(graph, ranked_covers)

@@ -111,6 +111,8 @@ WRONG_TYPES = [
     ("long_ascents-list", lambda: dyck.long_ascents(["U", "U", "D", "D"])),
     ("long_ascents-tuple", lambda: dyck.long_ascents(("U", "D"))),
     ("long_ascents-bytes", lambda: dyck.long_ascents(b"UD")),
+    ("is_dyck_word-list", lambda: dyck.is_dyck_word(["U", "D"])),
+    ("is_dyck_word-bytes", lambda: dyck.is_dyck_word(b"UD")),
 ]
 
 
