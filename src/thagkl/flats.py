@@ -60,12 +60,12 @@ sum as sum_C |up(i) & C| row_C, and with it rhs_i and chi([i, 1]): by
 induction from the top, flats of one rank with one key have one P, chi and
 row, which makes the key sound with no isomorphism test and nothing to
 check.  Each key of a rank is a class, solved once, and its counts add up
-to |up(i)| - 1, so no up-set is summed flat by flat.  An isomorphism of
-upper intervals maps each flat above to one with an isomorphic upper
-interval, so by the same induction flats with isomorphic upper intervals,
-and in particular with isomorphic contractions G/F, share a key; the pass
-solves at most once per isomorphism class of contractions, at any number of
-blocks.
+to |up(i)| - 1, so no up-set is summed flat by flat.  An isomorphism from
+[i, 1] to [j, 1] maps each flat g above i to a flat of g's rank whose upper
+interval is isomorphic to [g, 1], so by the same induction flats with
+isomorphic upper intervals, and in particular with isomorphic contractions
+G/F, share a key: the pass solves at most once per isomorphism class of
+contractions, at any number of blocks.
 
 Each flat's row, the coefficients of t^rk(g) P_g and of chi([g, 1]), is one
 int packed by the shared codec of ``polynomials`` in signed slots of
@@ -202,11 +202,10 @@ class FlatLattice:
     """All flats of a graph's cycle matroid, ordered by inclusion.
 
     ``ranked_covers[r]`` maps each flat of rank r, as an edge bitmask, to the
-    bitmasks of the flats that cover it; it is not kept.  Flats are sorted
-    by (rank, sorted edge indices), so
-    index 0 is the empty flat and the last index is the full edge set;
-    ``flats`` holds them as frozensets, and ``index_of`` finds one by its
-    bitmask.  The flats of rank r have the indices ``_rank_start[r]`` up to
+    bitmasks of the flats that cover it; it is not kept.  Flats are sorted by
+    (rank, sorted edge indices), so index 0 is the empty flat and the last
+    index is the full edge set; ``flats`` holds them as frozensets, and
+    ``index_of`` finds one by its bitmask.  The flats of rank r have the indices ``_rank_start[r]`` up to
     ``_rank_start[r + 1]``.  ``up_sets[i]`` is a bitset over flat indices:
     bit j is set iff flats[i] <= flats[j].  The KL and characteristic
     polynomials of the upper intervals come from one cached pass, solved
